@@ -19,7 +19,7 @@ use bench::{median_secs, print_table};
 use criterion::{criterion_group, criterion_main, Criterion};
 use obs::{Layer, Obs};
 use perflow::paradigms::comm_analysis_graph;
-use perflow::{PassCache, PerFlow, RunHandleExt};
+use perflow::{ExecOptions, PassCache, PerFlow, RunHandleExt};
 use progmodel::{c, noise, nranks, rank, Program, ProgramBuilder};
 use simrt::{simulate, RunConfig};
 
@@ -83,7 +83,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let (g, nodes) = comm_analysis_graph(run.vertices()).expect("paradigm wiring failed");
     let cache = PassCache::new();
     let out = g
-        .execute_observed_with(&obs, Some(&cache), None)
+        .execute_with(&ExecOptions::new().with_obs(obs.clone()).with_cache(&cache))
         .expect("observed graph execution failed");
     assert!(!out.of(nodes.report).is_empty());
     for (layer, what) in [

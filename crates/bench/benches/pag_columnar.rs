@@ -6,11 +6,9 @@
 //!
 //! Besides the criterion output, running this bench with
 //! `PERFLOW_BENCH_JSON_OUT=BENCH_pag.json` re-emits the machine-readable
-//! perf baseline (RunMetrics field vocabulary; covers this suite *and*
-//! the `graphalgo_parallel` suite so the checked-in trajectory is one
-//! file).
+//! perf baseline (RunMetrics field vocabulary).
 
-use bench::pagbench::{columnar_entries, entries_to_json, large_metric_pag, parallel_entries};
+use bench::pagbench::{columnar_entries, entries_to_json, large_metric_pag};
 use criterion::{criterion_group, Criterion};
 use pag::mkeys;
 
@@ -46,9 +44,7 @@ criterion_group!(benches, bench_columnar);
 fn main() {
     benches();
     if let Ok(path) = std::env::var("PERFLOW_BENCH_JSON_OUT") {
-        let mut entries = columnar_entries(5);
-        entries.extend(parallel_entries(5));
-        let json = entries_to_json(&entries, graphalgo::default_workers());
+        let json = entries_to_json(&columnar_entries(5));
         std::fs::write(&path, format!("{json}\n")).expect("cannot write bench json");
         eprintln!("wrote perf baseline to {path}");
     }

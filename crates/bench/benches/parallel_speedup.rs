@@ -24,7 +24,7 @@
 use bench::{median_secs, print_table};
 use criterion::{criterion_group, criterion_main, Criterion};
 use perflow::paradigms::comm_analysis_graph;
-use perflow::{PassCache, PerFlow, RunHandleExt};
+use perflow::{ExecOptions, PassCache, PerFlow, RunHandleExt};
 use progmodel::{c, noise, nranks, rank, Program, ProgramBuilder};
 use simrt::{simulate, RunConfig};
 
@@ -140,9 +140,10 @@ fn bench_pass_cache(c: &mut Criterion) {
 
     // Correctness first: a warm cache must answer every node.
     let cache = PassCache::new();
-    let cold = g.execute_with_cache(&cache).expect("cold run failed");
+    let cached = ExecOptions::new().with_cache(&cache);
+    let cold = g.execute_with(&cached).expect("cold run failed");
     assert_eq!(cache.stats().misses, nodes, "cold run fills every node");
-    let warm = g.execute_with_cache(&cache).expect("warm run failed");
+    let warm = g.execute_with(&cached).expect("warm run failed");
     assert_eq!(
         cache.stats().hits,
         nodes,
@@ -154,9 +155,10 @@ fn bench_pass_cache(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("comm_graph_uncached", |b| b.iter(|| g.execute().unwrap()));
     let warm_cache = PassCache::new();
-    g.execute_with_cache(&warm_cache).unwrap();
+    let warm_opts = ExecOptions::new().with_cache(&warm_cache);
+    g.execute_with(&warm_opts).unwrap();
     group.bench_function("comm_graph_cached", |b| {
-        b.iter(|| g.execute_with_cache(&warm_cache).unwrap())
+        b.iter(|| g.execute_with(&warm_opts).unwrap())
     });
     group.finish();
 
@@ -165,7 +167,7 @@ fn bench_pass_cache(c: &mut Criterion) {
         g.execute().unwrap();
     });
     let t_cached = median_secs(reps, || {
-        g.execute_with_cache(&warm_cache).unwrap();
+        g.execute_with(&warm_opts).unwrap();
     });
     let stats = warm_cache.stats();
     print_table(

@@ -109,7 +109,7 @@ fn main() {
                 std::hint::black_box(query_report(&run));
             }),
         );
-        let json = entries_to_json(&entries, 1);
+        let json = entries_to_json(&entries);
         std::fs::write(&path, format!("{json}\n")).expect("cannot write bench json");
         eprintln!("wrote perf baseline to {path}");
     }

@@ -192,7 +192,7 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("PERFLOW_BENCH_JSON_OUT") {
-        let json = entries_to_json(&entries, 1);
+        let json = entries_to_json(&entries);
         std::fs::write(&path, format!("{json}\n")).expect("cannot write bench json");
         eprintln!("wrote serve perf baseline to {path}");
     }

@@ -1,11 +1,10 @@
-//! Shared measurement suites for the columnar-PAG and parallel-graphalgo
-//! benches, plus the `BENCH_pag.json` emitter.
+//! Measurement suite for the columnar-PAG bench, plus the `BENCH_*.json`
+//! emitter.
 //!
-//! Both `benches/pag_columnar.rs` and `benches/graphalgo_parallel.rs`
-//! drive the same builders and workloads defined here, and the JSON
-//! baseline reuses the [`perflow::RunMetrics`] field vocabulary verbatim
-//! (each measurement becomes a `PassMetric`), so the perf trajectory can
-//! be diffed with the same tooling that reads `--metrics-json` output.
+//! The JSON baseline reuses the [`perflow::RunMetrics`] field vocabulary
+//! verbatim (each measurement becomes a `PassMetric`), so the perf
+//! trajectory can be diffed with the same tooling that reads
+//! `--metrics-json` output.
 
 use crate::{bench_large_ranks, median_secs};
 use pag::{mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
@@ -25,18 +24,6 @@ pub struct BenchEntry {
 /// chained intra-process and ring-connected across processes, with the
 /// standard metric set populated.
 pub fn large_metric_pag(width: usize) -> Pag {
-    large_metric_pag_with(width, true)
-}
-
-/// Like [`large_metric_pag`] but without the inter-process ring edges:
-/// each rank's chain stays its own weakly connected component, the
-/// natural shard for component-parallel Louvain (the per-rank shards the
-/// parallel view is built from).
-pub fn sharded_metric_pag(width: usize) -> Pag {
-    large_metric_pag_with(width, false)
-}
-
-fn large_metric_pag_with(width: usize, ring: bool) -> Pag {
     let ranks = bench_large_ranks() as usize;
     let n = ranks * width;
     let mut g = Pag::with_capacity(ViewKind::Parallel, "bench-large", n, 2 * n);
@@ -61,10 +48,8 @@ fn large_metric_pag_with(width: usize, ring: bool) -> Pag {
                 EdgeLabel::IntraProc,
             );
         }
-        if ring {
-            let next = (((r + 1) % ranks) * width) as u32;
-            g.add_edge(VertexId(base), VertexId(next), EdgeLabel::InterThread);
-        }
+        let next = (((r + 1) % ranks) * width) as u32;
+        g.add_edge(VertexId(base), VertexId(next), EdgeLabel::InterThread);
     }
     g.set_num_procs(ranks as u32);
     g
@@ -126,91 +111,12 @@ pub fn columnar_entries(reps: usize) -> Vec<BenchEntry> {
     out
 }
 
-/// Serial-vs-parallel graphalgo measurement suite at bench-large scale.
-pub fn parallel_entries(reps: usize) -> Vec<BenchEntry> {
-    let workers = graphalgo::default_workers();
-    let g = large_metric_pag(24);
-    let h = {
-        // A slightly perturbed same-skeleton twin for the diff suite.
-        let mut h = large_metric_pag(24);
-        for v in h.vertex_ids().collect::<Vec<_>>() {
-            let t = h.metric_f64(v, mkeys::TIME);
-            h.set_metric(v, mkeys::TIME, t * 1.03);
-        }
-        h
-    };
-    let shards = sharded_metric_pag(24);
-    let mut out = Vec::new();
-    let mut push = |name: String, secs: f64| {
-        out.push(BenchEntry {
-            name,
-            wall_us: secs * 1e6,
-        });
-    };
-
-    push(
-        "graphalgo_parallel/louvain_serial".into(),
-        median_secs(reps, || {
-            std::hint::black_box(graphalgo::louvain_parallel(&shards, 1));
-        }),
-    );
-    push(
-        format!("graphalgo_parallel/louvain_{workers}w"),
-        median_secs(reps, || {
-            std::hint::black_box(graphalgo::louvain_parallel(&shards, workers));
-        }),
-    );
-
-    let pattern = chain_pattern();
-    push(
-        "graphalgo_parallel/subgraph_serial".into(),
-        median_secs(reps, || {
-            std::hint::black_box(graphalgo::match_subgraph(&g, &pattern, None, 0));
-        }),
-    );
-    push(
-        format!("graphalgo_parallel/subgraph_{workers}w"),
-        median_secs(reps, || {
-            std::hint::black_box(graphalgo::match_subgraph_parallel(
-                &g, &pattern, None, 0, workers,
-            ));
-        }),
-    );
-
-    let metrics = [pag::keys::TIME, pag::keys::SELF_TIME, pag::keys::WAIT_TIME];
-    push(
-        "graphalgo_parallel/diff_serial".into(),
-        median_secs(reps, || {
-            std::hint::black_box(graphalgo::graph_difference(&g, &h, &metrics).unwrap());
-        }),
-    );
-    push(
-        format!("graphalgo_parallel/diff_{workers}w"),
-        median_secs(reps, || {
-            std::hint::black_box(
-                graphalgo::graph_difference_parallel(&g, &h, &metrics, workers).unwrap(),
-            );
-        }),
-    );
-    out
-}
-
-/// The 3-vertex chain pattern both subgraph benches match.
-pub fn chain_pattern() -> graphalgo::Pattern {
-    let mut p = graphalgo::Pattern::new();
-    let x = p.add_vertex(graphalgo::PatternVertex::any());
-    let y = p.add_vertex(graphalgo::PatternVertex::any());
-    let z = p.add_vertex(graphalgo::PatternVertex::any());
-    p.add_edge(x, y, None);
-    p.add_edge(y, z, None);
-    p
-}
-
 /// Render measurement entries as a [`RunMetrics`] JSON document — the
 /// exact field vocabulary of `--metrics-json` (`passes[].name`,
 /// `passes[].wall_us`, `total_wall_us`, `workers`, ...), so existing
-/// tooling can diff the perf trajectory.
-pub fn entries_to_json(entries: &[BenchEntry], workers: usize) -> String {
+/// tooling can diff the perf trajectory. Every measurement is taken on
+/// one thread, hence `workers: 1`.
+pub fn entries_to_json(entries: &[BenchEntry]) -> String {
     let total: f64 = entries.iter().map(|e| e.wall_us).sum();
     let mut wall_hist = obs::Histogram::new();
     for e in entries {
@@ -232,7 +138,7 @@ pub fn entries_to_json(entries: &[BenchEntry], workers: usize) -> String {
             .collect(),
         cache: None,
         total_wall_us: total,
-        workers,
+        workers: 1,
         worker_busy_us: vec![total],
         wall_hist,
         queue_hist: obs::Histogram::new(),
@@ -252,16 +158,16 @@ mod tests {
                 wall_us: 12.5,
             },
             BenchEntry {
-                name: "graphalgo_parallel/louvain_8w".into(),
+                name: "pag_columnar/encode_pag2".into(),
                 wall_us: 800.0,
             },
         ];
-        let json = entries_to_json(&entries, 8);
+        let json = entries_to_json(&entries);
         for key in [
             "\"passes\":[",
             "\"wall_us\":",
             "\"total_wall_us\":",
-            "\"workers\":8",
+            "\"workers\":1",
             "\"name\":\"pag_columnar/metric_sum_typed\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -192,11 +192,18 @@ pub fn embed(prog: &Program, sp: StaticPag, data: RunData) -> ProfiledRun {
 /// merges the per-rank accumulators in rank order. The embedded PAG is
 /// bit-identical regardless of the worker count — and of whether `obs`
 /// is enabled (spans measure host wall-clock only).
-pub fn embed_observed(
+pub fn embed_observed(prog: &Program, sp: StaticPag, data: RunData, obs: &obs::Obs) -> ProfiledRun {
+    embed_on(prog, sp, data, obs, crate::par::host_workers())
+}
+
+/// [`embed_observed`] with the phase-2 worker count pinned, so tests can
+/// vary it.
+pub(crate) fn embed_on(
     prog: &Program,
     mut sp: StaticPag,
     data: RunData,
     obs: &obs::Obs,
+    workers: usize,
 ) -> ProfiledRun {
     use obs::Layer;
     let nranks = data.nranks as usize;
@@ -273,81 +280,27 @@ pub fn embed_observed(
 
     // Phase 2 (parallel): one accumulator per rank, built concurrently.
     let period = data.sample_period_us;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(nranks.max(1));
-    let rank_accs: Vec<RankAcc> = if workers <= 1 {
-        (0..nranks)
-            .map(|r| {
-                let t0 = obs.now_us();
-                let acc = accumulate_rank(
-                    &ctx_paths,
-                    period,
-                    &rank_samples[r],
-                    &rank_comm[r],
-                    &rank_locks[r],
-                );
-                if obs.is_enabled() {
-                    obs.record_span(
-                        Layer::Collect,
-                        "embed.rank",
-                        r as u32,
-                        t0,
-                        obs.now_us(),
-                        &[],
-                    );
-                }
-                acc
-            })
-            .collect()
-    } else {
-        let ctx_paths = &ctx_paths;
-        let rank_samples = &rank_samples;
-        let rank_comm = &rank_comm;
-        let rank_locks = &rank_locks;
-        let mut shards = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut r = w;
-                        while r < nranks {
-                            let t0 = obs.now_us();
-                            out.push((
-                                r,
-                                accumulate_rank(
-                                    ctx_paths,
-                                    period,
-                                    &rank_samples[r],
-                                    &rank_comm[r],
-                                    &rank_locks[r],
-                                ),
-                            ));
-                            if obs.is_enabled() {
-                                obs.record_span(
-                                    Layer::Collect,
-                                    "embed.rank",
-                                    r as u32,
-                                    t0,
-                                    obs.now_us(),
-                                    &[],
-                                );
-                            }
-                            r += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("embed worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        shards.sort_by_key(|(r, _)| *r);
-        shards.into_iter().map(|(_, acc)| acc).collect()
-    };
+    let rank_accs: Vec<RankAcc> = crate::par::map_shards(nranks, workers, |r| {
+        let t0 = obs.now_us();
+        let acc = accumulate_rank(
+            &ctx_paths,
+            period,
+            &rank_samples[r],
+            &rank_comm[r],
+            &rank_locks[r],
+        );
+        if obs.is_enabled() {
+            obs.record_span(
+                Layer::Collect,
+                "embed.rank",
+                r as u32,
+                t0,
+                obs.now_us(),
+                &[],
+            );
+        }
+        acc
+    });
 
     // Merge in rank order (deterministic float accumulation).
     let merge_t0 = obs.now_us();

@@ -25,6 +25,7 @@
 
 pub mod app_folded;
 pub mod embed;
+mod par;
 pub mod parallel;
 pub mod resolve;
 pub mod self_pag;
@@ -54,4 +55,46 @@ pub fn profile(prog: &Program, cfg: &RunConfig) -> Result<ProfiledRun, SimError>
     };
     let data = simulate(prog, cfg)?;
     Ok(embed_observed(prog, static_pag, data, &cfg.obs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simrt::FaultPlan;
+
+    /// `static_analysis` and `embed` promise bit-identical output at any
+    /// worker count; pin the count and compare the encoded PAGs.
+    #[test]
+    fn outputs_are_bit_identical_at_any_worker_count() {
+        let cases = [
+            ("cg", workloads::cg(), RunConfig::new(16)),
+            (
+                "zeusmp",
+                workloads::zeusmp(),
+                RunConfig::new(16).with_faults(
+                    FaultPlan::new()
+                        .crash_rank(5, 10_000.0)
+                        .with_sample_loss(0.1),
+                ),
+            ),
+            ("vite", workloads::vite(), RunConfig::new(4).with_threads(4)),
+        ];
+        // Both sides of `static_pag`'s serial cutoff are exercised.
+        assert!(cases.iter().any(|(_, p, _)| p.functions.len() < 8));
+        assert!(cases.iter().any(|(_, p, _)| p.functions.len() >= 8));
+        for (name, prog, cfg) in &cases {
+            let collect_on = |workers: usize| {
+                let sp = static_pag::static_analysis_on(prog, workers);
+                let skeleton = pag::serialize::encode(&sp.pag);
+                let data = simulate(prog, cfg).unwrap();
+                assert_eq!(data.is_complete(), cfg.faults.is_inert(), "{name}");
+                let run = embed::embed_on(prog, sp, data, &obs::Obs::disabled(), workers);
+                (skeleton, pag::serialize::encode(&run.pag), run.space_cost())
+            };
+            let serial = collect_on(1);
+            for workers in [2, 3, 8] {
+                assert!(collect_on(workers) == serial, "{name}: workers={workers}");
+            }
+        }
+    }
 }

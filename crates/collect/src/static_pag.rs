@@ -41,8 +41,14 @@ pub struct StaticPag {
 
 /// Run static analysis on a program model.
 pub fn static_analysis(prog: &Program) -> StaticPag {
+    static_analysis_on(prog, crate::par::host_workers())
+}
+
+/// [`static_analysis`] with the template-building worker count pinned, so
+/// tests can vary it.
+pub(crate) fn static_analysis_on(prog: &Program, workers: usize) -> StaticPag {
     let t0 = std::time::Instant::now();
-    let templates = build_templates_parallel(prog);
+    let templates = build_templates(prog, workers);
     let mut s = Stitcher {
         prog,
         templates,
@@ -167,44 +173,19 @@ fn template_stmts(prog: &Program, func: &Function, stmts: &[Stmt]) -> Vec<TNode>
         .collect()
 }
 
-/// Build every function's template, sharded across scoped worker threads.
-/// The result is keyed by function id, so it is identical no matter how
-/// the functions were partitioned.
-fn build_templates_parallel(prog: &Program) -> HashMap<FuncId, Arc<FuncTemplate>> {
+/// Build every function's template, sharded across worker threads. The
+/// result is keyed by function id, so it is identical no matter how the
+/// functions were partitioned. Programs with fewer than 8 functions are
+/// not worth a thread spawn.
+fn build_templates(prog: &Program, workers: usize) -> HashMap<FuncId, Arc<FuncTemplate>> {
     let nfuncs = prog.functions.len();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(nfuncs.max(1));
-    if workers <= 1 || nfuncs < 8 {
-        return (0..nfuncs)
-            .map(|i| {
-                let fid = FuncId(i as u32);
-                (fid, Arc::new(build_template(prog, fid)))
-            })
-            .collect();
-    }
-    let shards = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut shard = Vec::new();
-                    let mut i = w;
-                    while i < nfuncs {
-                        let fid = FuncId(i as u32);
-                        shard.push((fid, Arc::new(build_template(prog, fid))));
-                        i += workers;
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("template worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    shards.into_iter().flatten().collect()
+    let workers = if nfuncs < 8 { 1 } else { workers };
+    crate::par::map_shards(nfuncs, workers, |i| {
+        let fid = FuncId(i as u32);
+        (fid, Arc::new(build_template(prog, fid)))
+    })
+    .into_iter()
+    .collect()
 }
 
 // --------------------------------------------------------------- stitch

@@ -1,7 +1,7 @@
 //! Content-hash pass-result cache.
 //!
 //! A [`PassCache`] memoizes `(pass, inputs) → outputs` across
-//! [`crate::dataflow::PerFlowGraph::execute_with_cache`] calls. The key
+//! [`crate::dataflow::PerFlowGraph::execute_with`] calls. The key
 //! combines the pass's identity — its content
 //! [`fingerprint`](crate::pass::Pass::fingerprint) when it has one, the
 //! node's pass-object address otherwise — with the content fingerprints

@@ -6,8 +6,8 @@
 //! input lands, onto a bounded pool of scoped worker threads — dataflow
 //! graphs with independent branches (e.g. the Vite diagnosis graph of
 //! Fig. 14) exploit multicore hosts automatically, without the idle
-//! bubbles of level-synchronous scheduling. `execute_with_cache()` adds
-//! a content-hash pass-result cache ([`crate::cache::PassCache`]) so
+//! bubbles of level-synchronous scheduling. [`ExecOptions::with_cache`]
+//! adds a content-hash pass-result cache ([`crate::cache::PassCache`]) so
 //! re-running an unchanged graph replays memoized results.
 //!
 //! Results are deterministic regardless of worker count or dispatch
@@ -80,7 +80,7 @@ pub struct Outputs {
     /// Order in which passes ran (merged trails).
     pub trail: Vec<String>,
     /// Scheduler metrics (empty unless the run was observed via
-    /// [`PerFlowGraph::execute_observed`]).
+    /// [`ExecOptions::with_obs`]).
     pub metrics: RunMetrics,
     /// Nodes that failed (error, panic, or timeout after retries) in an
     /// [`ExecPolicy::Isolate`] run, sorted by node id. Empty on
@@ -237,57 +237,6 @@ impl PerFlowGraph {
         out
     }
 
-    /// Execute the graph. A node is dispatched as soon as its last input
-    /// lands; independent nodes run concurrently on a bounded pool.
-    pub fn execute(&self) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new())
-    }
-
-    /// Execute with a pinned worker-pool size (`1` = fully serial).
-    /// Outputs and trail are identical for every worker count — this
-    /// knob exists for determinism tests and scheduling benchmarks.
-    pub fn execute_with_workers(&self, workers: usize) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_workers(workers))
-    }
-
-    /// Execute with a pass-result cache: every `(pass, inputs)` pair
-    /// already in `cache` replays its memoized outputs instead of
-    /// running. Re-executing an unchanged graph against the same cache
-    /// hits on every node.
-    pub fn execute_with_cache(&self, cache: &PassCache) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_cache(cache))
-    }
-
-    /// Execute under an observability handle: every pass dispatch is
-    /// recorded as a `Core`-layer span on `obs` (lane = worker index)
-    /// and summarized in [`Outputs::metrics`]. With a disabled handle
-    /// this is exactly [`PerFlowGraph::execute`].
-    pub fn execute_observed(&self, obs: &Obs) -> Result<Outputs, PerFlowError> {
-        self.execute_with(&ExecOptions::new().with_obs(obs.clone()))
-    }
-
-    /// Shorthand kept for existing callers: optional cache, optional
-    /// pinned worker count, observability handle.
-    pub fn execute_observed_with(
-        &self,
-        obs: &Obs,
-        cache: Option<&PassCache>,
-        workers: Option<usize>,
-    ) -> Result<Outputs, PerFlowError> {
-        let mut opts = ExecOptions::new().with_obs(obs.clone());
-        opts.cache = cache;
-        opts.workers = workers.map(|w| w.max(1));
-        self.execute_with(&opts)
-    }
-
-    /// Fully configurable resilient execution. All other `execute*`
-    /// methods are shorthands for this; see [`ExecOptions`] for the
-    /// failure policy, deadline, retry, cache, and checkpoint/resume
-    /// knobs.
-    pub fn execute_with(&self, opts: &ExecOptions<'_>) -> Result<Outputs, PerFlowError> {
-        self.run_scheduler(opts)
-    }
-
     /// Structural snapshot of this graph for the static linter: node
     /// names, arities, fingerprint availability, and wires — everything
     /// `verify::lint_graph` inspects, nothing it could execute.
@@ -316,7 +265,7 @@ impl PerFlowGraph {
     }
 
     /// Run the static linter over this graph without executing it. The
-    /// `execute*` methods run this as a pre-flight gate and refuse to
+    /// `execute` methods run this as a pre-flight gate and refuse to
     /// schedule anything when it reports errors; warnings and infos
     /// never block execution.
     pub fn lint(&self) -> Diagnostics {
@@ -398,7 +347,17 @@ impl PerFlowGraph {
         order
     }
 
-    fn run_scheduler(&self, opts: &ExecOptions<'_>) -> Result<Outputs, PerFlowError> {
+    /// Execute the graph. A node is dispatched as soon as its last input
+    /// lands; independent nodes run concurrently on a bounded pool.
+    pub fn execute(&self) -> Result<Outputs, PerFlowError> {
+        self.execute_with(&ExecOptions::new())
+    }
+
+    /// Fully configurable resilient execution; see [`ExecOptions`] for the
+    /// failure policy, deadline, retry, cache, worker-count, observability
+    /// and checkpoint/resume knobs. Outputs and trail are identical for
+    /// every worker count.
+    pub fn execute_with(&self, opts: &ExecOptions<'_>) -> Result<Outputs, PerFlowError> {
         let n = self.nodes.len();
         let obs = &opts.obs;
         let cache = opts.cache;
@@ -430,14 +389,7 @@ impl PerFlowGraph {
                 ready_at[i] = sched_start;
             }
         }
-        let workers = opts
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1)
-            })
-            .min(n);
+        let workers = opts.pool_size().min(n);
         let state = Mutex::new(ExecState {
             deps_left,
             ready,
@@ -1149,17 +1101,33 @@ mod tests {
         }));
         g.pipe(s, sq).unwrap();
         let cache = crate::cache::PassCache::new();
-        let first = g.execute_with_cache(&cache).unwrap();
+        let opts = ExecOptions::new().with_cache(&cache);
+        let first = g.execute_with(&opts).unwrap();
         assert_eq!(first.of(sq)[0].as_num(), Some(9.0));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
-        let second = g.execute_with_cache(&cache).unwrap();
+        let second = g.execute_with(&opts).unwrap();
         assert_eq!(second.of(sq)[0].as_num(), Some(9.0));
         assert_eq!(cache.stats().hits, 2, "every node replays from cache");
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(runs.load(Ordering::SeqCst), 1, "closure ran exactly once");
         // Trails are identical between the live and the cached run.
         assert_eq!(first.trail, second.trail);
+    }
+
+    #[test]
+    fn zero_pinned_workers_run_as_one() {
+        let mut g = PerFlowGraph::new();
+        let s = g.add_source(3.0);
+        let id = g.add_pass(FnPass::new("id", 1, |i: &[Value]| Ok(vec![i[0].clone()])));
+        g.pipe(s, id).unwrap();
+        // Settable only through the public field; `with_workers` agrees.
+        let mut opts = ExecOptions::new().with_obs(Obs::enabled());
+        opts.workers = Some(0);
+        let out = g.execute_with(&opts).unwrap();
+        assert_eq!(out.metrics.workers, 1);
+        assert_eq!(out.metrics.worker_busy_us.len(), 1);
+        assert_eq!(ExecOptions::new().with_workers(0).pool_size(), 1);
     }
 
     #[test]
@@ -1173,7 +1141,9 @@ mod tests {
                 Ok(vec![Value::Num(v * v)])
             }));
             g.pipe(s, sq).unwrap();
-            let out = g.execute_with_cache(&cache).unwrap();
+            let out = g
+                .execute_with(&ExecOptions::new().with_cache(&cache))
+                .unwrap();
             assert_eq!(out.of(sq)[0].as_num(), Some(want));
         }
         // Different source values → different keys → no false hits.

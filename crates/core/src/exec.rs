@@ -132,10 +132,9 @@ impl std::fmt::Display for PassFailure {
     }
 }
 
-/// Full configuration of one scheduler execution. All `execute*` methods
-/// on [`crate::dataflow::PerFlowGraph`] are shorthands that fill in the
-/// defaults; [`crate::dataflow::PerFlowGraph::execute_with`] takes the
-/// options explicitly.
+/// Full configuration of one scheduler execution, taken by
+/// [`crate::dataflow::PerFlowGraph::execute_with`];
+/// [`crate::dataflow::PerFlowGraph::execute`] runs with the defaults.
 #[derive(Default)]
 pub struct ExecOptions<'a> {
     /// Failure policy (default [`ExecPolicy::FailFast`]).
@@ -150,7 +149,8 @@ pub struct ExecOptions<'a> {
     pub retry_override: Option<RetryPolicy>,
     /// Pass-result cache to probe and fill.
     pub cache: Option<&'a PassCache>,
-    /// Pinned worker-pool size (`None` = available parallelism).
+    /// Pinned worker-pool size (`None` = available parallelism; `0` runs
+    /// as `1`).
     pub workers: Option<usize>,
     /// Observability handle (disabled by default).
     pub obs: Obs,
@@ -195,8 +195,20 @@ impl<'a> ExecOptions<'a> {
 
     /// Pin the worker-pool size.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = Some(workers);
         self
+    }
+
+    /// The worker-pool size to run with: the pinned count (`0` counts as
+    /// `1`), else the host's available parallelism.
+    pub(crate) fn pool_size(&self) -> usize {
+        self.workers
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|c| c.get())
+                    .unwrap_or(1)
+            })
+            .max(1)
     }
 
     /// Attach an observability handle.

@@ -1,7 +1,7 @@
 //! Scheduler run metrics — the summary half of the observability layer.
 //!
 //! When a PerFlowGraph is executed with an enabled [`obs::Obs`] handle
-//! (see [`crate::dataflow::PerFlowGraph::execute_observed`]), the
+//! (see [`crate::exec::ExecOptions::with_obs`]), the
 //! scheduler measures every pass dispatch and attaches a [`RunMetrics`]
 //! to the returned [`crate::dataflow::Outputs`]: per-pass wall time,
 //! queue wait (ready → dispatched), the worker that ran it, the dispatch

@@ -104,99 +104,6 @@ pub fn graph_difference(left: &Pag, right: &Pag, metrics: &[&str]) -> Result<Pag
     graph_difference_scaled(left, right, metrics, 1.0)
 }
 
-/// Parallel [`graph_difference_scaled`]: vertices are sharded into
-/// contiguous ascending ranges, each range's name check and metric
-/// subtraction runs on a worker thread, and the result graph is assembled
-/// in vertex order. Output — including which vertex a
-/// [`DiffError::SkeletonMismatch`] reports — is identical for any worker
-/// count, because the first erring shard in range order holds the globally
-/// first mismatching vertex.
-pub fn graph_difference_scaled_parallel(
-    left: &Pag,
-    right: &Pag,
-    metrics: &[&str],
-    scale: f64,
-    workers: usize,
-) -> Result<Pag, DiffError> {
-    if left.num_vertices() != right.num_vertices() {
-        return Err(DiffError::VertexCountMismatch {
-            left: left.num_vertices(),
-            right: right.num_vertices(),
-        });
-    }
-    let n = left.num_vertices();
-    let lkeys: Vec<Option<KeyId>> = metrics.iter().map(|m| left.key_id(m)).collect();
-    let rkeys: Vec<Option<KeyId>> = metrics.iter().map(|m| right.key_id(m)).collect();
-
-    // Over-shard relative to the worker count so uneven metric density
-    // still balances; shard count does not affect the output.
-    let workers = workers.max(1);
-    let nshards = (workers * 4).min(n.max(1));
-    type Row<'a> = (Vec<f64>, Option<&'a str>);
-    let shards: Vec<Result<Vec<Row<'_>>, VertexId>> =
-        crate::par::map_shards(nshards, workers, |s| {
-            let (lo, hi) = (s * n / nshards, (s + 1) * n / nshards);
-            let mut rows = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
-                let v = VertexId(i as u32);
-                if left.vertex(v).name != right.vertex(v).name {
-                    return Err(v);
-                }
-                let vals: Vec<f64> = (0..metrics.len())
-                    .map(|m| {
-                        let a = lkeys[m].map_or(0.0, |k| left.metric_f64(v, k));
-                        let b = rkeys[m].map_or(0.0, |k| right.metric_f64(v, k));
-                        a - scale * b
-                    })
-                    .collect();
-                rows.push((vals, left.vstr(v, keys::DEBUG_INFO)));
-            }
-            Ok(rows)
-        });
-
-    let mut out = Pag::with_capacity(
-        left.view(),
-        format!("diff({},{})", left.name(), right.name()),
-        left.num_vertices(),
-        left.num_edges(),
-    );
-    out.set_num_procs(left.num_procs().max(right.num_procs()));
-    let okeys: Vec<KeyId> = metrics.iter().map(|m| out.intern_key(m)).collect();
-    let mut idx = 0u32;
-    for shard in shards {
-        let rows = shard.map_err(|vertex| DiffError::SkeletonMismatch { vertex })?;
-        for (vals, dbg) in rows {
-            let lv = left.vertex(VertexId(idx));
-            idx += 1;
-            let nv = out.add_vertex(lv.label, lv.name.clone());
-            if let Some(d) = dbg {
-                out.set_vstr(nv, keys::DEBUG_INFO, d);
-            }
-            for (m, &x) in vals.iter().enumerate() {
-                out.set_metric(nv, okeys[m], x);
-            }
-        }
-    }
-    for e in left.edge_ids() {
-        let ed = left.edge(e);
-        out.add_edge(ed.src, ed.dst, ed.label);
-    }
-    if let Some(r) = left.root() {
-        out.set_root(r);
-    }
-    Ok(out)
-}
-
-/// Parallel plain difference `left - right` (scale 1.0).
-pub fn graph_difference_parallel(
-    left: &Pag,
-    right: &Pag,
-    metrics: &[&str],
-    workers: usize,
-) -> Result<Pag, DiffError> {
-    graph_difference_scaled_parallel(left, right, metrics, 1.0, workers)
-}
-
 /// Convenience: the vertices of a difference graph sorted by a metric,
 /// hottest first. Ties are broken by vertex id for determinism.
 pub fn hottest_differences(diff: &Pag, metric: &str, n: usize) -> Vec<(VertexId, f64)> {
@@ -301,53 +208,6 @@ mod tests {
         a.remove_vprop(VertexId(0), keys::TIME);
         let d = graph_difference(&a, &b, &[keys::TIME]).unwrap();
         assert_eq!(d.vertex_time(VertexId(0)), -3.0);
-    }
-
-    #[test]
-    fn parallel_diff_is_byte_identical_to_serial() {
-        let a = run("a", &[10.0, 5.0, 1.0, 7.5, 0.25, 3.0, 9.0]);
-        let b = run("b", &[9.0, 1.0, 1.0, 2.5, 0.5, 4.0, 8.0]);
-        let serial = graph_difference_scaled(&a, &b, &[keys::TIME], 0.5).unwrap();
-        for workers in [1, 2, 3, 8] {
-            let par =
-                graph_difference_scaled_parallel(&a, &b, &[keys::TIME], 0.5, workers).unwrap();
-            assert_eq!(
-                pag::serialize::encode(&par),
-                pag::serialize::encode(&serial),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_diff_reports_the_same_first_mismatch() {
-        let a = run("a", &[1.0, 2.0, 3.0, 4.0]);
-        let mut b = Pag::new(ViewKind::TopDown, "b");
-        for name in ["n0", "X", "n2", "Y"] {
-            b.add_vertex(VertexLabel::Compute, name);
-        }
-        let serial = graph_difference(&a, &b, &[keys::TIME]).unwrap_err();
-        assert_eq!(
-            serial,
-            DiffError::SkeletonMismatch {
-                vertex: VertexId(1)
-            }
-        );
-        for workers in [1, 2, 8] {
-            assert_eq!(
-                graph_difference_parallel(&a, &b, &[keys::TIME], workers).unwrap_err(),
-                serial,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_diff_empty_graphs() {
-        let a = Pag::new(ViewKind::TopDown, "a");
-        let b = Pag::new(ViewKind::TopDown, "b");
-        let d = graph_difference_parallel(&a, &b, &[keys::TIME], 4).unwrap();
-        assert_eq!(d.num_vertices(), 0);
     }
 
     #[test]

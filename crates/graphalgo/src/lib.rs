@@ -16,22 +16,15 @@ pub mod kpaths;
 pub mod lca;
 pub mod longest_path;
 pub mod louvain;
-pub mod par;
 pub mod subgraph;
 pub mod traverse;
 
 pub use coarsen::{coarsen, coarsen_parallel_by_topdown};
 pub use components::{strongly_connected_components, weakly_connected_components};
-pub use diff::{
-    graph_difference, graph_difference_parallel, graph_difference_scaled,
-    graph_difference_scaled_parallel, hottest_differences,
-};
+pub use diff::{graph_difference, graph_difference_scaled, hottest_differences};
 pub use kpaths::k_heaviest_paths;
 pub use lca::{lca_bfs, lowest_common_ancestor, LcaIndex};
 pub use longest_path::{critical_path, CriticalPath};
-pub use louvain::{louvain, louvain_parallel, Communities};
-pub use par::{default_workers, map_shards};
-pub use subgraph::{
-    match_subgraph, match_subgraph_parallel, Embedding, Pattern, PatternEdge, PatternVertex,
-};
+pub use louvain::{louvain, Communities};
+pub use subgraph::{match_subgraph, Embedding, Pattern, PatternEdge, PatternVertex};
 pub use traverse::{bfs_order, dfs_preorder, topo_sort, CycleError};

@@ -90,57 +90,6 @@ impl WGraph {
     fn weighted_degree(&self, v: usize) -> f64 {
         self.adj[v].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self.self_loops[v]
     }
-
-    /// Connected components of the projection; component ids are assigned
-    /// in first-seen (ascending vertex) order, so they are deterministic.
-    fn components(&self) -> (Vec<usize>, usize) {
-        let n = self.n();
-        let mut comp = vec![usize::MAX; n];
-        let mut count = 0;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            comp[start] = count;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for &(w, _) in &self.adj[v] {
-                    if comp[w] == usize::MAX {
-                        comp[w] = count;
-                        stack.push(w);
-                    }
-                }
-            }
-            count += 1;
-        }
-        (comp, count)
-    }
-
-    /// Sub-graph induced by `verts` (which must be closed under adjacency,
-    /// i.e. a union of components); local ids follow the order of `verts`.
-    fn induced(&self, verts: &[usize]) -> WGraph {
-        let mut local = std::collections::HashMap::new();
-        for (i, &v) in verts.iter().enumerate() {
-            local.insert(v, i);
-        }
-        let mut self_loops = Vec::with_capacity(verts.len());
-        let mut adj = Vec::with_capacity(verts.len());
-        let mut total = 0.0;
-        for &v in verts {
-            self_loops.push(self.self_loops[v]);
-            total += self.self_loops[v];
-            let row: Vec<(usize, f64)> =
-                self.adj[v].iter().map(|&(w, wt)| (local[&w], wt)).collect();
-            total += 0.5 * row.iter().map(|&(_, wt)| wt).sum::<f64>();
-            adj.push(row);
-        }
-        WGraph {
-            adj,
-            self_loops,
-            total_weight: total,
-        }
-    }
 }
 
 /// Run Louvain over the PAG's undirected projection with unit edge weights.
@@ -205,61 +154,6 @@ fn cluster(base: WGraph) -> Vec<usize> {
     membership
 }
 
-/// Parallel Louvain over the unit-weight projection: each connected
-/// component is clustered independently on a worker thread and the
-/// per-component partitions are relabelled into a dense global id space
-/// **in component order**, so the result is identical for any worker
-/// count (`louvain_parallel(g, n) == louvain_parallel(g, 1)`).
-///
-/// Because each component optimizes modularity against its own local edge
-/// mass rather than the whole graph's, the partition may differ from
-/// [`louvain`] on multi-component graphs; on connected graphs the two
-/// agree exactly. The reported modularity is always computed globally.
-pub fn louvain_parallel(g: &Pag, workers: usize) -> Communities {
-    let base = WGraph::from_pag(g, |_| 1.0);
-    let n = base.n();
-    if n == 0 {
-        return Communities {
-            assignment: Vec::new(),
-            count: 0,
-            modularity: 0.0,
-        };
-    }
-    if base.total_weight == 0.0 {
-        return Communities {
-            assignment: (0..n as u32).collect(),
-            count: n,
-            modularity: 0.0,
-        };
-    }
-
-    let (comp, ncomp) = base.components();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-    for v in 0..n {
-        members[comp[v]].push(v);
-    }
-    let locals: Vec<Vec<usize>> =
-        crate::par::map_shards(ncomp, workers, |c| cluster(base.induced(&members[c])));
-
-    // Merge: compact each component's community ids and shift them past the
-    // communities of every earlier component.
-    let mut membership = vec![0usize; n];
-    let mut offset = 0;
-    for c in 0..ncomp {
-        let relabel = compact(&locals[c]);
-        for (i, &v) in members[c].iter().enumerate() {
-            membership[v] = offset + relabel[&locals[c][i]];
-        }
-        offset += relabel.len();
-    }
-    let q = modularity_of(&base, &membership);
-    Communities {
-        assignment: membership.iter().map(|&m| m as u32).collect(),
-        count: offset,
-        modularity: q,
-    }
-}
-
 /// One local-moving phase; returns per-vertex community and whether any
 /// move improved modularity.
 fn one_level(g: &WGraph) -> (Vec<usize>, bool) {
@@ -279,8 +173,7 @@ fn one_level(g: &WGraph) -> (Vec<usize>, bool) {
             // Weights from v to each neighboring community. A BTreeMap so
             // the candidate scan below runs in ascending community-id
             // order: exact gain ties deterministically go to the lowest
-            // id, which keeps `cluster` a pure function of the graph (the
-            // parallel identity contract depends on this).
+            // id, which keeps `cluster` a pure function of the graph.
             let mut to_comm: std::collections::BTreeMap<usize, f64> =
                 std::collections::BTreeMap::new();
             for &(w, wt) in &g.adj[v] {
@@ -475,63 +368,6 @@ mod tests {
         };
         let c = louvain_weighted(&g, weights);
         assert_eq!(c.assignment[1], c.assignment[2]);
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_connected_graph() {
-        let g = two_cliques();
-        let serial = louvain(&g);
-        for workers in [1, 2, 4, 9] {
-            let par = louvain_parallel(&g, workers);
-            assert_eq!(par.assignment, serial.assignment, "workers={workers}");
-            assert_eq!(par.count, serial.count);
-            assert_eq!(par.modularity, serial.modularity);
-        }
-    }
-
-    #[test]
-    fn parallel_is_identical_for_any_worker_count() {
-        // Three disjoint cliques of different sizes: exercises the
-        // component sharding and the component-order id merge.
-        let mut g = Pag::new(ViewKind::Parallel, "multi");
-        let sizes = [4u32, 6, 3];
-        let mut base = 0u32;
-        for &s in &sizes {
-            for i in 0..s {
-                g.add_vertex(VertexLabel::Compute, format!("n{}", base + i).as_str());
-            }
-            for i in base..base + s {
-                for j in (i + 1)..base + s {
-                    g.add_edge(VertexId(i), VertexId(j), EdgeLabel::IntraProc);
-                }
-            }
-            base += s;
-        }
-        let one = louvain_parallel(&g, 1);
-        assert_eq!(one.count, 3);
-        // Component-order merge: community ids ascend with components.
-        assert_eq!(one.assignment[0], 0);
-        assert_eq!(one.assignment[4], 1);
-        assert_eq!(one.assignment[10], 2);
-        for workers in [2, 3, 8] {
-            let par = louvain_parallel(&g, workers);
-            assert_eq!(par.assignment, one.assignment, "workers={workers}");
-            assert_eq!(par.count, one.count);
-            assert_eq!(par.modularity, one.modularity);
-        }
-    }
-
-    #[test]
-    fn parallel_edge_cases() {
-        let empty = Pag::new(ViewKind::Parallel, "empty");
-        assert_eq!(louvain_parallel(&empty, 4).count, 0);
-        let mut iso = Pag::new(ViewKind::Parallel, "iso");
-        for i in 0..5 {
-            iso.add_vertex(VertexLabel::Compute, format!("n{i}").as_str());
-        }
-        let c = louvain_parallel(&iso, 4);
-        assert_eq!(c.count, 5);
-        assert_eq!(c.assignment, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -138,59 +138,6 @@ pub fn match_subgraph(
     result
 }
 
-/// Parallel [`match_subgraph`]: the depth-0 candidates of the first
-/// planned pattern vertex are sharded across `workers` scoped threads,
-/// each shard enumerating its subtree with the serial backtracker. Shard
-/// results are concatenated in candidate order and *then* truncated to
-/// `max_embeddings`, so the output equals the serial prefix exactly —
-/// identical for any worker count.
-pub fn match_subgraph_parallel(
-    g: &Pag,
-    pattern: &Pattern,
-    anchor: Option<(usize, VertexId)>,
-    max_embeddings: usize,
-    workers: usize,
-) -> Vec<Embedding> {
-    let k = pattern.vertices.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    let order = plan_order(pattern, anchor.map(|(p, _)| p));
-    let p0 = order[0];
-    let empty: Vec<Option<VertexId>> = vec![None; k];
-    let roots = candidates_for(g, pattern, p0, anchor, &empty);
-
-    let shards: Vec<Vec<Embedding>> = crate::par::map_shards(roots.len(), workers, |i| {
-        let v = roots[i];
-        if !pattern.vertices[p0].matches(g, v) || !edges_consistent(g, pattern, p0, v, &empty) {
-            return Vec::new();
-        }
-        let mut assignment = empty.clone();
-        let mut used = std::collections::HashSet::new();
-        assignment[p0] = Some(v);
-        used.insert(v);
-        let mut result = Vec::new();
-        search(
-            g,
-            pattern,
-            &order,
-            1,
-            anchor,
-            &mut assignment,
-            &mut used,
-            &mut result,
-            max_embeddings,
-        );
-        result
-    });
-
-    let mut out: Vec<Embedding> = shards.into_iter().flatten().collect();
-    if max_embeddings != 0 {
-        out.truncate(max_embeddings);
-    }
-    out
-}
-
 fn plan_order(pattern: &Pattern, anchor: Option<usize>) -> Vec<usize> {
     let k = pattern.vertices.len();
     let mut order = Vec::with_capacity(k);
@@ -439,49 +386,6 @@ mod tests {
         let y2 = p2.add_vertex(PatternVertex::with_name("MPI_S*"));
         p2.add_edge(x2, y2, None); // wrong direction
         assert!(match_subgraph(&g, &p2, None, 0).is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let g = host();
-        let p = fan_pattern();
-        let serial = match_subgraph(&g, &p, None, 0);
-        for workers in [1, 2, 4, 16] {
-            assert_eq!(
-                match_subgraph_parallel(&g, &p, None, 0, workers),
-                serial,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_truncation_is_the_serial_prefix() {
-        let g = host();
-        let p = fan_pattern();
-        let serial = match_subgraph(&g, &p, None, 0);
-        for cap in [1, 3, 5, 8, 100] {
-            for workers in [1, 3, 8] {
-                let par = match_subgraph_parallel(&g, &p, None, cap, workers);
-                assert_eq!(
-                    par,
-                    serial[..cap.min(serial.len())],
-                    "cap={cap} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_anchored_matches_serial() {
-        let g = host();
-        let p = fan_pattern();
-        let serial = match_subgraph(&g, &p, Some((2, VertexId(7))), 0);
-        assert_eq!(
-            match_subgraph_parallel(&g, &p, Some((2, VertexId(7))), 0, 4),
-            serial
-        );
-        assert!(match_subgraph_parallel(&g, &Pattern::new(), None, 0, 4).is_empty());
     }
 
     #[test]

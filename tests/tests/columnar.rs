@@ -1,14 +1,11 @@
 //! Columnar-storage compatibility suite (ISSUE 7): PAG1 → PAG2 wire
-//! round-trips under hostile inputs, the checked-in legacy fixture,
-//! shim-vs-typed write identity, and the serial-vs-parallel identity of
-//! the graph algorithms on a real workload PAG.
+//! round-trips under hostile inputs, the checked-in legacy fixture, and
+//! shim-vs-typed write identity.
 
 use proptest::prelude::*;
 
 use pag::serialize::{decode, encode, encode_v1, DecodeError};
 use pag::{keys, mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
-use perflow::PerFlow;
-use simrt::RunConfig;
 
 /// A legacy PAG1 snapshot checked in before the columnar migration.
 /// Readers must keep accepting it forever.
@@ -201,66 +198,5 @@ fn pag1_fixture_with_trailing_bytes_is_rejected() {
     match decode(&padded) {
         Err(DecodeError::TrailingBytes) => {}
         other => panic!("expected TrailingBytes, got {other:?}"),
-    }
-}
-
-// ------------------------------------------- parallel identity (workload)
-
-fn chain_pattern() -> graphalgo::Pattern {
-    let mut p = graphalgo::Pattern::new();
-    let x = p.add_vertex(graphalgo::PatternVertex::any());
-    let y = p.add_vertex(graphalgo::PatternVertex::any());
-    let z = p.add_vertex(graphalgo::PatternVertex::any());
-    p.add_edge(x, y, None);
-    p.add_edge(y, z, None);
-    p
-}
-
-/// On a real workload's parallel view, every parallel algorithm is
-/// bit-identical to its serial form for any worker count.
-#[test]
-fn parallel_algorithms_match_serial_on_workload_pag() {
-    let pflow = PerFlow::new();
-    let run = pflow
-        .run(&workloads::cg(), &RunConfig::new(8).with_seed(7))
-        .expect("run failed");
-    let g = run.parallel();
-
-    // Louvain's identity contract is parallel(w) == parallel(1): the
-    // workload's parallel view has one component per rank, and sharded
-    // clustering uses per-component edge mass (see louvain_parallel docs),
-    // so the serial whole-graph result may legitimately differ here.
-    let baseline = graphalgo::louvain_parallel(g, 1);
-    assert!(baseline.count > 1, "workload PAG clusters into communities");
-    for w in [2usize, 4, 9] {
-        let par = graphalgo::louvain_parallel(g, w);
-        assert_eq!(par.assignment, baseline.assignment, "louvain w={w}");
-        assert_eq!(par.count, baseline.count);
-        assert!(same_bits(par.modularity, baseline.modularity));
-    }
-
-    let pattern = chain_pattern();
-    let serial = graphalgo::match_subgraph(g, &pattern, None, 0);
-    assert!(!serial.is_empty(), "chain pattern matches the workload PAG");
-    for w in [1usize, 2, 4, 9] {
-        let par = graphalgo::match_subgraph_parallel(g, &pattern, None, 0, w);
-        assert_eq!(par, serial, "subgraph w={w}");
-    }
-    // Capped matching returns the serial prefix.
-    let cap = serial.len().min(5);
-    let capped = graphalgo::match_subgraph_parallel(g, &pattern, None, cap, 3);
-    assert_eq!(capped, serial[..cap].to_vec());
-
-    // Differential analysis against a perturbed twin of the same run.
-    let mut twin = g.clone();
-    for v in twin.vertex_ids().collect::<Vec<_>>() {
-        let t = twin.metric_f64(v, mkeys::TIME);
-        twin.set_metric(v, mkeys::TIME, t * 1.07);
-    }
-    let metrics = [keys::TIME, keys::SELF_TIME, keys::WAIT_TIME];
-    let serial = graphalgo::graph_difference(g, &twin, &metrics).unwrap();
-    for w in [1usize, 2, 4, 9] {
-        let par = graphalgo::graph_difference_parallel(g, &twin, &metrics, w).unwrap();
-        assert_eq!(encode(&par), encode(&serial), "diff w={w}");
     }
 }

@@ -6,7 +6,7 @@
 
 use obs::{Layer, Obs};
 use perflow::paradigms::comm_analysis_graph;
-use perflow::{PassCache, PerFlow, RunHandleExt, Value};
+use perflow::{ExecOptions, PassCache, PerFlow, RunHandleExt, Value};
 use progmodel::{c, noise, nranks, rank, Program, ProgramBuilder};
 use simrt::{simulate, RunConfig};
 
@@ -60,7 +60,9 @@ fn trace_covers_all_three_layers() {
         .run(&prog, &RunConfig::new(4).with_obs(obs.clone()))
         .unwrap();
     let (g, nodes) = comm_analysis_graph(run.vertices()).unwrap();
-    let out = g.execute_observed(&obs).unwrap();
+    let out = g
+        .execute_with(&ExecOptions::new().with_obs(obs.clone()))
+        .unwrap();
     assert!(!out.of(nodes.report).is_empty());
 
     assert!(obs.has_layer(Layer::Simrt), "simrt phase/segment spans");
@@ -142,8 +144,9 @@ fn run_metrics_report_passes_and_cache_hits() {
     let (g, _) = comm_analysis_graph(run.vertices()).unwrap();
     let cache = PassCache::new();
     let obs = Obs::enabled();
+    let opts = ExecOptions::new().with_obs(obs.clone()).with_cache(&cache);
 
-    let cold = g.execute_observed_with(&obs, Some(&cache), None).unwrap();
+    let cold = g.execute_with(&opts).unwrap();
     assert_eq!(cold.metrics.passes.len(), g.len());
     assert!(cold.metrics.total_wall_us > 0.0);
     assert!(cold.metrics.workers >= 1);
@@ -162,7 +165,7 @@ fn run_metrics_report_passes_and_cache_hits() {
     assert_eq!(cold_cache.misses, g.len() as u64);
     assert_eq!(cold_cache.hits, 0);
 
-    let warm = g.execute_observed_with(&obs, Some(&cache), None).unwrap();
+    let warm = g.execute_with(&opts).unwrap();
     assert!(warm.metrics.passes.iter().all(|p| p.cache_hit));
     let warm_cache = warm.metrics.cache.expect("cache delta present");
     assert_eq!(warm_cache.hits, g.len() as u64);
@@ -201,7 +204,9 @@ fn scheduler_outputs_identical_observed_or_not() {
     let run = pflow.run(&prog, &RunConfig::new(4)).unwrap();
     let (g, nodes) = comm_analysis_graph(run.vertices()).unwrap();
     let plain = g.execute().unwrap();
-    let observed = g.execute_observed(&Obs::enabled()).unwrap();
+    let observed = g
+        .execute_with(&ExecOptions::new().with_obs(Obs::enabled()))
+        .unwrap();
     assert_eq!(plain.trail, observed.trail);
     let a = plain.of(nodes.report)[0].as_report().unwrap().render();
     let b = observed.of(nodes.report)[0].as_report().unwrap().render();

@@ -4,7 +4,7 @@
 //! those exact results.
 
 use perflow::pass::FnPass;
-use perflow::{NodeId, PassCache, PerFlowGraph, Value};
+use perflow::{ExecOptions, NodeId, PassCache, PerFlowGraph, Value};
 use proptest::prelude::*;
 
 /// A random DAG description: node `i`'s inputs are drawn from nodes
@@ -78,9 +78,9 @@ proptest! {
     #[test]
     fn scheduler_equivalence_serial_vs_parallel(dag in rand_dag_strategy()) {
         let (g, nodes) = build(&dag);
-        let serial = g.execute_with_workers(1).unwrap();
+        let serial = g.execute_with(&ExecOptions::new().with_workers(1)).unwrap();
         for workers in [2usize, 4, 8] {
-            let par = g.execute_with_workers(workers).unwrap();
+            let par = g.execute_with(&ExecOptions::new().with_workers(workers)).unwrap();
             for &id in &nodes {
                 let a: Vec<Option<f64>> = serial.of(id).iter().map(Value::as_num).collect();
                 let b: Vec<Option<f64>> = par.of(id).iter().map(Value::as_num).collect();
@@ -105,10 +105,11 @@ proptest! {
         let (g, nodes) = build(&dag);
         let n = nodes.len() as u64;
         let cache = PassCache::new();
-        let cold = g.execute_with_cache(&cache).unwrap();
+        let opts = ExecOptions::new().with_cache(&cache);
+        let cold = g.execute_with(&opts).unwrap();
         prop_assert_eq!(cache.stats().misses, n);
         prop_assert_eq!(cache.stats().hits, 0);
-        let warm = g.execute_with_cache(&cache).unwrap();
+        let warm = g.execute_with(&opts).unwrap();
         prop_assert_eq!(cache.stats().misses, n, "warm run must not miss");
         prop_assert_eq!(cache.stats().hits, n, "warm run must hit every node");
         for &id in &nodes {

@@ -9,7 +9,7 @@
 use obs::{Histogram, Layer, Obs};
 use perflow::paradigms::comm_analysis_graph;
 use perflow::verify::{check_pag, Severity};
-use perflow::{self_analysis, PassCache, PerFlow, RunHandleExt};
+use perflow::{self_analysis, ExecOptions, PassCache, PerFlow, RunHandleExt};
 use progmodel::{c, nranks, rank, Program, ProgramBuilder};
 use proptest::prelude::*;
 use simrt::RunConfig;
@@ -37,7 +37,7 @@ fn observed_trace() -> Obs {
     let (g, nodes) = comm_analysis_graph(run.vertices()).expect("graph wiring failed");
     let cache = PassCache::new();
     let out = g
-        .execute_observed_with(&obs, Some(&cache), None)
+        .execute_with(&ExecOptions::new().with_obs(obs.clone()).with_cache(&cache))
         .expect("observed execution failed");
     assert!(!out.of(nodes.report).is_empty());
     obs
@@ -234,7 +234,9 @@ fn json_exports_survive_python_round_trip() {
         .run(&workload(), &RunConfig::new(2).with_obs(obs2.clone()))
         .unwrap();
     let (g, _) = comm_analysis_graph(run.vertices()).unwrap();
-    let out = g.execute_observed_with(&obs2, None, None).unwrap();
+    let out = g
+        .execute_with(&ExecOptions::new().with_obs(obs2.clone()))
+        .unwrap();
     parse("RunMetrics::render_json", &out.metrics.render_json());
     parse(
         "empty RunMetrics",
