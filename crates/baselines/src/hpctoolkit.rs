@@ -56,9 +56,9 @@ fn row(run: &ProfiledRun, v: VertexId, value: f64, total: f64) -> HpcRow {
         name: run.pag.vertex_name(v).to_string(),
         site: run
             .pag
-            .vprop(v, keys::DEBUG_INFO)
-            .and_then(|p| p.as_str().map(String::from))
-            .unwrap_or_default(),
+            .vstr(v, keys::DEBUG_INFO)
+            .unwrap_or_default()
+            .to_string(),
         value,
         pct: 100.0 * value / total.max(1e-12),
     }

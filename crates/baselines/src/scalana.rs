@@ -131,9 +131,9 @@ pub fn scalana_analyze(small: &ProfiledRun, large: &ProfiledRun, top_n: usize) -
             name: large.pag.vertex_name(v).to_string(),
             site: large
                 .pag
-                .vprop(v, keys::DEBUG_INFO)
-                .and_then(|p| p.as_str().map(String::from))
-                .unwrap_or_default(),
+                .vstr(v, keys::DEBUG_INFO)
+                .unwrap_or_default()
+                .to_string(),
             loss_us: loss_of.get(&v).copied().unwrap_or_else(|| {
                 large.pag.metric_f64(v, mkeys::TIME) - small.pag.metric_f64(v, mkeys::TIME)
             }),

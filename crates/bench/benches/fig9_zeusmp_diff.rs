@@ -28,9 +28,9 @@ fn main() {
             vec![
                 pag.vertex_name(v).to_string(),
                 pag.vertex(v).label.name().to_string(),
-                pag.vprop(v, pag::keys::DEBUG_INFO)
-                    .and_then(|p| p.as_str().map(String::from))
-                    .unwrap_or_default(),
+                pag.vstr(v, pag::keys::DEBUG_INFO)
+                    .unwrap_or_default()
+                    .to_string(),
                 format!("{:.1}", diff.score(v) / 1e3),
             ]
         })

@@ -14,7 +14,7 @@ fn layered_dag(layers: usize, width: usize) -> Pag {
     for l in 0..layers {
         for w in 0..width {
             let v = g.add_vertex(VertexLabel::Compute, format!("n{l}_{w}").as_str());
-            g.set_vprop(v, pag::keys::TIME, ((l * w) % 17) as f64 + 1.0);
+            g.set_metric(v, pag::mkeys::TIME, ((l * w) % 17) as f64 + 1.0);
         }
     }
     for l in 0..layers - 1 {

@@ -1,8 +1,6 @@
-//! Columnar metric storage vs. the string-keyed PropMap shim, at
-//! `PERFLOW_BENCH_LARGE` scale (ISSUE 7 tentpole): per-vertex metric
-//! reads through the typed `KeyId` accessors are O(1) column lookups,
-//! while the compatibility shim pays string resolution and an owned
-//! `PropValue` per call.
+//! Columnar metric storage at `PERFLOW_BENCH_LARGE` scale (ISSUE 7
+//! tentpole): per-vertex metric reads through the typed `KeyId`
+//! accessors are O(1) column lookups.
 //!
 //! Besides the criterion output, running this bench with
 //! `PERFLOW_BENCH_JSON_OUT=BENCH_pag.json` re-emits the machine-readable
@@ -16,17 +14,6 @@ fn bench_columnar(c: &mut Criterion) {
     let mut group = c.benchmark_group("pag_columnar");
     group.sample_size(10);
     let g = large_metric_pag(64);
-    group.bench_function("metric_sum_propmap_shim", |b| {
-        b.iter(|| -> f64 {
-            g.vertex_ids()
-                .map(|v| {
-                    g.vprop(v, pag::keys::TIME)
-                        .and_then(|p| p.as_f64())
-                        .unwrap_or(0.0)
-                })
-                .sum()
-        })
-    });
     group.bench_function("metric_sum_typed", |b| {
         b.iter(|| -> f64 { g.vertex_ids().map(|v| g.metric_f64(v, mkeys::TIME)).sum() })
     });

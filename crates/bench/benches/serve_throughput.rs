@@ -17,8 +17,8 @@ use std::time::Duration;
 use bench::pagbench::{entries_to_json, BenchEntry};
 use bench::{median_secs, print_table};
 use driver::AnalysisConfig;
+use obs::json::Json;
 use perflow::PerFlow;
-use serve::json::Json;
 use serve::{Server, ServerConfig};
 use simrt::RunConfig;
 

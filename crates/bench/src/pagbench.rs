@@ -55,9 +55,9 @@ pub fn large_metric_pag(width: usize) -> Pag {
     g
 }
 
-/// Columnar-vs-shim measurement suite: sum a metric over every vertex
-/// through (a) the string-keyed `vprop` compatibility shim and (b) the
-/// typed `KeyId` accessors, plus the PAG2 encode/decode path.
+/// Columnar measurement suite: sum a metric over every vertex through
+/// the typed `KeyId` accessors, build the large PAG, and run the PAG2
+/// encode/decode path.
 pub fn columnar_entries(reps: usize) -> Vec<BenchEntry> {
     let g = large_metric_pag(64);
     let mut out = Vec::new();
@@ -69,19 +69,6 @@ pub fn columnar_entries(reps: usize) -> Vec<BenchEntry> {
     };
 
     let mut sink = 0.0f64;
-    push(
-        "pag_columnar/metric_sum_propmap_shim",
-        median_secs(reps, || {
-            sink = g
-                .vertex_ids()
-                .map(|v| {
-                    g.vprop(v, pag::keys::TIME)
-                        .and_then(|p| p.as_f64())
-                        .unwrap_or(0.0)
-                })
-                .sum();
-        }),
-    );
     push(
         "pag_columnar/metric_sum_typed",
         median_secs(reps, || {

@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 
 use obs::{Layer, Obs, SpanRec};
-use pag::{keys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
+use pag::{mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 
 /// A span path: the chain of span names from a layer's outermost span
 /// down to this one.
@@ -176,8 +176,12 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
     td.set_root(root);
     if dropped > 0 {
         let stored = spans.len() as f64;
-        td.set_vprop(root, keys::DROPPED_SPANS, dropped as f64);
-        td.set_vprop(root, keys::COMPLETENESS, stored / (stored + dropped as f64));
+        td.set_metric_i64(root, mkeys::DROPPED_SPANS, dropped as i64);
+        td.set_metric(
+            root,
+            mkeys::COMPLETENESS,
+            stored / (stored + dropped as f64),
+        );
     }
 
     // Layer vertices: aggregate of that layer's top-level paths.
@@ -194,9 +198,9 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
                 total += stat.incl_us;
             }
         }
-        td.set_vprop(v, keys::TIME, total);
-        td.set_vprop(v, keys::SELF_TIME, 0.0);
-        td.set_vprop(v, keys::TIME_PER_PROC, per_lane);
+        td.set_metric(v, mkeys::TIME, total);
+        td.set_metric(v, mkeys::SELF_TIME, 0.0);
+        td.set_metric_vec(v, mkeys::TIME_PER_PROC, per_lane);
         layer_vertex.insert(layer, v);
     }
 
@@ -217,9 +221,9 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
             path_vertex[&(*layer, path[..path.len() - 1].to_vec())]
         };
         td.add_edge(parent, v, EdgeLabel::IntraProc);
-        td.set_vprop(v, keys::TIME, stat.incl_us);
-        td.set_vprop(v, keys::SELF_TIME, stat.self_us);
-        td.set_vprop(v, keys::COUNT, stat.count as i64);
+        td.set_metric(v, mkeys::TIME, stat.incl_us);
+        td.set_metric(v, mkeys::SELF_TIME, stat.self_us);
+        td.set_metric_i64(v, mkeys::COUNT, stat.count as i64);
         let lanes = &layer_lanes[layer];
         let mut per_lane = vec![0.0; lanes.len()];
         for (pos, lane) in lanes.iter().enumerate() {
@@ -227,7 +231,7 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
                 per_lane[pos] = fs.incl_us;
             }
         }
-        td.set_vprop(v, keys::TIME_PER_PROC, per_lane);
+        td.set_metric_vec(v, mkeys::TIME_PER_PROC, per_lane);
         path_vertex.insert((*layer, path.clone()), v);
     }
 
@@ -243,9 +247,9 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
         if proc == 0 {
             pv.set_root(fr);
         }
-        pv.set_vprop(fr, keys::PROC, proc as i64);
-        pv.set_vprop(fr, keys::THREAD, 0i64);
-        pv.set_vprop(fr, keys::TOPDOWN_VERTEX, layer_vertex[&layer].0 as i64);
+        pv.set_metric_i64(fr, mkeys::PROC, proc as i64);
+        pv.set_metric_i64(fr, mkeys::THREAD, 0);
+        pv.set_metric_i64(fr, mkeys::TOPDOWN_VERTEX, layer_vertex[&layer].0 as i64);
         let mut flow_total = 0.0;
         let mut prev = fr;
         for ((l, ln, path), stat) in &fl_stats {
@@ -258,16 +262,16 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
             let tdv = path_vertex[&(*l, path.clone())];
             let label = td.vertex(tdv).label;
             let v = pv.add_vertex(label, path.last().unwrap().as_str());
-            pv.set_vprop(v, keys::PROC, proc as i64);
-            pv.set_vprop(v, keys::THREAD, 0i64);
-            pv.set_vprop(v, keys::TOPDOWN_VERTEX, tdv.0 as i64);
-            pv.set_vprop(v, keys::TIME, stat.incl_us);
-            pv.set_vprop(v, keys::SELF_TIME, stat.self_us);
-            pv.set_vprop(v, keys::COUNT, stat.count as i64);
+            pv.set_metric_i64(v, mkeys::PROC, proc as i64);
+            pv.set_metric_i64(v, mkeys::THREAD, 0);
+            pv.set_metric_i64(v, mkeys::TOPDOWN_VERTEX, tdv.0 as i64);
+            pv.set_metric(v, mkeys::TIME, stat.incl_us);
+            pv.set_metric(v, mkeys::SELF_TIME, stat.self_us);
+            pv.set_metric_i64(v, mkeys::COUNT, stat.count as i64);
             pv.add_edge(prev, v, EdgeLabel::IntraProc);
             prev = v;
         }
-        pv.set_vprop(fr, keys::TIME, flow_total);
+        pv.set_metric(fr, mkeys::TIME, flow_total);
     }
 
     SelfPag {
@@ -323,12 +327,9 @@ mod tests {
         let hot = td.find_by_name("pass:hotspot")[0];
         // schedule → pass:hotspot edge exists.
         assert!(td.out_neighbors(sched).any(|v| v == hot));
-        assert_eq!(td.vprop(sched, keys::TIME).unwrap().as_f64(), Some(100.0));
+        assert_eq!(td.metric(sched, mkeys::TIME), Some(100.0));
         // schedule self time excludes the nested hotspot pass.
-        assert_eq!(
-            td.vprop(sched, keys::SELF_TIME).unwrap().as_f64(),
-            Some(70.0)
-        );
+        assert_eq!(td.metric(sched, mkeys::SELF_TIME), Some(70.0));
         assert_eq!(td.vertex(sched).label, VertexLabel::Function);
         assert_eq!(td.vertex(hot).label, VertexLabel::Compute);
     }
@@ -345,7 +346,7 @@ mod tests {
         assert_eq!(core_roots.len(), 2);
         let links: Vec<_> = core_roots
             .iter()
-            .map(|&v| pv.metric_i64(v, pag::mkeys::TOPDOWN_VERTEX))
+            .map(|&v| pv.metric_i64(v, mkeys::TOPDOWN_VERTEX))
             .collect();
         assert_eq!(links[0], links[1]);
         // Lane imbalance data: lane1 (90µs) vs lane0 (100µs total).
@@ -362,13 +363,7 @@ mod tests {
         let sp = build_self_pag(&obs);
         assert_eq!(sp.dropped_spans, 3);
         let root = sp.topdown.root().unwrap();
-        assert_eq!(
-            sp.topdown
-                .vprop(root, keys::DROPPED_SPANS)
-                .unwrap()
-                .as_f64(),
-            Some(3.0)
-        );
+        assert_eq!(sp.topdown.metric_i64(root, mkeys::DROPPED_SPANS), Some(3));
         let d = verify::check_pag(&sp.topdown);
         assert!(d
             .items()

@@ -222,7 +222,7 @@ impl<'p> Stitcher<'p> {
     ) -> VertexId {
         let t = self.template(fid);
         let v = self.pag.add_vertex(VertexLabel::Function, t.name.clone());
-        self.pag.set_vprop(v, keys::DEBUG_INFO, t.debug.clone());
+        self.pag.set_vstr(v, keys::DEBUG_INFO, t.debug.clone());
         if let Some(p) = parent {
             self.pag.add_edge(p, v, EdgeLabel::InterProc);
             self.child_map.insert((p, CtxFrame::Func(fid)), v);
@@ -247,7 +247,7 @@ impl<'p> Stitcher<'p> {
                 }
             };
             let v = self.pag.add_vertex(label, n.name.clone());
-            self.pag.set_vprop(v, keys::DEBUG_INFO, n.debug.clone());
+            self.pag.set_vstr(v, keys::DEBUG_INFO, n.debug.clone());
             self.pag.add_edge(parent, v, EdgeLabel::IntraProc);
             self.child_map.insert((parent, CtxFrame::Stmt(n.stmt)), v);
             self.instantiate_nodes(v, &n.children, stack);

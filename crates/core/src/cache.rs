@@ -40,7 +40,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::pass::Pass;
-use crate::value::{Fnv, Value};
+use crate::value::Value;
+use obs::Fnv;
 
 /// Hit/miss/eviction counters of a [`PassCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -48,7 +48,8 @@ use crate::graphref::{GraphRef, RunHandle};
 use crate::pass::Pass;
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
-use crate::value::{Fnv, Value};
+use crate::value::Value;
+use obs::Fnv;
 
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"PFCK";

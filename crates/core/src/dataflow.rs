@@ -1253,7 +1253,7 @@ mod tests {
             Ok(vec![Value::Num((self.f)(inputs[0].as_num().unwrap()))])
         }
         fn fingerprint(&self) -> Option<u64> {
-            let mut h = crate::value::Fnv::new();
+            let mut h = obs::Fnv::new();
             h.str("fp-pass");
             h.str(&self.name);
             Some(h.finish())
@@ -1477,7 +1477,7 @@ mod tests {
                     Ok(vec![Value::Num(i[0].as_num().unwrap() + 1.0)])
                 }
                 fn fingerprint(&self) -> Option<u64> {
-                    let mut h = crate::value::Fnv::new();
+                    let mut h = obs::Fnv::new();
                     h.str("counting_inc");
                     Some(h.finish())
                 }

@@ -12,7 +12,7 @@
 //! heuristic [`InteractiveSession::suggest`]ions for the next pass based
 //! on what the current set contains.
 
-use pag::{keys, CallKind, VertexLabel};
+use pag::{keys, mkeys, CallKind, VertexLabel};
 
 use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
 use crate::passes;
@@ -157,10 +157,8 @@ impl InteractiveSession {
             self.current.ids.iter().map(|v| v.0 as i64).collect();
         let next = pv.all_vertices().retain(|v| {
             pv.pag()
-                .vprop(v, keys::TOPDOWN_VERTEX)
-                .and_then(|p| p.as_i64())
-                .map(|td| ids.contains(&td))
-                .unwrap_or(false)
+                .metric_i64(v, mkeys::TOPDOWN_VERTEX)
+                .is_some_and(|td| ids.contains(&td))
         });
         self.step("to_parallel_view".to_string(), next);
         &self.current

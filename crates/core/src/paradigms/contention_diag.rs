@@ -1,7 +1,7 @@
 //! The Vite-style diagnosis graph (Fig. 14) and the LAMMPS-style
 //! iterated causal loop (Fig. 11).
 
-use pag::keys;
+use pag::{keys, mkeys};
 
 use crate::error::PerFlowError;
 use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
@@ -60,10 +60,8 @@ pub fn contention_diagnosis(
     let ids: std::collections::HashSet<i64> = suspicious.ids.iter().map(|v| v.0 as i64).collect();
     let flows = pv.all_vertices().retain(|v| {
         pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| ids.contains(&td))
-            .unwrap_or(false)
+            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
+            .is_some_and(|td| ids.contains(&td))
     });
 
     // Causal analysis over the laggard replicas.
@@ -148,10 +146,8 @@ pub fn iterative_causal(
     let ids: std::collections::HashSet<i64> = comm_hot.ids.iter().map(|v| v.0 as i64).collect();
     let flows = pv.all_vertices().retain(|v| {
         pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| ids.contains(&td))
-            .unwrap_or(false)
+            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
+            .is_some_and(|td| ids.contains(&td))
     });
     let mut current = imbalance(&flows, 0.1);
     if current.is_empty() {

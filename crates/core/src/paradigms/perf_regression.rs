@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pag::{keys, Pag, VertexLabel, ViewKind};
+use pag::{mkeys, Pag, VertexLabel, ViewKind};
 
 use crate::error::PerFlowError;
 use crate::graphref::GraphRef;
@@ -92,11 +92,11 @@ pub fn perf_regression(
     for name in &names {
         let v = g.add_vertex(VertexLabel::Compute, *name);
         if let Some(&c) = cur.get(name) {
-            g.set_vprop(v, keys::TIME, c);
+            g.set_metric(v, mkeys::TIME, c);
         }
         if let (Some(&b), Some(&c)) = (base.get(name), cur.get(name)) {
             if b.is_finite() && c.is_finite() {
-                g.set_vprop(v, keys::DIFF_TIME, c - b);
+                g.set_metric(v, mkeys::DIFF_TIME, c - b);
             }
         }
     }

@@ -87,10 +87,8 @@ pub fn scalability_analysis(
     let union_ids: std::collections::HashSet<i64> = union.ids.iter().map(|v| v.0 as i64).collect();
     let flows = pv.all_vertices().retain(|v| {
         pv.pag()
-            .vprop(v, keys::TOPDOWN_VERTEX)
-            .and_then(|p| p.as_i64())
-            .map(|td| union_ids.contains(&td))
-            .unwrap_or(false)
+            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
+            .is_some_and(|td| union_ids.contains(&td))
     });
     let mut lagging = imbalance(&flows, imbalance_threshold);
     if lagging.is_empty() {

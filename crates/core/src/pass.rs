@@ -100,7 +100,7 @@ impl Pass for SourcePass {
         Ok(vec![self.value.clone()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str("source");
         // Prefer the content-addressed fingerprint: the pointer-based one
         // is unstable across processes, which would make source nodes

@@ -120,7 +120,7 @@ impl Pass for BacktrackingPass {
         Ok(vec![v.into(), e.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.max_steps as u64);
         Some(h.finish())

@@ -170,7 +170,7 @@ impl Pass for BreakdownPass {
         Ok(vec![causes.into(), report.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.threshold.to_bits());
         Some(h.finish())
@@ -192,11 +192,11 @@ mod tests {
         let w = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Waitall");
         g.add_edge(main, l, EdgeLabel::IntraProc);
         g.add_edge(main, w, EdgeLabel::IntraProc);
-        g.set_vprop(l, keys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 9.0]);
-        g.set_vprop(l, keys::TIME, 12.0);
-        g.set_vprop(w, keys::TIME, 8.0);
-        g.set_vprop(w, keys::WAIT_TIME, 7.5);
-        g.set_vprop(w, keys::TIME_PER_PROC, vec![2.6, 2.6, 2.6, 0.2]);
+        g.set_metric_vec(l, mkeys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 9.0]);
+        g.set_metric(l, mkeys::TIME, 12.0);
+        g.set_metric(w, mkeys::TIME, 8.0);
+        g.set_metric(w, mkeys::WAIT_TIME, 7.5);
+        g.set_metric_vec(w, mkeys::TIME_PER_PROC, vec![2.6, 2.6, 2.6, 0.2]);
         g.set_root(main);
         GraphRef::Detached(Arc::new(g))
     }
@@ -238,11 +238,11 @@ mod tests {
         let main = g.add_vertex(VertexLabel::Function, "main");
         let s = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Send");
         g.add_edge(main, s, EdgeLabel::IntraProc);
-        g.set_vprop(s, keys::TIME, 4.0);
-        g.set_vprop(s, keys::WAIT_TIME, 2.0);
+        g.set_metric(s, mkeys::TIME, 4.0);
+        g.set_metric(s, mkeys::WAIT_TIME, 2.0);
         // Balanced times but rank 3 ships 10× the data.
-        g.set_vprop(s, keys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 1.0]);
-        g.set_vprop(s, keys::BYTES_PER_PROC, vec![100.0, 100.0, 100.0, 1000.0]);
+        g.set_metric_vec(s, mkeys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 1.0]);
+        g.set_metric_vec(s, mkeys::BYTES_PER_PROC, vec![100.0, 100.0, 100.0, 1000.0]);
         let gr = GraphRef::Detached(Arc::new(g));
         let set = VertexSet::new(gr.clone(), vec![pag::VertexId(1)]);
         let (_, report, rows) = breakdown(&set, 0.2);
@@ -256,8 +256,8 @@ mod tests {
         let main = g.add_vertex(VertexLabel::Function, "main");
         let w = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Barrier");
         g.add_edge(main, w, EdgeLabel::IntraProc);
-        g.set_vprop(w, keys::TIME, 1.0);
-        g.set_vprop(w, keys::TIME_PER_PROC, vec![0.25, 0.25, 0.25, 0.25]);
+        g.set_metric(w, mkeys::TIME, 1.0);
+        g.set_metric_vec(w, mkeys::TIME_PER_PROC, vec![0.25, 0.25, 0.25, 0.25]);
         let gr = GraphRef::Detached(Arc::new(g));
         let set = VertexSet::new(gr, vec![pag::VertexId(1)]);
         let (causes, _, rows) = breakdown(&set, 0.2);

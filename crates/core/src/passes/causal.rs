@@ -151,7 +151,7 @@ impl Pass for CausalPass {
         Ok(vec![causes.into(), edges.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.cfg.restrict_to_input as u64);
         h.u64(self.cfg.resolve_to_compute as u64);
@@ -164,7 +164,7 @@ impl Pass for CausalPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, EdgeLabel, Pag, ViewKind};
+    use pag::{mkeys, EdgeLabel, Pag, ViewKind};
     use std::sync::Arc;
 
     /// Two flows; a heavy loop in flow 0 delays comm vertices in both.
@@ -183,7 +183,7 @@ mod tests {
         g.add_edge(lp, s0, EdgeLabel::IntraProc);
         g.add_edge(f1, w1, EdgeLabel::IntraProc);
         g.add_edge(s0, w1, EdgeLabel::InterProcess(pag::CommKind::P2pAsync));
-        g.set_vprop(lp, keys::TIME, 100.0);
+        g.set_metric(lp, mkeys::TIME, 100.0);
         GraphRef::Detached(Arc::new(g))
     }
 

@@ -109,7 +109,7 @@ impl Pass for ContentionPass {
         if self.pattern.is_some() {
             return None;
         }
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.max_per_anchor as u64);
         Some(h.finish())

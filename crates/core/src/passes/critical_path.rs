@@ -113,7 +113,7 @@ impl Pass for CriticalPathPass {
         Ok(vec![v.into(), e.into(), Value::Num(w)])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         Some(h.finish())
     }
@@ -123,7 +123,7 @@ impl Pass for CriticalPathPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, EdgeLabel, Pag, VertexId, ViewKind};
+    use pag::{mkeys, EdgeLabel, Pag, VertexId, ViewKind};
     use std::sync::Arc;
 
     /// Two flows with a cross edge; flow1's kernel is heavier.
@@ -140,11 +140,11 @@ mod tests {
         g.add_edge(f1, k1, EdgeLabel::IntraProc);
         g.add_edge(k1, w1, EdgeLabel::IntraProc);
         g.add_edge(s0, w1, EdgeLabel::InterProcess(pag::CommKind::P2pAsync));
-        g.set_vprop(f0, keys::TIME, 1000.0); // structural: ignored
-        g.set_vprop(k0, keys::TIME, 50.0);
-        g.set_vprop(s0, keys::TIME, 5.0);
-        g.set_vprop(k1, keys::TIME, 10.0);
-        g.set_vprop(w1, keys::TIME, 40.0);
+        g.set_metric(f0, mkeys::TIME, 1000.0); // structural: ignored
+        g.set_metric(k0, mkeys::TIME, 50.0);
+        g.set_metric(s0, mkeys::TIME, 5.0);
+        g.set_metric(k1, mkeys::TIME, 10.0);
+        g.set_metric(w1, mkeys::TIME, 40.0);
         GraphRef::Detached(Arc::new(g))
     }
 
@@ -213,16 +213,16 @@ mod tests {
         // Alternating latecomer roles across iterations → 2-cycle.
         g.add_edge(a0, a1, EdgeLabel::InterProcess(pag::CommKind::Collective));
         g.add_edge(a1, a0, EdgeLabel::InterProcess(pag::CommKind::Collective));
-        g.set_vprop(k0, keys::TIME, 10.0);
-        g.set_vprop(a0, keys::TIME, 5.0);
-        g.set_vprop(k1, keys::TIME, 20.0);
-        g.set_vprop(a1, keys::TIME, 5.0);
+        g.set_metric(k0, mkeys::TIME, 10.0);
+        g.set_metric(a0, mkeys::TIME, 5.0);
+        g.set_metric(k1, mkeys::TIME, 20.0);
+        g.set_metric(a1, mkeys::TIME, 5.0);
         // Positions: mark both allreduces as the same top-down vertex so
         // the cycle edges are dropped symmetrically.
-        g.set_vprop(a0, keys::TOPDOWN_VERTEX, 1i64);
-        g.set_vprop(a1, keys::TOPDOWN_VERTEX, 1i64);
-        g.set_vprop(k0, keys::TOPDOWN_VERTEX, 0i64);
-        g.set_vprop(k1, keys::TOPDOWN_VERTEX, 0i64);
+        g.set_metric_i64(a0, mkeys::TOPDOWN_VERTEX, 1);
+        g.set_metric_i64(a1, mkeys::TOPDOWN_VERTEX, 1);
+        g.set_metric_i64(k0, mkeys::TOPDOWN_VERTEX, 0);
+        g.set_metric_i64(k1, mkeys::TOPDOWN_VERTEX, 0);
         let gr = GraphRef::Detached(Arc::new(g));
         let (vs, _, w) = critical_path_analysis(&gr.all_vertices()).unwrap();
         assert!((w - 25.0).abs() < 1e-9, "heaviest surviving chain k1→a1");

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use graphalgo::diff::graph_difference_scaled;
-use pag::keys;
+use pag::{keys, mkeys};
 
 use crate::error::PerFlowError;
 use crate::graphref::{GraphRef, RunHandle};
@@ -45,7 +45,7 @@ fn diff_pags(left: &pag::Pag, right: &pag::Pag, scale: f64) -> Result<VertexSet,
     // alongside other metrics.
     for v in diff.vertex_ids().collect::<Vec<_>>() {
         let d = diff.vertex_time(v);
-        diff.set_vprop(v, keys::DIFF_TIME, d);
+        diff.set_metric(v, mkeys::DIFF_TIME, d);
     }
     let graph = GraphRef::Detached(Arc::new(diff));
     let mut set = graph.all_vertices();
@@ -98,7 +98,7 @@ impl Pass for DifferentialPass {
         Ok(vec![differential_sets(left, right, self.scale)?.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.scale.to_bits());
         Some(h.finish())
@@ -114,7 +114,7 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "r");
         for (i, &t) in times.iter().enumerate() {
             let v = g.add_vertex(VertexLabel::Compute, format!("k{i}").as_str());
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         g
     }
@@ -132,14 +132,7 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["k2", "k1", "k0"]);
         assert_eq!(d.score(d.ids[0]), 6.0);
-        assert_eq!(
-            d.graph
-                .pag()
-                .vprop(d.ids[0], keys::DIFF_TIME)
-                .unwrap()
-                .as_f64(),
-            Some(6.0)
-        );
+        assert_eq!(d.graph.pag().metric(d.ids[0], mkeys::DIFF_TIME), Some(6.0));
     }
 
     #[test]

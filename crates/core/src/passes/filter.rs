@@ -65,7 +65,7 @@ impl Pass for FilterPass {
         Ok(vec![out.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         match &self.spec {
             FilterSpec::Name(p) => {
@@ -90,15 +90,15 @@ impl Pass for FilterPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, CallKind, Pag, ViewKind};
+    use pag::{keys, mkeys, CallKind, Pag, ViewKind};
     use std::sync::Arc;
 
     fn graph() -> GraphRef {
         let mut g = Pag::new(ViewKind::TopDown, "f");
         let a = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Send");
         let b = g.add_vertex(VertexLabel::Compute, "kernel");
-        g.set_vprop(a, keys::TIME, 2.0);
-        g.set_vprop(b, keys::TIME, 8.0);
+        g.set_metric(a, mkeys::TIME, 2.0);
+        g.set_metric(b, mkeys::TIME, 8.0);
         GraphRef::Detached(Arc::new(g))
     }
 

@@ -61,7 +61,7 @@ impl Pass for HotspotPass {
         Ok(vec![hotspot(set, &self.metric, self.n).into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.str(&self.metric);
         h.u64(self.n as u64);
@@ -73,14 +73,14 @@ impl Pass for HotspotPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexLabel, ViewKind};
+    use pag::{keys, mkeys, Pag, VertexLabel, ViewKind};
     use std::sync::Arc;
 
     fn set_with_times(times: &[f64]) -> VertexSet {
         let mut g = Pag::new(ViewKind::TopDown, "h");
         for (i, &t) in times.iter().enumerate() {
             let v = g.add_vertex(VertexLabel::Compute, format!("k{i}").as_str());
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         GraphRef::Detached(Arc::new(g)).all_vertices()
     }
@@ -115,10 +115,10 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "h");
         // k0: 10s but only 40% complete (effective 4.0); k1: 6s complete.
         let a = g.add_vertex(VertexLabel::Compute, "k0");
-        g.set_vprop(a, keys::TIME, 10.0);
-        g.set_vprop(a, keys::COMPLETENESS, 0.4);
+        g.set_metric(a, mkeys::TIME, 10.0);
+        g.set_metric(a, mkeys::COMPLETENESS, 0.4);
         let b = g.add_vertex(VertexLabel::Compute, "k1");
-        g.set_vprop(b, keys::TIME, 6.0);
+        g.set_metric(b, mkeys::TIME, 6.0);
         let set = GraphRef::Detached(Arc::new(g)).all_vertices();
         let hot = hotspot(&set, keys::TIME, 2);
         assert_eq!(set.graph.pag().vertex_name(hot.ids[0]), "k1");

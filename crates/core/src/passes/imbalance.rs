@@ -108,7 +108,7 @@ impl Pass for ImbalancePass {
         Ok(vec![imbalance(set, self.threshold).into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.threshold.to_bits());
         Some(h.finish())
@@ -119,14 +119,14 @@ impl Pass for ImbalancePass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexLabel, ViewKind};
+    use pag::{mkeys, Pag, VertexLabel, ViewKind};
     use std::sync::Arc;
 
     fn topdown_set(vectors: &[&[f64]]) -> VertexSet {
         let mut g = Pag::new(ViewKind::TopDown, "imb");
         for (i, vec) in vectors.iter().enumerate() {
             let v = g.add_vertex(VertexLabel::Compute, format!("k{i}").as_str());
-            g.set_vprop(v, keys::TIME_PER_PROC, vec.to_vec());
+            g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec.to_vec());
         }
         GraphRef::Detached(Arc::new(g)).all_vertices()
     }
@@ -153,8 +153,8 @@ mod tests {
         // completeness the weighted score is 0.6.
         let mut g = Pag::new(ViewKind::TopDown, "imb");
         let v = g.add_vertex(VertexLabel::Compute, "k");
-        g.set_vprop(v, keys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 5.0]);
-        g.set_vprop(v, keys::COMPLETENESS, 0.4);
+        g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec![1.0, 1.0, 1.0, 5.0]);
+        g.set_metric(v, mkeys::COMPLETENESS, 0.4);
         let set = GraphRef::Detached(Arc::new(g)).all_vertices();
         assert!(imbalance(&set, 1.0).is_empty(), "0.6 < 1.0 threshold");
         let found = imbalance(&set, 0.5);

@@ -27,7 +27,7 @@ pub fn report_sets(title: &str, sets: &[&VertexSet], attrs: &[&str]) -> Report {
                     "score" => format!("{:.4}", set.score(v)),
                     "time" => format_time_us(set.metric(v, pag::keys::TIME)),
                     other => pag
-                        .vprop(v, other)
+                        .prop_by_name(v, other)
                         .map(|p| render_prop(&p))
                         .unwrap_or_default(),
                 })
@@ -98,7 +98,7 @@ impl Pass for ReportPass {
         Ok(vec![report_sets(&self.title, &sets, &attrs).into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.str(&self.title);
         h.u64(self.attrs.len() as u64);
@@ -114,14 +114,18 @@ impl Pass for ReportPass {
 mod tests {
     use super::*;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexLabel, ViewKind};
+    use pag::{keys, mkeys, Pag, VertexLabel, ViewKind};
     use std::sync::Arc;
 
     fn set() -> VertexSet {
         let mut g = Pag::new(ViewKind::TopDown, "r");
         let v = g.add_vertex(VertexLabel::Compute, "kern");
-        g.set_vprop(v, keys::TIME, 1_500_000.0);
-        g.set_vprop(v, keys::DEBUG_INFO, "a.c:12");
+        g.set_metric(v, mkeys::TIME, 1_500_000.0);
+        g.set_vstr(v, keys::DEBUG_INFO, "a.c:12");
+        let flops = g.intern_key("flops");
+        g.set_metric(v, flops, 2.5);
+        g.set_metric_i64(v, mkeys::COUNT, 3);
+        g.set_metric_vec(v, mkeys::WAIT_PER_PROC, vec![1.0, 2.0]);
         GraphRef::Detached(Arc::new(g))
             .all_vertices()
             .with_score(v, 0.5)
@@ -141,6 +145,14 @@ mod tests {
         assert!(text.contains("a.c:12"));
         assert!(text.contains("0.5000"));
         assert!(text.contains("compute"));
+        // Free-form attributes go through the by-name lookup: a user
+        // float, an int-kinded counter, a vector and a string.
+        let r = report_sets(
+            "t",
+            &[&s],
+            &["flops", "count", "wait-per-proc", "debug-info"],
+        );
+        assert_eq!(r.rows[0], ["2.500", "3", "[1.0000, 2.0000]", "a.c:12"]);
     }
 
     #[test]

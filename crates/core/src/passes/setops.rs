@@ -64,7 +64,7 @@ impl Pass for UnionPass {
         Ok(vec![out.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         // The display name is distinct per operation.
         h.str(self.name());
         Some(h.finish())

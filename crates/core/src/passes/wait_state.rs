@@ -152,7 +152,7 @@ impl Pass for WaitStatePass {
         Ok(vec![subset.into(), report.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = crate::value::Fnv::new();
+        let mut h = obs::Fnv::new();
         h.str(self.name());
         h.u64(self.threshold.to_bits());
         Some(h.finish())

@@ -202,21 +202,14 @@ fn apply_filter(
 }
 
 /// The string value of a field at a vertex: `name`/`label` read the
-/// vertex itself, everything else (including `shim:` access) goes
-/// through the string-keyed property shim.
+/// vertex itself, everything else is looked up by name and rendered.
 fn string_of(set: &VertexSet, v: pag::VertexId, field: &Field) -> Option<String> {
     let pag = set.graph.pag();
-    if !field.shim {
-        match field.name.as_str() {
-            "name" => return Some(pag.vertex_name(v).to_string()),
-            "label" => return Some(pag.vertex(v).label.name().to_string()),
-            _ => {}
-        }
-        if let Some(s) = pag.vstr(v, &field.name) {
-            return Some(s.to_string());
-        }
+    match field.name.as_str() {
+        "name" => Some(pag.vertex_name(v).to_string()),
+        "label" => Some(pag.vertex(v).label.name().to_string()),
+        name => pag.prop_by_name(v, name).map(|p| p.to_string()),
     }
-    pag.vprop(v, &field.name).map(|p| p.to_string())
 }
 
 /// `sort <field> asc|desc [nan_last|nan_first]`, ties broken by vertex
@@ -259,7 +252,7 @@ mod tests {
     use super::*;
     use crate::api::PerFlow;
     use crate::graphref::GraphRef;
-    use pag::{keys, Pag, VertexId, VertexLabel, ViewKind};
+    use pag::{keys, mkeys, Pag, VertexId, VertexLabel, ViewKind};
     use simrt::RunConfig;
     use std::sync::Arc;
 
@@ -279,7 +272,7 @@ mod tests {
                 },
                 name,
             );
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         GraphRef::Detached(Arc::new(g))
     }
@@ -368,7 +361,7 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "n");
         for (name, t) in [("a", 1.0), ("b", f64::NAN), ("c", 3.0)] {
             let v = g.add_vertex(VertexLabel::Compute, name);
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         let g = GraphRef::Detached(Arc::new(g));
         let first = eval_set("from vertices | sort time desc nan_first", &g);
@@ -382,7 +375,7 @@ mod tests {
         let mut g = Pag::new(ViewKind::TopDown, "n");
         for name in ["a", "b", "c"] {
             let v = g.add_vertex(VertexLabel::Compute, name);
-            g.set_vprop(v, keys::TIME, f64::NAN);
+            g.set_metric(v, mkeys::TIME, f64::NAN);
         }
         let g = GraphRef::Detached(Arc::new(g));
         for src in [
@@ -397,17 +390,40 @@ mod tests {
         }
     }
 
-    fn cg_run() -> (PerFlow, crate::graphref::RunHandle) {
+    fn cg_prog() -> progmodel::Program {
         let mut pb = progmodel::ProgramBuilder::new("qexec");
         let main = pb.declare("main", "qexec.c");
         pb.define(main, |f| {
             f.compute("kernel", (progmodel::rank() + 1.0) * progmodel::c(2000.0));
             f.allreduce(progmodel::c(64.0));
         });
-        let prog = pb.build(main);
+        pb.build(main)
+    }
+
+    fn cg_run() -> (PerFlow, crate::graphref::RunHandle) {
         let pflow = PerFlow::new();
-        let run = pflow.run(&prog, &RunConfig::new(4)).unwrap();
+        let run = pflow.run(&cg_prog(), &RunConfig::new(4)).unwrap();
         (pflow, run)
+    }
+
+    #[test]
+    fn string_filters_and_selects_look_attributes_up_by_name() {
+        // A string property (`debug-info`) and a key interned at run time
+        // are both reached through `Pag::prop_by_name`.
+        let mut profiled = collect::profile(&cg_prog(), &RunConfig::new(4)).unwrap();
+        let kernel = profiled.pag.find_by_name("kernel")[0];
+        let flops = profiled.pag.intern_key("flops");
+        profiled.pag.set_metric_i64(kernel, flops, 42);
+        let run = crate::graphref::RunBundle::new(profiled);
+        let q = Query::parse(
+            "from vertices | filter debug-info ~ \"*.c:*\" | filter flops == \"42\" \
+             | select name, flops, debug-info",
+        )
+        .unwrap();
+        let r = execute_query(&q, &run).unwrap().into_report();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.rows[0][..2], ["kernel", "42"]);
+        assert!(r.rows[0][2].starts_with("qexec.c:"), "{:?}", r.rows[0]);
     }
 
     #[test]

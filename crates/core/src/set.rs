@@ -276,7 +276,7 @@ impl EdgeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pag::{keys, EdgeLabel, Pag, ViewKind};
+    use pag::{keys, mkeys, EdgeLabel, Pag, ViewKind};
     use std::sync::Arc;
 
     fn detached() -> GraphRef {
@@ -299,7 +299,7 @@ mod tests {
                 *name,
             );
             assert_eq!(v.0 as usize, i);
-            g.set_vprop(v, keys::TIME, *t);
+            g.set_metric(v, mkeys::TIME, *t);
         }
         g.add_edge(VertexId(0), VertexId(1), EdgeLabel::IntraProc);
         g.add_edge(VertexId(1), VertexId(2), EdgeLabel::IntraProc);

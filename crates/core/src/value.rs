@@ -2,6 +2,7 @@
 
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
+use obs::Fnv;
 
 /// A value on a PerFlowGraph edge: a vertex set, an edge set, a finished
 /// report, or a scalar (thresholds, counts).
@@ -58,36 +59,6 @@ impl Value {
             Value::Num(n) => Some(*n),
             _ => None,
         }
-    }
-}
-
-/// Minimal FNV-1a hasher used for value/pass fingerprints (no external
-/// dependencies, stable across platforms).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -414,23 +414,17 @@ pub fn query_fingerprint(run: &RunHandle, text: &str) -> u64 {
 /// FNV-1a over a string — used for report digests and as an ingredient of
 /// [`checkpoint_context`].
 pub fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = obs::Fnv::new();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 fn fnv_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = obs::Fnv::new();
+    for &w in words {
+        h.u64(w);
     }
-    h
+    h.finish()
 }
 
 /// Checkpoint context digest: workload + shape-determining config + the
@@ -647,6 +641,15 @@ pub fn comm_analysis_session_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every report, checkpoint and cache digest folds through these;
+    /// the constants are the pre-hoist values, so none can move.
+    #[test]
+    fn fnv_digests_are_pinned() {
+        assert_eq!(fnv_str(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv_str("perflow"), 0x6d7a_c6cd_9b51_6b7c);
+        assert_eq!(fnv_words(&[1, 0xdead_beef]), 0x4067_17b4_c10e_f40a);
+    }
 
     #[test]
     fn workload_lookup_and_aliases() {

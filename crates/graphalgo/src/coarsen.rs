@@ -111,9 +111,9 @@ mod tests {
         for rank in 0..2i64 {
             for (td, name, t) in [(0i64, "A", 1.0), (1i64, "B", 2.0)] {
                 let v = g.add_vertex(VertexLabel::Compute, name);
-                g.set_vprop(v, keys::TOPDOWN_VERTEX, td);
-                g.set_vprop(v, keys::PROC, rank);
-                g.set_vprop(v, keys::TIME, t * (rank + 1) as f64);
+                g.set_metric_i64(v, mkeys::TOPDOWN_VERTEX, td);
+                g.set_metric_i64(v, mkeys::PROC, rank);
+                g.set_metric(v, mkeys::TIME, t * (rank + 1) as f64);
                 ids.push(v);
             }
         }
@@ -121,7 +121,7 @@ mod tests {
         g.add_edge(ids[0], ids[1], EdgeLabel::IntraProc);
         g.add_edge(ids[2], ids[3], EdgeLabel::IntraProc);
         let ce = g.add_edge(ids[1], ids[2], EdgeLabel::InterProcess(CommKind::P2pAsync));
-        g.set_eprop(ce, keys::WAIT_TIME, 5.0);
+        g.set_emetric(ce, mkeys::WAIT_TIME, 5.0);
         g
     }
 

@@ -125,13 +125,13 @@ pub fn hottest_differences(diff: &Pag, metric: &str, n: usize) -> Vec<(VertexId,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pag::{EdgeLabel, VertexLabel, ViewKind};
+    use pag::{mkeys, EdgeLabel, VertexLabel, ViewKind};
 
     fn run(name: &str, times: &[f64]) -> Pag {
         let mut g = Pag::new(ViewKind::TopDown, name);
         for (i, &t) in times.iter().enumerate() {
             let v = g.add_vertex(VertexLabel::Compute, format!("n{i}").as_str());
-            g.set_vprop(v, keys::TIME, t);
+            g.set_metric(v, mkeys::TIME, t);
         }
         for i in 1..times.len() as u32 {
             g.add_edge(VertexId(0), VertexId(i), EdgeLabel::IntraProc);
@@ -203,9 +203,9 @@ mod tests {
 
     #[test]
     fn missing_metric_treated_as_zero() {
-        let mut a = run("a", &[1.0]);
+        let mut a = Pag::new(ViewKind::TopDown, "a");
+        a.add_vertex(VertexLabel::Compute, "n0");
         let b = run("b", &[3.0]);
-        a.remove_vprop(VertexId(0), keys::TIME);
         let d = graph_difference(&a, &b, &[keys::TIME]).unwrap();
         assert_eq!(d.vertex_time(VertexId(0)), -3.0);
     }
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn hottest_differences_survive_nan() {
         let mut d = run("d", &[5.0, 2.0, 8.0]);
-        d.set_vprop(VertexId(1), keys::TIME, f64::NAN);
+        d.set_metric(VertexId(1), mkeys::TIME, f64::NAN);
         let hot = hottest_differences(&d, keys::TIME, 10);
         assert_eq!(hot.len(), 3);
         assert_eq!(hot[0].0, VertexId(2));

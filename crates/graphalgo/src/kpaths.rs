@@ -103,13 +103,13 @@ pub fn k_heaviest_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pag::{keys, EdgeLabel, VertexLabel, ViewKind};
+    use pag::{mkeys, EdgeLabel, VertexLabel, ViewKind};
 
     fn weighted(weights: &[f64], edges: &[(u32, u32)]) -> Pag {
         let mut g = Pag::new(ViewKind::Parallel, "kp");
         for (i, &w) in weights.iter().enumerate() {
             let v = g.add_vertex(VertexLabel::Compute, format!("n{i}").as_str());
-            g.set_vprop(v, keys::TIME, w);
+            g.set_metric(v, mkeys::TIME, w);
         }
         for &(a, b) in edges {
             g.add_edge(VertexId(a), VertexId(b), EdgeLabel::IntraProc);

@@ -37,7 +37,7 @@ fn build(spec: &DagSpec) -> Pag {
     let mut g = Pag::new(ViewKind::Parallel, "dag");
     for (i, &w) in spec.weights.iter().enumerate() {
         let v = g.add_vertex(VertexLabel::Compute, format!("n{i}").as_str());
-        g.set_vprop(v, pag::keys::TIME, w);
+        g.set_metric(v, pag::mkeys::TIME, w);
     }
     for &(a, b) in &spec.edges {
         g.add_edge(VertexId(a as u32), VertexId(b as u32), EdgeLabel::IntraProc);
@@ -174,7 +174,7 @@ proptest! {
             let mut g = Pag::new(ViewKind::TopDown, "d");
             for (i, &t) in times.iter().take(n).enumerate() {
                 let v = g.add_vertex(VertexLabel::Compute, format!("n{i}").as_str());
-                g.set_vprop(v, pag::keys::TIME, t);
+                g.set_metric(v, pag::mkeys::TIME, t);
             }
             g
         };

@@ -35,12 +35,14 @@
 
 mod chrome_trace;
 pub mod escape;
+mod fnv;
 mod folded;
 pub mod json;
 pub mod metrics;
 mod prometheus;
 
 pub use escape::{json_escape, json_str};
+pub use fnv::Fnv;
 pub use folded::{render_folded, sanitize_frame, FOLDED_ROOT};
 pub use metrics::{bucket_bound, Histogram, HIST_BUCKETS};
 
@@ -525,18 +527,12 @@ impl Obs {
             None => Vec::new(),
         };
         keys.sort();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = Fnv::new();
         for key in &keys {
-            for &b in key.as_bytes() {
-                mix(b);
-            }
-            mix(0x1e);
+            h.write(key.as_bytes());
+            h.write(&[0x1e]);
         }
-        h
+        h.finish()
     }
 
     /// Spans discarded because the cap was reached.

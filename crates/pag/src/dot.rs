@@ -132,7 +132,7 @@ pub fn escape_dot(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::label::{CallKind, CommKind, VertexLabel};
-    use crate::ViewKind;
+    use crate::{mkeys, ViewKind};
 
     fn sample() -> Pag {
         let mut g = Pag::new(ViewKind::TopDown, "dot-sample");
@@ -142,8 +142,8 @@ mod tests {
         g.add_edge(a, b, EdgeLabel::IntraProc);
         g.add_edge(b, c, EdgeLabel::IntraProc);
         g.add_edge(c, c, EdgeLabel::InterProcess(CommKind::Collective));
-        g.set_vprop(a, keys::TIME, 10.0);
-        g.set_vprop(c, keys::TIME, 4.0);
+        g.set_metric(a, mkeys::TIME, 10.0);
+        g.set_metric(c, mkeys::TIME, 4.0);
         g
     }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{EdgeLabel, VertexLabel};
 use crate::metric::{self, KeyId, KeyTable, MetricColumns, MetricKind, GLOBAL_KEYS};
-use crate::props::{PropMap, PropValue};
+use crate::props::PropValue;
 use crate::ViewKind;
 
 /// Data stored on one PAG vertex. Numeric metrics live in the owning
@@ -19,7 +19,7 @@ pub struct VertexData {
     /// that parallel-view replicas do not duplicate the string.
     pub name: Arc<str>,
     /// String-valued properties (debug info, comm info, rank status).
-    pub(crate) sprops: PropMap,
+    pub(crate) sprops: StrProps,
 }
 
 /// Data stored on one PAG edge. Numeric metrics live in the owning
@@ -33,17 +33,45 @@ pub struct EdgeData {
     /// The relationship this edge encodes.
     pub label: EdgeLabel,
     /// String-valued properties.
-    pub(crate) sprops: PropMap,
+    pub(crate) sprops: StrProps,
+}
+
+/// String properties of one vertex or edge: `(key, value)` pairs sorted by
+/// key. Vertices carry a handful at most, so a sorted list beats a hash map
+/// in both space and time.
+pub(crate) type StrProps = Vec<(Arc<str>, Arc<str>)>;
+
+fn str_slot(props: &StrProps, key: &str) -> Result<usize, usize> {
+    props.binary_search_by(|(k, _)| k.as_ref().cmp(key))
+}
+
+fn str_get<'a>(props: &'a StrProps, key: &str) -> Option<&'a Arc<str>> {
+    str_slot(props, key).ok().map(|i| &props[i].1)
+}
+
+/// Insert or replace in place, keeping key order.
+pub(crate) fn str_set(props: &mut StrProps, key: &str, value: Arc<str>) {
+    match str_slot(props, key) {
+        Ok(i) => props[i].1 = value,
+        Err(i) => props.insert(i, (Arc::from(key), value)),
+    }
+}
+
+pub(crate) fn str_remove(props: &mut StrProps, key: &str) {
+    if let Ok(i) = str_slot(props, key) {
+        props.remove(i);
+    }
 }
 
 /// A Program Abstraction Graph: a directed property graph describing one
 /// program execution (§3.1).
 ///
 /// Numeric vertex/edge metrics are stored column-wise ([`MetricColumns`])
-/// keyed by interned [`KeyId`]s: read with the typed accessors
-/// ([`Pag::metric`], [`Pag::metric_vec`], edge variants) in hot loops, or
-/// through the string-keyed [`Pag::vprop`]/[`Pag::set_vprop`] compat shim
-/// where convenience beats speed.
+/// keyed by interned [`KeyId`]s and addressed through the typed accessors
+/// ([`Pag::metric`], [`Pag::set_metric`], [`Pag::metric_vec`], edge
+/// variants); a name that arrives at run time is resolved once with
+/// [`Pag::key_id`] / [`Pag::intern_key`]. String properties are addressed
+/// by wire name through [`Pag::vstr`] / [`Pag::set_vstr`].
 #[derive(Debug, Clone)]
 pub struct Pag {
     view: ViewKind,
@@ -146,7 +174,7 @@ impl Pag {
         self.vertices.push(VertexData {
             label,
             name: name.into(),
-            sprops: PropMap::new(),
+            sprops: StrProps::new(),
         });
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
@@ -163,7 +191,7 @@ impl Pag {
             src,
             dst,
             label,
-            sprops: PropMap::new(),
+            sprops: StrProps::new(),
         });
         self.out_adj[src.index()].push(id);
         self.in_adj[dst.index()].push(id);
@@ -313,8 +341,18 @@ impl Pag {
         &self.emetrics
     }
 
-    pub(crate) fn vmetrics_mut(&mut self) -> &mut MetricColumns {
-        &mut self.vmetrics
+    /// Metric columns and string properties of one vertex row (or edge row
+    /// when `edges`), for the decoder.
+    pub(crate) fn stores_mut(
+        &mut self,
+        edges: bool,
+        row: usize,
+    ) -> (&mut MetricColumns, &mut StrProps) {
+        if edges {
+            (&mut self.emetrics, &mut self.edges[row].sprops)
+        } else {
+            (&mut self.vmetrics, &mut self.vertices[row].sprops)
+        }
     }
 
     /// Test-only escape hatch for corrupting the vertex metric store so
@@ -324,12 +362,8 @@ impl Pag {
         &mut self.vmetrics
     }
 
-    pub(crate) fn emetrics_mut(&mut self) -> &mut MetricColumns {
-        &mut self.emetrics
-    }
-
     #[inline]
-    fn int_kinded(k: KeyId, write_int: bool) -> bool {
+    pub(crate) fn int_kinded(k: KeyId, write_int: bool) -> bool {
         if k.is_global() {
             matches!(GLOBAL_KEYS[k.index()].1, MetricKind::I64)
         } else {
@@ -458,170 +492,71 @@ impl Pag {
 
     /// String property of a vertex (debug info, comm info, …).
     pub fn vstr(&self, v: VertexId, key: &str) -> Option<&str> {
-        self.vertex(v).sprops.get(key).and_then(|p| p.as_str())
+        str_get(&self.vertex(v).sprops, key).map(|s| s.as_ref())
     }
 
     /// Set a string property on a vertex.
     pub fn set_vstr(&mut self, v: VertexId, key: &str, value: impl Into<Arc<str>>) {
-        self.vertex_mut(v).sprops.set(key, value.into());
+        str_set(&mut self.vertex_mut(v).sprops, key, value.into());
     }
 
     /// String property of an edge.
     pub fn estr(&self, e: EdgeId, key: &str) -> Option<&str> {
-        self.edge(e).sprops.get(key).and_then(|p| p.as_str())
+        str_get(&self.edge(e).sprops, key).map(|s| s.as_ref())
     }
 
     /// Set a string property on an edge.
     pub fn set_estr(&mut self, e: EdgeId, key: &str, value: impl Into<Arc<str>>) {
-        self.edge_mut(e).sprops.set(key, value.into());
+        str_set(&mut self.edge_mut(e).sprops, key, value.into());
     }
 
-    // ----- string-keyed compat shim -----
+    // ----- merged view for rendering -----
 
-    fn shim_get(
-        &self,
-        sprops: &PropMap,
-        cols: &MetricColumns,
-        row: usize,
-        key: &str,
-    ) -> Option<PropValue> {
-        if let Some(k) = self.keytab.resolve(key) {
-            if let Some(x) = cols.get(k, row) {
-                let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
-                return Some(if is_int {
-                    PropValue::Int(x as i64)
-                } else {
-                    PropValue::Float(x)
-                });
-            }
-            if let Some(xs) = cols.get_vec(k, row) {
-                return Some(PropValue::VecF64(xs.clone()));
-            }
+    fn column_value(cols: &MetricColumns, k: KeyId, row: usize) -> Option<PropValue> {
+        if let Some(x) = cols.get(k, row) {
+            let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
+            return Some(if is_int {
+                PropValue::Int(x as i64)
+            } else {
+                PropValue::Float(x)
+            });
         }
-        sprops.get(key).cloned()
-    }
-
-    /// Set a property on a vertex by wire name. Numeric values are routed
-    /// into the metric columns (interning the key), strings into the
-    /// per-vertex string map; the two stores never hold the same key at
-    /// once. Prefer the typed setters in hot loops.
-    pub fn set_vprop(&mut self, v: VertexId, key: &str, value: impl Into<PropValue>) {
-        let row = v.index();
-        match value.into() {
-            PropValue::Int(i) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics
-                    .set(k, row, i as f64, Self::int_kinded(k, true));
-            }
-            PropValue::Float(f) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics.set(k, row, f, Self::int_kinded(k, false));
-            }
-            PropValue::VecF64(xs) => {
-                let k = self.keytab.intern(key);
-                self.vertices[row].sprops.remove(key);
-                self.vmetrics.set_vec(k, row, xs);
-            }
-            PropValue::Str(s) => {
-                if let Some(k) = self.keytab.resolve(key) {
-                    self.vmetrics.remove(k, row);
-                }
-                self.vertices[row].sprops.set(key, s);
-            }
-        }
-    }
-
-    /// Read a vertex property by wire name (metric columns first, then
-    /// string properties). Returns an owned value; prefer the typed
-    /// accessors in hot loops.
-    pub fn vprop(&self, v: VertexId, key: &str) -> Option<PropValue> {
-        self.shim_get(&self.vertex(v).sprops, &self.vmetrics, v.index(), key)
-    }
-
-    /// Remove a vertex property by wire name (either store); true if
-    /// something was removed.
-    pub fn remove_vprop(&mut self, v: VertexId, key: &str) -> bool {
-        let row = v.index();
-        let mut removed = false;
-        if let Some(k) = self.keytab.resolve(key) {
-            removed |= self.vmetrics.remove(k, row);
-        }
-        removed |= self.vertices[row].sprops.remove(key).is_some();
-        removed
-    }
-
-    /// Set an edge property by wire name (shim; see [`Pag::set_vprop`]).
-    pub fn set_eprop(&mut self, e: EdgeId, key: &str, value: impl Into<PropValue>) {
-        let row = e.index();
-        match value.into() {
-            PropValue::Int(i) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics
-                    .set(k, row, i as f64, Self::int_kinded(k, true));
-            }
-            PropValue::Float(f) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics.set(k, row, f, Self::int_kinded(k, false));
-            }
-            PropValue::VecF64(xs) => {
-                let k = self.keytab.intern(key);
-                self.edges[row].sprops.remove(key);
-                self.emetrics.set_vec(k, row, xs);
-            }
-            PropValue::Str(s) => {
-                if let Some(k) = self.keytab.resolve(key) {
-                    self.emetrics.remove(k, row);
-                }
-                self.edges[row].sprops.set(key, s);
-            }
-        }
-    }
-
-    /// Read an edge property by wire name (shim; owned value).
-    pub fn eprop(&self, e: EdgeId, key: &str) -> Option<PropValue> {
-        self.shim_get(&self.edge(e).sprops, &self.emetrics, e.index(), key)
+        cols.get_vec(k, row).map(|xs| PropValue::VecF64(xs.clone()))
     }
 
     fn merged_entries(
         &self,
-        sprops: &PropMap,
+        sprops: &StrProps,
         cols: &MetricColumns,
         row: usize,
     ) -> Vec<(Arc<str>, PropValue)> {
         let mut out: Vec<(Arc<str>, PropValue)> = sprops
             .iter()
-            .map(|(k, v)| (Arc::from(k), v.clone()))
+            .map(|(k, s)| (k.clone(), PropValue::Str(s.clone())))
             .collect();
         for ki in 0..self.keytab.len() {
             let k = KeyId(ki as u32);
-            if let Some(x) = cols.get(k, row) {
-                let is_int = cols.scalar_col(k).is_some_and(|c| c.is_int);
-                out.push((
-                    Arc::from(self.keytab.name(k)),
-                    if is_int {
-                        PropValue::Int(x as i64)
-                    } else {
-                        PropValue::Float(x)
-                    },
-                ));
-            } else if let Some(xs) = cols.get_vec(k, row) {
-                out.push((
-                    Arc::from(self.keytab.name(k)),
-                    PropValue::VecF64(xs.clone()),
-                ));
+            if let Some(value) = Self::column_value(cols, k, row) {
+                out.push((Arc::from(self.keytab.name(k)), value));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
+    /// One vertex property by wire name — the metric columns first, then the
+    /// string properties — as an owned value. Read-only, for the places where
+    /// the name comes from the user (a report column, a query field); code
+    /// that knows its key uses the typed accessors.
+    pub fn prop_by_name(&self, v: VertexId, name: &str) -> Option<PropValue> {
+        self.key_id(name)
+            .and_then(|k| Self::column_value(&self.vmetrics, k, v.index()))
+            .or_else(|| str_get(&self.vertex(v).sprops, name).map(|s| PropValue::Str(s.clone())))
+    }
+
     /// All properties of a vertex — string properties and metrics merged —
-    /// as `(wire name, value)` pairs in key order. For rendering and
-    /// serialization, not for hot loops.
+    /// as `(wire name, value)` pairs in key order. For rendering (DOT,
+    /// reports), not for hot loops.
     pub fn prop_entries(&self, v: VertexId) -> Vec<(Arc<str>, PropValue)> {
         self.merged_entries(&self.vertex(v).sprops, &self.vmetrics, v.index())
     }
@@ -835,10 +770,10 @@ mod tests {
     #[test]
     fn props_roundtrip_through_graph() {
         let mut g = tiny();
-        g.set_vprop(VertexId(0), keys::TIME, 12.5);
+        g.set_metric(VertexId(0), metric::keys::TIME, 12.5);
         assert_eq!(g.vertex_time(VertexId(0)), 12.5);
         assert_eq!(g.total_time(), 12.5);
-        assert!(g.vprop(VertexId(1), keys::TIME).is_none());
+        assert!(g.metric(VertexId(1), metric::keys::TIME).is_none());
     }
 
     #[test]
@@ -883,86 +818,26 @@ mod tests {
             EdgeLabel::InterProcess(CommKind::P2pAsync),
         );
         assert_eq!(g.edge(e).label, EdgeLabel::InterProcess(CommKind::P2pAsync));
-        g.set_eprop(e, keys::COMM_BYTES, 1024i64);
-        assert_eq!(g.eprop(e, keys::COMM_BYTES).unwrap().as_i64(), Some(1024));
+        g.set_emetric_i64(e, metric::keys::COMM_BYTES, 1024);
         assert_eq!(g.emetric_i64(e, metric::keys::COMM_BYTES), Some(1024));
-    }
-
-    #[test]
-    fn typed_accessors_and_shim_agree() {
-        let mut g = tiny();
-        let v = VertexId(0);
-        g.set_metric(v, metric::keys::TIME, 2.5);
-        g.set_metric_i64(v, metric::keys::COUNT, 9);
-        g.set_metric_vec(v, metric::keys::TIME_PER_PROC, vec![1.0, 1.5]);
-        g.set_vstr(v, keys::DEBUG_INFO, "a.c:1");
-        // Shim sees the columns.
-        assert_eq!(g.vprop(v, keys::TIME), Some(PropValue::Float(2.5)));
-        assert_eq!(g.vprop(v, keys::COUNT), Some(PropValue::Int(9)));
         assert_eq!(
-            g.vprop(v, keys::TIME_PER_PROC)
-                .unwrap()
-                .as_f64_slice()
-                .unwrap(),
-            &[1.0, 1.5]
-        );
-        // Columns see shim writes.
-        g.set_vprop(v, keys::WAIT_TIME, 0.25);
-        assert_eq!(g.metric(v, metric::keys::WAIT_TIME), Some(0.25));
-        // User keys intern on first shim write.
-        g.set_vprop(v, "my-metric", 7.0);
-        let k = g.key_id("my-metric").unwrap();
-        assert!(!k.is_global());
-        assert_eq!(g.metric(v, k), Some(7.0));
-        assert_eq!(g.key_name(k), "my-metric");
-        // Strings stay out of the columns.
-        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("a.c:1"));
-        assert!(g.key_id(keys::DEBUG_INFO).is_none());
-        // remove_vprop clears either store.
-        assert!(g.remove_vprop(v, keys::COUNT));
-        assert_eq!(g.metric(v, metric::keys::COUNT), None);
-        // Merged entries are sorted and complete.
-        let names: Vec<String> = g
-            .prop_entries(v)
-            .iter()
-            .map(|(k, _)| k.to_string())
-            .collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert!(names.contains(&"debug-info".to_string()));
-        assert!(names.contains(&"my-metric".to_string()));
-        assert!(names.contains(&"time-per-proc".to_string()));
-    }
-
-    #[test]
-    fn shim_replaces_across_stores() {
-        let mut g = tiny();
-        let v = VertexId(0);
-        g.set_vprop(v, "x", 1.0);
-        g.set_vprop(v, "x", "now a string");
-        assert_eq!(g.vprop(v, "x"), Some(PropValue::from("now a string")));
-        g.set_vprop(v, "x", 2i64);
-        assert_eq!(g.vprop(v, "x"), Some(PropValue::Int(2)));
-        assert_eq!(
-            g.prop_entries(v)
-                .iter()
-                .filter(|(k, _)| k.as_ref() == "x")
-                .count(),
-            1
+            g.eprop_entries(e),
+            vec![(Arc::from(keys::COMM_BYTES), PropValue::Int(1024))]
         );
     }
 
     #[test]
     fn induced_subgraph_keeps_internal_edges_and_props() {
         let mut g = tiny();
-        g.set_vprop(VertexId(1), keys::TIME, 7.0);
+        g.set_metric(VertexId(1), metric::keys::TIME, 7.0);
+        g.set_vstr(VertexId(1), keys::DEBUG_INFO, "a.c:1");
         let (sub, map) = g.induced_subgraph(&[VertexId(1), VertexId(2)]);
         assert_eq!(sub.num_vertices(), 2);
         assert_eq!(sub.num_edges(), 1); // loop_1 → MPI_Send survives
         let nl = map[&VertexId(1)];
         assert_eq!(sub.vertex_name(nl), "loop_1");
         assert_eq!(sub.vertex_time(nl), 7.0);
+        assert_eq!(sub.vstr(nl, keys::DEBUG_INFO), Some("a.c:1"));
         // Root (main) was not selected → absent.
         assert_eq!(sub.root(), None);
         assert!(sub.validate().is_empty());

@@ -20,7 +20,8 @@
 //!   per process/thread and adds inter-process and inter-thread edges.
 //!
 //! The crate is self-contained: storage is adjacency lists over dense
-//! vectors, properties are small sorted-key maps, and a compact hand-rolled
+//! vectors, numeric properties are columns keyed by interned ids, string
+//! properties are small sorted per-vertex lists, and a compact hand-rolled
 //! binary serialization measures the storage footprint of a PAG (the paper's
 //! "space cost", Table 1).
 
@@ -40,7 +41,7 @@ pub use ids::{EdgeId, ProcId, ThreadId, VertexId};
 pub use label::{CallKind, CommKind, EdgeLabel, VertexLabel};
 pub use metric::{ColumnFault, KeyId, KeyTable, MetricColumns, MetricKind, GLOBAL_KEYS};
 pub use ord::{desc_nan_last, nan_smallest};
-pub use props::{keys, PropMap, PropValue};
+pub use props::{keys, PropValue};
 pub use stats::VertexStats;
 
 /// Typed ids for the well-known metric keys (columnar hot path); the

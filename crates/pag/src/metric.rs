@@ -1,9 +1,8 @@
 //! Columnar (SoA) metric storage with interned keys.
 //!
-//! Every pass touches vertex metrics in its hot loop, so metrics no longer
-//! live in per-vertex [`PropMap`](crate::PropMap) association lists keyed by
-//! strings. Instead each numeric key is interned into a dense [`KeyId`] and
-//! its values live in one *column* per key: a `Vec<f64>` plus a presence
+//! Every pass touches vertex metrics in its hot loop, so each numeric key
+//! is interned into a dense [`KeyId`] and its values live in one *column*
+//! per key: a `Vec<f64>` plus a presence
 //! bitmap for scalars, a `Vec<Option<Arc<[f64]>>>` for per-process vectors.
 //! A metric read is then two array indexings — no string comparison, no
 //! per-vertex binary search — and a whole-column scan (`sum`, hotspot
@@ -12,7 +11,8 @@
 //! Key space: the well-known numeric keys of [`crate::props::keys`] occupy a
 //! fixed *global* table (stable `KeyId`s, see [`keys`]); user-defined keys
 //! are interned per-PAG starting at [`GLOBAL_KEYS`]`.len()`. String-valued
-//! properties (names, debug info) stay in the per-vertex string `PropMap`.
+//! properties (names, debug info) stay in a per-vertex sorted string list,
+//! addressed by wire name ([`Pag::vstr`](crate::Pag::vstr)).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,8 +47,8 @@ impl std::fmt::Display for KeyId {
 pub enum MetricKind {
     /// Scalar floating-point measurement.
     F64,
-    /// Scalar integer counter (stored as `f64`, surfaced as
-    /// [`PropValue::Int`](crate::PropValue::Int) by the compat shim).
+    /// Scalar integer counter (stored as `f64`, read back through
+    /// [`Pag::metric_i64`](crate::Pag::metric_i64)).
     I64,
     /// Dense per-process / per-sample vector.
     VecF64,
@@ -211,8 +211,8 @@ impl KeyTable {
 pub struct ScalarCol {
     data: Vec<f64>,
     present: Vec<u64>,
-    /// True if this column holds an integer-kinded metric; the compat shim
-    /// then surfaces values as [`PropValue::Int`](crate::PropValue::Int).
+    /// True if this column holds an integer-kinded metric; rendering then
+    /// surfaces values as [`PropValue::Int`](crate::PropValue::Int).
     pub is_int: bool,
 }
 

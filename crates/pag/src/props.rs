@@ -3,14 +3,14 @@
 //! Properties are open-ended key/value pairs because "the properties of a
 //! vertex are various performance data […] depending on the specific
 //! requirement of analysis tasks and the view of the PAG" (§3.1). Well-known
-//! keys used by the built-in collection module and pass library live in
-//! [`keys`]; user-defined passes are free to attach their own.
+//! wire names used by the built-in collection module and pass library live
+//! in [`keys`]; user-defined passes are free to attach their own.
 //!
-//! A [`PropMap`] is a small sorted association list: PAG vertices typically
-//! carry fewer than ten properties, where a hash map would waste both space
-//! and time. Shared strings are `Arc<str>` so that the parallel view (which
-//! replicates the top-down structure once per process) shares names rather
-//! than cloning them.
+//! Numeric properties live in the owning PAG's metric columns
+//! ([`crate::metric`]), string properties in a small sorted per-vertex list
+//! of `Arc<str>` pairs. [`PropValue`] is what the two stores look like merged
+//! for rendering ([`Pag::prop_entries`](crate::Pag::prop_entries), DOT,
+//! reports); nothing is written through it.
 
 use std::sync::Arc;
 
@@ -90,72 +90,6 @@ pub enum PropValue {
     VecF64(Arc<[f64]>),
 }
 
-impl PropValue {
-    /// Interpret the value as `f64` if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            PropValue::Int(i) => Some(*i as f64),
-            PropValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            PropValue::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a string slice if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            PropValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a float slice if it is a vector.
-    pub fn as_f64_slice(&self) -> Option<&[f64]> {
-        match self {
-            PropValue::VecF64(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-impl From<i64> for PropValue {
-    fn from(v: i64) -> Self {
-        PropValue::Int(v)
-    }
-}
-impl From<f64> for PropValue {
-    fn from(v: f64) -> Self {
-        PropValue::Float(v)
-    }
-}
-impl From<&str> for PropValue {
-    fn from(v: &str) -> Self {
-        PropValue::Str(Arc::from(v))
-    }
-}
-impl From<String> for PropValue {
-    fn from(v: String) -> Self {
-        PropValue::Str(Arc::from(v.as_str()))
-    }
-}
-impl From<Arc<str>> for PropValue {
-    fn from(v: Arc<str>) -> Self {
-        PropValue::Str(v)
-    }
-}
-impl From<Vec<f64>> for PropValue {
-    fn from(v: Vec<f64>) -> Self {
-        PropValue::VecF64(Arc::from(v.into_boxed_slice()))
-    }
-}
-
 impl std::fmt::Display for PropValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -176,141 +110,84 @@ impl std::fmt::Display for PropValue {
     }
 }
 
-/// A small sorted key→value association list.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PropMap {
-    entries: Vec<(Arc<str>, PropValue)>,
-}
-
-impl PropMap {
-    /// Empty property map (does not allocate).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of properties.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no properties are set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Insert or replace a property.
-    pub fn set(&mut self, key: &str, value: impl Into<PropValue>) {
-        let value = value.into();
-        match self.entries.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (Arc::from(key), value)),
-        }
-    }
-
-    /// Look up a property.
-    pub fn get(&self, key: &str) -> Option<&PropValue> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    /// Remove a property, returning it if present.
-    pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-            .ok()
-            .map(|i| self.entries.remove(i).1)
-    }
-
-    /// Numeric lookup: `0.0` if absent or non-numeric.
-    pub fn get_f64(&self, key: &str) -> f64 {
-        self.get(key).and_then(PropValue::as_f64).unwrap_or(0.0)
-    }
-
-    /// Add `delta` to a float property (creating it if absent).
-    pub fn add_f64(&mut self, key: &str, delta: f64) {
-        let cur = self.get_f64(key);
-        self.set(key, cur + delta);
-    }
-
-    /// Add `delta` to an integer property (creating it if absent).
-    pub fn add_i64(&mut self, key: &str, delta: i64) {
-        let cur = self.get(key).and_then(PropValue::as_i64).unwrap_or(0);
-        self.set(key, cur + delta);
-    }
-
-    /// Iterate over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_ref(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{mkeys, Pag, VertexLabel, ViewKind};
+
+    fn one_vertex() -> (Pag, crate::VertexId) {
+        let mut g = Pag::new(ViewKind::TopDown, "props");
+        let v = g.add_vertex(VertexLabel::Compute, "k");
+        (g, v)
+    }
 
     #[test]
     fn set_get_replace() {
-        let mut p = PropMap::new();
-        assert!(p.is_empty());
-        p.set(keys::TIME, 1.5);
-        p.set(keys::NAME, "foo");
-        p.set(keys::COUNT, 3i64);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.get_f64(keys::TIME), 1.5);
-        assert_eq!(p.get(keys::NAME).unwrap().as_str(), Some("foo"));
-        p.set(keys::TIME, 2.0);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.get_f64(keys::TIME), 2.0);
+        let (mut g, v) = one_vertex();
+        assert_eq!(g.vstr(v, keys::DEBUG_INFO), None);
+        g.set_vstr(v, keys::DEBUG_INFO, "a.c:1");
+        g.set_vstr(v, keys::COMM_INFO, "p2p 1 64");
+        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("a.c:1"));
+        g.set_vstr(v, keys::DEBUG_INFO, "b.c:2");
+        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("b.c:2"));
+        assert_eq!(g.vstr(v, keys::COMM_INFO), Some("p2p 1 64"));
+        assert_eq!(g.prop_entries(v).len(), 2, "replaced in place");
     }
 
     #[test]
     fn accumulate_helpers() {
-        let mut p = PropMap::new();
-        p.add_f64(keys::TIME, 0.5);
-        p.add_f64(keys::TIME, 0.25);
-        assert!((p.get_f64(keys::TIME) - 0.75).abs() < 1e-12);
-        p.add_i64(keys::COUNT, 1);
-        p.add_i64(keys::COUNT, 2);
-        assert_eq!(p.get(keys::COUNT).unwrap().as_i64(), Some(3));
+        let (mut g, v) = one_vertex();
+        g.add_metric(v, mkeys::TIME, 0.5);
+        g.add_metric(v, mkeys::TIME, 0.25);
+        assert!((g.metric_f64(v, mkeys::TIME) - 0.75).abs() < 1e-12);
+        g.add_metric_i64(v, mkeys::COUNT, 1);
+        g.add_metric_i64(v, mkeys::COUNT, 2);
+        assert_eq!(g.metric_i64(v, mkeys::COUNT), Some(3));
     }
 
     #[test]
     fn remove_and_missing() {
-        let mut p = PropMap::new();
-        p.set("x", 1.0);
-        assert!(p.remove("x").is_some());
-        assert!(p.remove("x").is_none());
-        assert_eq!(p.get_f64("x"), 0.0);
-        assert!(p.get("nope").is_none());
+        let (mut g, v) = one_vertex();
+        g.set_vstr(v, "x", "1");
+        crate::graph::str_remove(&mut g.vertex_mut(v).sprops, "x");
+        crate::graph::str_remove(&mut g.vertex_mut(v).sprops, "x");
+        assert_eq!(g.vstr(v, "x"), None);
+        assert_eq!(g.metric_f64(v, mkeys::TIME), 0.0);
+        assert_eq!(g.metric(v, mkeys::TIME), None);
+        assert_eq!(g.prop_by_name(v, "nope"), None);
+        assert!(g.prop_entries(v).is_empty());
     }
 
     #[test]
     fn vector_values_roundtrip() {
-        let mut p = PropMap::new();
-        p.set(keys::TIME_PER_PROC, vec![1.0, 2.0, 3.0]);
-        let v = p.get(keys::TIME_PER_PROC).unwrap().as_f64_slice().unwrap();
-        assert_eq!(v, &[1.0, 2.0, 3.0]);
+        let (mut g, v) = one_vertex();
+        g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec![1.0, 2.0, 3.0]);
+        let p = g.prop_by_name(v, keys::TIME_PER_PROC);
+        assert_eq!(p, Some(PropValue::VecF64(Arc::from([1.0, 2.0, 3.0]))));
+        assert_eq!(g.prop_by_name(v, "nope"), None);
     }
 
     #[test]
     fn keys_stay_sorted() {
-        let mut p = PropMap::new();
+        let (mut g, v) = one_vertex();
         for k in ["zebra", "alpha", "mid", "beta"] {
-            p.set(k, 1.0);
+            g.set_vstr(v, k, "x");
         }
-        let order: Vec<&str> = p.iter().map(|(k, _)| k).collect();
-        assert_eq!(order, vec!["alpha", "beta", "mid", "zebra"]);
+        g.set_metric(v, mkeys::TIME, 1.0);
+        let user = g.intern_key("gamma");
+        g.set_metric(v, user, 2.0);
+        let entries = g.prop_entries(v);
+        let order: Vec<&str> = entries.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(order, ["alpha", "beta", "gamma", "mid", "time", "zebra"]);
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(PropValue::Int(5).to_string(), "5");
-        assert_eq!(PropValue::from("hi").to_string(), "hi");
+        assert_eq!(PropValue::Str(Arc::from("hi")).to_string(), "hi");
         assert!(PropValue::Float(0.5).to_string().starts_with("0.5"));
         assert_eq!(
-            PropValue::from(vec![1.0, 2.0]).to_string(),
+            PropValue::VecF64(Arc::from([1.0, 2.0])).to_string(),
             "[1.0000, 2.0000]"
         );
     }

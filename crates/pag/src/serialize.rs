@@ -14,9 +14,10 @@
 //!   layout — per key: a presence bitmap plus the packed present values.
 //!   Sparse metrics therefore cost one bit per absent row instead of a
 //!   keyed entry per vertex.
-//! * **`PAG1`** (legacy, written by [`encode_v1`]): every vertex/edge
-//!   carries a full key→value property list. [`decode`] accepts both magics
-//!   so snapshots written before the columnar storage landed keep loading.
+//! * **`PAG1`** (legacy, read-only): every vertex/edge carries a full
+//!   key→value property list. Nothing writes it any more; [`decode`] accepts
+//!   both magics so snapshots written before the columnar storage landed
+//!   keep loading.
 //!
 //! Both decode paths reject input with bytes left over after a well-formed
 //! payload ([`DecodeError::TrailingBytes`]) so torn or concatenated
@@ -25,15 +26,18 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::graph::{EdgeData, Pag, VertexData};
+use crate::graph::{str_remove, str_set, EdgeData, Pag, StrProps, VertexData};
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{CallKind, CommKind, EdgeLabel, VertexLabel};
 use crate::metric::{KeyId, MetricColumns};
-use crate::props::{PropMap, PropValue};
 use crate::ViewKind;
 
 const MAGIC_V1: &[u8; 4] = b"PAG1";
 const MAGIC_V2: &[u8; 4] = b"PAG2";
+
+/// Value tag of a string entry in a property list (0 = int, 1 = float and
+/// 3 = float vector appear in `PAG1` lists only).
+const TAG_STR: u8 = 2;
 
 /// Errors produced while decoding a serialized PAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,9 +95,6 @@ impl Encoder {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -113,31 +114,12 @@ impl Encoder {
         self.u32(id);
     }
 
-    fn props(&mut self, entries: &[(Arc<str>, PropValue)]) {
-        self.u32(entries.len() as u32);
-        for (k, v) in entries {
+    fn str_props(&mut self, props: &StrProps) {
+        self.u32(props.len() as u32);
+        for (k, s) in props {
             self.str_ref(k);
-            match v {
-                PropValue::Int(i) => {
-                    self.u8(0);
-                    self.u64(*i as u64);
-                }
-                PropValue::Float(f) => {
-                    self.u8(1);
-                    self.f64(*f);
-                }
-                PropValue::Str(s) => {
-                    self.u8(2);
-                    self.str_ref(s);
-                }
-                PropValue::VecF64(xs) => {
-                    self.u8(3);
-                    self.u32(xs.len() as u32);
-                    for x in xs.iter() {
-                        self.f64(*x);
-                    }
-                }
-            }
+            self.u8(TAG_STR);
+            self.str_ref(s);
         }
     }
 
@@ -199,10 +181,6 @@ impl Encoder {
         out.extend_from_slice(&self.buf);
         out
     }
-}
-
-fn propmap_entries(p: &PropMap) -> Vec<(Arc<str>, PropValue)> {
-    p.iter().map(|(k, v)| (Arc::from(k), v.clone())).collect()
 }
 
 fn vertex_label_tag(l: VertexLabel) -> u8 {
@@ -293,7 +271,7 @@ pub fn encode(pag: &Pag) -> Vec<u8> {
         enc.u8(vertex_label_tag(data.label));
         let n = Arc::clone(&data.name);
         enc.str_ref(&n);
-        enc.props(&propmap_entries(&data.sprops));
+        enc.str_props(&data.sprops);
     }
     enc.u32(pag.num_edges() as u32);
     for e in pag.edge_ids() {
@@ -301,37 +279,11 @@ pub fn encode(pag: &Pag) -> Vec<u8> {
         enc.u32(data.src.0);
         enc.u32(data.dst.0);
         enc.u8(edge_label_tag(data.label));
-        enc.props(&propmap_entries(&data.sprops));
+        enc.str_props(&data.sprops);
     }
     enc.columns(pag, pag.vmetric_columns());
     enc.columns(pag, pag.emetric_columns());
     enc.assemble(MAGIC_V2)
-}
-
-/// Serialize a PAG into the legacy `PAG1` wire format (full per-vertex
-/// property lists, metrics merged back in). Kept for compatibility tests
-/// and for producing snapshots older readers can load; byte-identical to
-/// what the pre-columnar encoder produced for the same logical graph.
-pub fn encode_v1(pag: &Pag) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_header(&mut enc, pag);
-    enc.u32(pag.num_vertices() as u32);
-    for v in pag.vertex_ids() {
-        let data: &VertexData = pag.vertex(v);
-        enc.u8(vertex_label_tag(data.label));
-        let n = Arc::clone(&data.name);
-        enc.str_ref(&n);
-        enc.props(&pag.prop_entries(v));
-    }
-    enc.u32(pag.num_edges() as u32);
-    for e in pag.edge_ids() {
-        let data: &EdgeData = pag.edge(e);
-        enc.u32(data.src.0);
-        enc.u32(data.dst.0);
-        enc.u8(edge_label_tag(data.label));
-        enc.props(&pag.eprop_entries(e));
-    }
-    enc.assemble(MAGIC_V1)
 }
 
 // ---------------------------------------------------------------- decoding
@@ -367,29 +319,59 @@ impl<'a> Decoder<'a> {
         let id = self.u32()? as usize;
         self.strings.get(id).cloned().ok_or(DecodeError::BadIndex)
     }
-    fn props(&mut self) -> Result<PropMap, DecodeError> {
+    fn f64s(&mut self) -> Result<Arc<[f64]>, DecodeError> {
+        let len = self.u32()? as usize;
+        let mut xs = Vec::with_capacity(len);
+        for _ in 0..len {
+            xs.push(self.f64()?);
+        }
+        Ok(Arc::from(xs.into_boxed_slice()))
+    }
+
+    /// A `PAG2` string-property list. Metrics live in the columnar
+    /// sections, so any value tag but "string" is malformed.
+    fn str_props(&mut self) -> Result<StrProps, DecodeError> {
         let n = self.u32()?;
-        let mut map = PropMap::new();
+        let mut props = StrProps::new();
         for _ in 0..n {
             let key = self.str_ref()?;
-            let tag = self.u8()?;
-            let value = match tag {
-                0 => PropValue::Int(self.u64()? as i64),
-                1 => PropValue::Float(self.f64()?),
-                2 => PropValue::Str(self.str_ref()?),
-                3 => {
-                    let len = self.u32()? as usize;
-                    let mut xs = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        xs.push(self.f64()?);
-                    }
-                    PropValue::VecF64(Arc::from(xs.into_boxed_slice()))
-                }
+            match self.u8()? {
+                TAG_STR => str_set(&mut props, &key, self.str_ref()?),
                 t => return Err(DecodeError::BadTag(t)),
-            };
-            map.set(&key, value);
+            }
         }
-        Ok(map)
+        Ok(props)
+    }
+
+    /// A `PAG1` property list of one vertex or edge: numeric entries are
+    /// routed into the metric columns, strings into the string properties.
+    /// A key listed twice keeps its last entry, whichever store it names.
+    fn legacy_props(&mut self, pag: &mut Pag, edges: bool, row: usize) -> Result<(), DecodeError> {
+        let n = self.u32()?;
+        for _ in 0..n {
+            let name = self.str_ref()?;
+            let tag = self.u8()?;
+            if tag == TAG_STR {
+                let value = self.str_ref()?;
+                let key = pag.key_id(&name);
+                let (cols, sprops) = pag.stores_mut(edges, row);
+                if let Some(k) = key {
+                    cols.remove(k, row);
+                }
+                str_set(sprops, &name, value);
+                continue;
+            }
+            let k = pag.intern_key(&name);
+            let (cols, sprops) = pag.stores_mut(edges, row);
+            str_remove(sprops, &name);
+            match tag {
+                0 => cols.set(k, row, self.u64()? as i64 as f64, Pag::int_kinded(k, true)),
+                1 => cols.set(k, row, self.f64()?, Pag::int_kinded(k, false)),
+                3 => cols.set_vec(k, row, self.f64s()?),
+                t => return Err(DecodeError::BadTag(t)),
+            }
+        }
+        Ok(())
     }
 
     fn string_table(&mut self) -> Result<(), DecodeError> {
@@ -422,11 +404,7 @@ impl<'a> Decoder<'a> {
             for row in 0..rows_used {
                 if bitmap[row / 8] & (1 << (row % 8)) != 0 {
                     let x = self.f64()?;
-                    if edges {
-                        pag.emetrics_mut().set(key, row, x, is_int);
-                    } else {
-                        pag.vmetrics_mut().set(key, row, x, is_int);
-                    }
+                    pag.stores_mut(edges, row).0.set(key, row, x, is_int);
                 }
             }
         }
@@ -440,25 +418,16 @@ impl<'a> Decoder<'a> {
                 if row >= rows {
                     return Err(DecodeError::BadIndex);
                 }
-                let len = self.u32()? as usize;
-                let mut xs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    xs.push(self.f64()?);
-                }
-                let xs: Arc<[f64]> = Arc::from(xs.into_boxed_slice());
-                if edges {
-                    pag.emetrics_mut().set_vec(key, row, xs);
-                } else {
-                    pag.vmetrics_mut().set_vec(key, row, xs);
-                }
+                let xs = self.f64s()?;
+                pag.stores_mut(edges, row).0.set_vec(key, row, xs);
             }
         }
         Ok(())
     }
 }
 
-/// Deserialize a PAG from bytes produced by [`encode`] (`PAG2`) or by the
-/// legacy [`encode_v1`] (`PAG1`). Rejects trailing bytes.
+/// Deserialize a PAG from bytes produced by [`encode`] (`PAG2`) or from a
+/// legacy `PAG1` snapshot. Rejects trailing bytes.
 pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
     let v2 = match bytes.get(..4) {
         Some(m) if m == MAGIC_V2 => true,
@@ -494,15 +463,10 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         let label = vertex_label_from_tag(dec.u8()?)?;
         let vname = dec.str_ref()?;
         let v = pag.add_vertex(label, vname);
-        let props = dec.props()?;
         if v2 {
-            pag.vertex_mut(v).sprops = props;
+            pag.vertex_mut(v).sprops = dec.str_props()?;
         } else {
-            // Legacy payload: metrics live in the property list — route
-            // them through the shim into the columns.
-            for (k, value) in props.iter() {
-                pag.set_vprop(v, k, value.clone());
-            }
+            dec.legacy_props(&mut pag, false, v.index())?;
         }
     }
     let ne = dec.u32()? as usize;
@@ -514,13 +478,10 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         }
         let label = edge_label_from_tag(dec.u8()?)?;
         let e: EdgeId = pag.add_edge(src, dst, label);
-        let props = dec.props()?;
         if v2 {
-            pag.edge_mut(e).sprops = props;
+            pag.edge_mut(e).sprops = dec.str_props()?;
         } else {
-            for (k, value) in props.iter() {
-                pag.set_eprop(e, k, value.clone());
-            }
+            dec.legacy_props(&mut pag, true, e.index())?;
         }
     }
     if v2 {
@@ -547,7 +508,12 @@ pub fn space_cost(pag: &Pag) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::keys as mkeys;
     use crate::props::keys;
+
+    /// The legacy snapshot the integration suite also pins (4 vertices, 3
+    /// edges, hostile names, NaN/±inf metrics, user keys, string props).
+    const PAG1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/sample_pag1.bin");
 
     fn sample() -> Pag {
         let mut g = Pag::new(ViewKind::Parallel, "ser-sample");
@@ -557,11 +523,14 @@ mod tests {
         let b = g.add_vertex(VertexLabel::Call(CallKind::Comm), "MPI_Send");
         let e = g.add_edge(a, b, EdgeLabel::InterProcess(CommKind::P2pSync));
         g.set_root(a);
-        g.set_vprop(a, keys::TIME, 3.25);
-        g.set_vprop(a, keys::COUNT, 7i64);
-        g.set_vprop(b, keys::DEBUG_INFO, "main.c:42");
-        g.set_vprop(b, keys::TIME_PER_PROC, vec![1.0, 2.0, 3.0, 4.0]);
-        g.set_eprop(e, keys::COMM_BYTES, 4096i64);
+        g.set_metric(a, mkeys::TIME, 3.25);
+        g.set_metric_i64(a, mkeys::COUNT, 7);
+        let user = g.intern_key("user-count");
+        g.set_metric_i64(a, user, 11);
+        g.set_vstr(b, keys::DEBUG_INFO, "main.c:42");
+        g.set_metric_vec(b, mkeys::TIME_PER_PROC, vec![1.0, 2.0, 3.0, 4.0]);
+        g.set_emetric_i64(e, mkeys::COMM_BYTES, 4096);
+        g.set_estr(e, "edge-str", "tag 7");
         g
     }
 
@@ -579,23 +548,69 @@ mod tests {
             VertexLabel::Call(CallKind::Comm)
         );
         assert_eq!(h.vertex_time(VertexId(0)), 3.25);
-        assert_eq!(h.vprop(VertexId(0), keys::COUNT).unwrap().as_i64(), Some(7));
+        assert_eq!(h.metric_i64(VertexId(0), mkeys::COUNT), Some(7));
+        // A user key written as an integer comes back int-kinded.
+        let user = h.key_id("user-count").unwrap();
+        assert_eq!(h.metric_i64(VertexId(0), user), Some(11));
+        assert_eq!(h.vstr(VertexId(1), keys::DEBUG_INFO), Some("main.c:42"));
         assert_eq!(
-            h.vprop(VertexId(1), keys::DEBUG_INFO).unwrap().as_str(),
-            Some("main.c:42")
-        );
-        assert_eq!(
-            h.vprop(VertexId(1), keys::TIME_PER_PROC)
-                .unwrap()
-                .as_f64_slice(),
+            h.metric_vec(VertexId(1), mkeys::TIME_PER_PROC),
             Some(&[1.0, 2.0, 3.0, 4.0][..])
         );
         let e = h.edge(EdgeId(0));
         assert_eq!(e.label, EdgeLabel::InterProcess(CommKind::P2pSync));
-        assert_eq!(
-            h.eprop(EdgeId(0), keys::COMM_BYTES).unwrap().as_i64(),
-            Some(4096)
-        );
+        assert_eq!(h.emetric_i64(EdgeId(0), mkeys::COMM_BYTES), Some(4096));
+        assert_eq!(h.estr(EdgeId(0), "edge-str"), Some("tag 7"));
+    }
+
+    /// One hand-written property-list entry: key string ref, value tag, payload.
+    type RawProp = (u32, u8, Vec<u8>);
+
+    fn f64s(xs: &[f64]) -> Vec<u8> {
+        xs.iter().flat_map(|x| x.to_le_bytes()).collect()
+    }
+
+    /// Hand-assembled payload: a rootless one-process top-down PAG named
+    /// `strings[0]` with one compute vertex `strings[1]` carrying `vprops`
+    /// and one intra-proc self edge carrying `eprops`, then `tail`.
+    fn raw(
+        magic: &[u8; 4],
+        strings: &[&str],
+        vprops: &[RawProp],
+        eprops: &[RawProp],
+        tail: &[u8],
+    ) -> Vec<u8> {
+        let mut b = magic.to_vec();
+        let w32 = |b: &mut Vec<u8>, v: u32| b.extend_from_slice(&v.to_le_bytes());
+        let props = |b: &mut Vec<u8>, list: &[RawProp]| {
+            w32(b, list.len() as u32);
+            for (key, tag, payload) in list {
+                w32(b, *key);
+                b.push(*tag);
+                b.extend_from_slice(payload);
+            }
+        };
+        w32(&mut b, strings.len() as u32);
+        for s in strings {
+            w32(&mut b, s.len() as u32);
+            b.extend_from_slice(s.as_bytes());
+        }
+        b.push(0); // top-down
+        for word in [0, 1, 1] {
+            w32(&mut b, word); // name, procs, threads
+        }
+        b.push(0); // no root
+        w32(&mut b, 1); // one vertex: compute, named strings[1]
+        b.push(4);
+        w32(&mut b, 1);
+        props(&mut b, vprops);
+        w32(&mut b, 1); // one edge: 0 → 0, intra-proc
+        w32(&mut b, 0);
+        w32(&mut b, 0);
+        b.push(0);
+        props(&mut b, eprops);
+        b.extend_from_slice(tail);
+        b
     }
 
     #[test]
@@ -606,42 +621,128 @@ mod tests {
         check_sample(&decode(&bytes).unwrap());
     }
 
+    /// Nothing writes `PAG1` any more, so the payload is spelled out by
+    /// hand: a NaN float, an int-kinded `count`, a `time-per-proc` vector,
+    /// a user int and a string on the vertex, an int and a string on the
+    /// edge. Everything must land in the right store and survive `PAG2`.
     #[test]
     fn v1_roundtrip_preserves_everything() {
-        let g = sample();
-        let bytes = encode_v1(&g);
-        assert_eq!(&bytes[..4], MAGIC_V1);
-        check_sample(&decode(&bytes).unwrap());
+        let strings: Vec<&str> = "g k time count time-per-proc debug-info k.c:1 comm-bytes user"
+            .split(' ')
+            .collect();
+        let debug_info: RawProp = (5, TAG_STR, 6u32.to_le_bytes().to_vec());
+        let vprops = [
+            (2, 1, f64s(&[f64::NAN])),
+            (3, 1, f64s(&[9.0])), // the global key's kind wins → int
+            (
+                4,
+                3,
+                [&[2, 0, 0, 0][..], &f64s(&[0.5, f64::INFINITY])].concat(),
+            ),
+            debug_info.clone(),
+            (8, 0, (-3i64).to_le_bytes().to_vec()), // user keys keep the written kind
+        ];
+        let eprops = [(7, 0, 64u64.to_le_bytes().to_vec()), debug_info];
+        let g = decode(&raw(MAGIC_V1, &strings, &vprops, &eprops, &[])).unwrap();
+        let (v, e) = (VertexId(0), EdgeId(0));
+        assert!(g.metric(v, mkeys::TIME).unwrap().is_nan());
+        assert_eq!(g.metric_i64(v, mkeys::COUNT), Some(9));
+        assert_eq!(
+            g.metric_vec(v, mkeys::TIME_PER_PROC),
+            Some(&[0.5, f64::INFINITY][..])
+        );
+        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("k.c:1"));
+        assert_eq!(
+            g.key_id(keys::DEBUG_INFO),
+            None,
+            "strings stay out of the columns"
+        );
+        let user = g.key_id("user").unwrap();
+        assert!(!user.is_global());
+        assert_eq!(g.metric_i64(v, user), Some(-3));
+        assert_eq!(g.emetric_i64(e, mkeys::COMM_BYTES), Some(64));
+        assert_eq!(g.estr(e, keys::DEBUG_INFO), Some("k.c:1"));
+        assert_eq!(g.prop_entries(v).len(), 5);
+        // The same graph survives the current format unchanged.
+        let h = decode(&encode(&g)).unwrap();
+        assert_eq!(encode(&h), encode(&g));
+        assert_eq!(h.metric_i64(v, h.key_id("user").unwrap()), Some(-3));
+    }
+
+    #[test]
+    fn v1_duplicate_keys_keep_the_last_entry() {
+        let x = |tag, payload| (2, tag, payload);
+        let vprops = [
+            x(1, f64s(&[1.0])),
+            x(TAG_STR, 3u32.to_le_bytes().to_vec()),
+            x(0, 2u64.to_le_bytes().to_vec()),
+        ];
+        let g = decode(&raw(MAGIC_V1, &["g", "k", "x", "s"], &vprops, &[], &[])).unwrap();
+        let entries = g.prop_entries(VertexId(0));
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].1.to_string(), "2");
+        assert_eq!(g.vstr(VertexId(0), "x"), None);
+    }
+
+    #[test]
+    fn v2_string_prop_list_rejects_numeric_values() {
+        // PAG2 keeps metrics in the columnar sections; a numeric value in
+        // a string-property list used to decode into the string store,
+        // invisible to `metric()` and to the verifier's NaN audit.
+        let strings = ["g", "k", "time"];
+        let empty_columns = [0u8; 16]; // no scalar/vector columns, twice
+        let try_decode = |p: RawProp, on_edge: bool| {
+            let (vp, ep) = if on_edge {
+                (vec![], vec![p])
+            } else {
+                (vec![p], vec![])
+            };
+            decode(&raw(MAGIC_V2, &strings, &vp, &ep, &empty_columns))
+        };
+        for on_edge in [false, true] {
+            let ok = try_decode((2, TAG_STR, 1u32.to_le_bytes().to_vec()), on_edge);
+            assert!(ok.is_ok(), "string entries decode: {ok:?}");
+            for tag in [0u8, 1, 3] {
+                let len: &[u8] = if tag == 3 { &[1, 0, 0, 0] } else { &[] };
+                let bad = (2, tag, [len, &f64s(&[f64::NAN])].concat());
+                assert_eq!(
+                    try_decode(bad, on_edge).unwrap_err(),
+                    DecodeError::BadTag(tag),
+                    "on_edge={on_edge} tag={tag}"
+                );
+            }
+        }
     }
 
     #[test]
     fn v1_and_v2_decode_to_same_graph() {
-        let g = sample();
-        let via_v1 = decode(&encode_v1(&g)).unwrap();
-        let via_v2 = decode(&encode(&g)).unwrap();
-        // Same logical content → same canonical v1 bytes.
-        assert_eq!(encode_v1(&via_v1), encode_v1(&via_v2));
+        let via_v1 = decode(PAG1_FIXTURE).unwrap();
+        let via_v2 = decode(&encode(&via_v1)).unwrap();
+        assert_eq!(encode(&via_v2), encode(&via_v1));
+        assert_eq!((via_v2.num_vertices(), via_v2.num_edges()), (4, 3));
     }
 
     #[test]
     fn nan_and_inf_survive_both_formats() {
         let mut g = Pag::new(ViewKind::TopDown, "nan");
         let v = g.add_vertex(VertexLabel::Compute, "k");
-        g.set_vprop(v, keys::TIME, f64::NAN);
-        g.set_vprop(v, keys::WAIT_TIME, f64::NEG_INFINITY);
-        g.set_vprop(v, keys::TIME_PER_PROC, vec![f64::INFINITY, f64::NAN]);
-        for bytes in [encode(&g), encode_v1(&g)] {
-            let h = decode(&bytes).unwrap();
-            assert!(h.vertex_time(VertexId(0)).is_nan());
-            assert_eq!(
-                h.vprop(VertexId(0), keys::WAIT_TIME).unwrap().as_f64(),
-                Some(f64::NEG_INFINITY)
-            );
-            let xs = h.vprop(VertexId(0), keys::TIME_PER_PROC).unwrap();
-            let xs = xs.as_f64_slice().unwrap();
-            assert_eq!(xs[0], f64::INFINITY);
-            assert!(xs[1].is_nan());
-        }
+        g.set_metric(v, mkeys::TIME, f64::NAN);
+        g.set_metric(v, mkeys::WAIT_TIME, f64::NEG_INFINITY);
+        g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec![f64::INFINITY, f64::NAN]);
+        let h = decode(&encode(&g)).unwrap();
+        assert!(h.vertex_time(VertexId(0)).is_nan());
+        assert_eq!(
+            h.metric(VertexId(0), mkeys::WAIT_TIME),
+            Some(f64::NEG_INFINITY)
+        );
+        let xs = h.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
+        assert_eq!(xs[0], f64::INFINITY);
+        assert!(xs[1].is_nan());
+
+        let h = decode(PAG1_FIXTURE).unwrap();
+        let xs = h.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
+        assert!(xs[1].is_nan() && xs[2] == f64::INFINITY);
+        assert!(h.emetric(EdgeId(1), mkeys::WAIT_TIME).unwrap().is_nan());
     }
 
     #[test]
@@ -652,20 +753,21 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        for bytes in [encode(&sample()), encode_v1(&sample())] {
-            for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
-                let err = decode(&bytes[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::Truncated | DecodeError::BadIndex),
-                    "cut at {cut} gave {err:?}"
-                );
+        for bytes in [encode(&sample()), PAG1_FIXTURE.to_vec()] {
+            for cut in 0..bytes.len() {
+                let want = if cut < 4 {
+                    DecodeError::BadMagic
+                } else {
+                    DecodeError::Truncated
+                };
+                assert_eq!(decode(&bytes[..cut]).unwrap_err(), want, "cut at {cut}");
             }
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        for mut bytes in [encode(&sample()), encode_v1(&sample())] {
+        for mut bytes in [encode(&sample()), PAG1_FIXTURE.to_vec()] {
             bytes.push(0);
             assert!(matches!(decode(&bytes), Err(DecodeError::TrailingBytes)));
         }
@@ -694,18 +796,20 @@ mod tests {
     #[test]
     fn columnar_beats_v1_on_dense_metrics() {
         // A parallel-view-shaped graph where every vertex carries the same
-        // four metrics: v2 stores four columns instead of 4N keyed entries.
+        // four metrics: v2 stores four columns where PAG1 stored 4N keyed
+        // entries (13 bytes each: key ref, tag, value) after the same
+        // 9-byte vertex record.
         let mut g = Pag::new(ViewKind::Parallel, "dense");
         for i in 0..500 {
             let v = g.add_vertex(VertexLabel::Compute, "work");
-            g.set_vprop(v, keys::TIME, i as f64);
-            g.set_vprop(v, keys::SELF_TIME, i as f64 * 0.5);
-            g.set_vprop(v, keys::COUNT, i as i64);
-            g.set_vprop(v, keys::PROC, (i % 8) as i64);
+            g.set_metric(v, mkeys::TIME, i as f64);
+            g.set_metric(v, mkeys::SELF_TIME, i as f64 * 0.5);
+            g.set_metric_i64(v, mkeys::COUNT, i);
+            g.set_metric_i64(v, mkeys::PROC, i % 8);
         }
         let v2 = encode(&g).len();
-        let v1 = encode_v1(&g).len();
-        assert!(v2 < v1, "columnar {v2} >= row-wise {v1}");
+        let v1_rows = 500 * (9 + 4 * 13);
+        assert!(v2 < v1_rows, "columnar {v2} >= row-wise {v1_rows}");
     }
 
     #[test]
@@ -715,7 +819,5 @@ mod tests {
         assert_eq!(h.num_vertices(), 0);
         assert_eq!(h.num_edges(), 0);
         assert_eq!(h.root(), None);
-        let h1 = decode(&encode_v1(&g)).unwrap();
-        assert_eq!(h1.num_vertices(), 0);
     }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pag::{
-    graph::glob_match, keys, CallKind, CommKind, EdgeLabel, Pag, VertexId, VertexLabel,
+    graph::glob_match, mkeys, CallKind, CommKind, EdgeLabel, Pag, VertexId, VertexLabel,
     VertexStats, ViewKind,
 };
 
@@ -62,14 +62,14 @@ fn build(spec: &GraphSpec) -> Pag {
     let mut g = Pag::new(ViewKind::Parallel, "prop-graph");
     for (label, name, time, vec) in &spec.vertices {
         let v = g.add_vertex(*label, name.as_str());
-        g.set_vprop(v, keys::TIME, *time);
+        g.set_metric(v, mkeys::TIME, *time);
         if let Some(vec) = vec {
-            g.set_vprop(v, keys::TIME_PER_PROC, vec.clone());
+            g.set_metric_vec(v, mkeys::TIME_PER_PROC, vec.clone());
         }
     }
     for (a, b, label, bytes) in &spec.edges {
         let e = g.add_edge(VertexId(*a as u32), VertexId(*b as u32), *label);
-        g.set_eprop(e, keys::COMM_BYTES, *bytes);
+        g.set_emetric_i64(e, mkeys::COMM_BYTES, *bytes);
     }
     g
 }

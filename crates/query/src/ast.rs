@@ -27,29 +27,20 @@ impl View {
     }
 }
 
-/// A metric/attribute reference. `shim` marks deprecated string-keyed
-/// property-map access (`shim:foo`), which lints as PF0306.
+/// A metric/attribute reference.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Key name (metric column, `score`, or a string attribute).
     pub name: String,
-    /// True for `shim:`-prefixed access through the legacy PropMap.
-    pub shim: bool,
 }
 
 impl Field {
-    /// A plain (non-shim) field.
+    /// The field called `name`.
     pub fn named(name: impl Into<String>) -> Field {
-        Field {
-            name: name.into(),
-            shim: false,
-        }
+        Field { name: name.into() }
     }
 
     fn render(&self, out: &mut String) {
-        if self.shim {
-            out.push_str("shim:");
-        }
         if is_bare_ident(&self.name) {
             out.push_str(&self.name);
         } else {

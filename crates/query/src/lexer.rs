@@ -26,8 +26,6 @@ pub enum Tok {
     LParen,
     /// `)`
     RParen,
-    /// `:` (only used by the `shim:` prefix)
-    Colon,
     /// A comparison operator.
     Op(CmpOp),
 }
@@ -43,7 +41,6 @@ impl Tok {
             Tok::Comma => "`,`".into(),
             Tok::LParen => "`(`".into(),
             Tok::RParen => "`)`".into(),
-            Tok::Colon => "`:`".into(),
             Tok::Op(op) => format!("`{}`", op.symbol()),
         }
     }
@@ -109,13 +106,6 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
             ')' => {
                 toks.push(Spanned {
                     tok: Tok::RParen,
-                    at: start,
-                });
-                i += 1;
-            }
-            ':' => {
-                toks.push(Spanned {
-                    tok: Tok::Colon,
                     at: start,
                 });
                 i += 1;

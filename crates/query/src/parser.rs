@@ -11,7 +11,7 @@
 //!         | 'select' field ( ',' field )*          -- terminal
 //!         | 'sum'    field                          -- terminal
 //!         | 'group'  field 'sum' field              -- terminal
-//! field  := [ 'shim' ':' ] ( IDENT | STRING )
+//! field  := IDENT | STRING
 //! op     := '==' | '!=' | '<' | '<=' | '>' | '>=' | '~'
 //! value  := NUMBER | 'nan' | 'inf' | '-inf' | STRING
 //! ```
@@ -306,40 +306,8 @@ impl Parser<'_> {
 
     fn field(&mut self) -> Result<Field, ParseError> {
         let at = self.pos();
-        let first = self.next("a field name")?.clone();
-        // `shim` followed by `:` is the deprecated-access prefix.
-        if let Tok::Ident(w) = &first.tok {
-            if w == "shim" && self.peek().is_some_and(|s| s.tok == Tok::Colon) {
-                self.at += 1; // consume `:`
-                let at2 = self.pos();
-                return match self.next("a field name after `shim:`")? {
-                    Spanned {
-                        tok: Tok::Ident(name),
-                        ..
-                    } => Ok(Field {
-                        name: name.clone(),
-                        shim: true,
-                    }),
-                    Spanned {
-                        tok: Tok::Str(name),
-                        ..
-                    } => Ok(Field {
-                        name: name.clone(),
-                        shim: true,
-                    }),
-                    s => Err(ParseError {
-                        at: at2,
-                        message: format!(
-                            "expected a field name after `shim:`, found {}",
-                            s.tok.describe()
-                        ),
-                    }),
-                };
-            }
-        }
-        match first.tok {
-            Tok::Ident(name) => Ok(Field { name, shim: false }),
-            Tok::Str(name) => Ok(Field { name, shim: false }),
+        match self.next("a field name")?.tok.clone() {
+            Tok::Ident(name) | Tok::Str(name) => Ok(Field { name }),
             tok => Err(ParseError {
                 at,
                 message: format!("expected a field name, found {}", tok.describe()),
@@ -404,8 +372,10 @@ mod tests {
         roundtrip("from vertices | sum time");
         roundtrip("from vertices | filter time != nan");
         roundtrip("from vertices | filter \"we ird\" == -inf | top 0");
-        roundtrip("from vertices | filter shim:region == \"main\"");
         roundtrip("from vertices | sort \"shim\" asc");
+        roundtrip("from vertices | filter shim == 1 | select shim");
+        // The retired `shim:` field prefix is an ordinary syntax error.
+        assert!(parse("from vertices | filter shim:region == \"main\"").is_err());
     }
 
     #[test]

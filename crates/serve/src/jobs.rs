@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use driver::{AnalysisConfig, Paradigm, ResilienceConfig};
 use perflow::ExecPolicy;
 
-use crate::json::{obj, Json};
+use obs::json::{obj, Json};
 
 /// What kind of analysis a job runs.
 #[derive(Debug, Clone, PartialEq, Eq)]

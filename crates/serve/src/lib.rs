@@ -65,13 +65,12 @@ use simrt::RunConfig;
 pub mod cache;
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod queue;
 
 use cache::LruMap;
 use http::{respond, Request};
 use jobs::{JobKind, JobRecord, JobRegistry, JobResult, JobSpec, Registry};
-use json::{obj, Json};
+use obs::json::{self, obj, Json};
 use queue::{JobQueue, PushError};
 
 /// Everything tunable about the daemon.

@@ -26,8 +26,8 @@
 //!   executes: unknown metric/field names with nearest-key suggestions,
 //!   scalar/vector/string type mismatches, predicates over columns
 //!   provably absent in the target view, NaN-unsafe orderings,
-//!   contradictory (provably-empty) filter chains, and deprecated
-//!   string-keyed `shim:` access (the PF03xx family).
+//!   and contradictory (provably-empty) filter chains (the PF03xx
+//!   family).
 //!
 //! Every diagnostic carries a stable code (`PF0001`, …), a severity, and
 //! a source anchor (graph node, PAG vertex/edge, or function); emission
@@ -127,8 +127,6 @@ pub mod codes {
     /// Filter chain is provably empty — contradictory predicates or
     /// `top 0` (error).
     pub const QUERY_EMPTY_RESULT: &str = "PF0305";
-    /// Deprecated string-keyed `shim:` property access (warning).
-    pub const QUERY_SHIM_ACCESS: &str = "PF0306";
 
     // PF04xx — bench-diff regression watchdog (`driver::bench_diff`).
 

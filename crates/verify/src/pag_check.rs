@@ -482,11 +482,11 @@ mod tests {
     #[test]
     fn pf0106_bad_metrics_summarized_per_key() {
         let mut g = tree();
-        g.set_vprop(VertexId(1), keys::TIME, -1.0);
-        g.set_vprop(VertexId(2), keys::TIME, f64::NAN);
-        g.set_vprop(VertexId(2), keys::WAIT_PER_PROC, vec![0.5, f64::INFINITY]);
+        g.set_metric(VertexId(1), mkeys::TIME, -1.0);
+        g.set_metric(VertexId(2), mkeys::TIME, f64::NAN);
+        g.set_metric_vec(VertexId(2), mkeys::WAIT_PER_PROC, vec![0.5, f64::INFINITY]);
         // A legitimate negative differential must NOT fire.
-        g.set_vprop(VertexId(1), keys::DIFF_TIME, -0.25);
+        g.set_metric(VertexId(1), mkeys::DIFF_TIME, -0.25);
         let d = check_pag(&g);
         let bad: Vec<_> = d
             .items()
@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn pf0107_completeness_out_of_range() {
         let mut g = tree();
-        g.set_vprop(VertexId(0), keys::COMPLETENESS, 1.5);
+        g.set_metric(VertexId(0), mkeys::COMPLETENESS, 1.5);
         let d = check_pag(&g);
         let m = d
             .items()
@@ -517,7 +517,7 @@ mod tests {
     fn pf0108_completeness_vector_wrong_length() {
         let mut g = tree();
         g.set_num_procs(4);
-        g.set_vprop(VertexId(0), keys::COMPLETENESS_PER_PROC, vec![1.0, 1.0]);
+        g.set_metric_vec(VertexId(0), mkeys::COMPLETENESS_PER_PROC, vec![1.0, 1.0]);
         let d = check_pag(&g);
         let m = d
             .items()
@@ -534,15 +534,15 @@ mod tests {
     fn valid_completeness_metadata_is_clean() {
         let mut g = tree();
         g.set_num_procs(2);
-        g.set_vprop(VertexId(0), keys::COMPLETENESS, 0.75);
-        g.set_vprop(VertexId(0), keys::COMPLETENESS_PER_PROC, vec![1.0, 0.5]);
+        g.set_metric(VertexId(0), mkeys::COMPLETENESS, 0.75);
+        g.set_metric_vec(VertexId(0), mkeys::COMPLETENESS_PER_PROC, vec![1.0, 0.5]);
         assert!(check_pag(&g).is_empty());
     }
 
     #[test]
     fn pf0111_presence_bitmap_length_mismatch() {
         let mut g = tree();
-        g.set_vprop(VertexId(0), keys::TIME, 1.0);
+        g.set_metric(VertexId(0), mkeys::TIME, 1.0);
         assert!(check_pag(&g).is_empty());
         // Simulate corruption: drop one presence word out from under the
         // `time` column's values.
@@ -579,7 +579,7 @@ mod tests {
     #[test]
     fn pf0110_truncated_observation_is_info() {
         let mut g = tree();
-        g.set_vprop(VertexId(0), keys::DROPPED_SPANS, 17.0);
+        g.set_metric_i64(VertexId(0), mkeys::DROPPED_SPANS, 17);
         let d = check_pag(&g);
         let m = d
             .items()
@@ -593,7 +593,7 @@ mod tests {
 
         // Zero drops (complete observation) → no diagnostic at all.
         let mut g2 = tree();
-        g2.set_vprop(VertexId(0), keys::DROPPED_SPANS, 0.0);
+        g2.set_metric_i64(VertexId(0), mkeys::DROPPED_SPANS, 0);
         assert!(check_pag(&g2).is_empty());
     }
 }

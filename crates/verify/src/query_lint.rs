@@ -11,7 +11,6 @@
 //! | PF0303 | error    | column provably absent in the target view |
 //! | PF0304 | warning  | sort without an explicit NaN policy |
 //! | PF0305 | error    | provably-empty result (contradictory filters, `top 0`) |
-//! | PF0306 | warning  | deprecated string-keyed `shim:` access |
 //!
 //! Diagnostics anchor to the offending pipeline stage
 //! ([`Anchor::Stage`]) and, like every analyzer in this crate, emit in a
@@ -276,8 +275,8 @@ fn lint_into(q: &Query, schema: &Schema, d: &mut Diagnostics) {
     }
 }
 
-/// Resolve a field's type, reporting PF0306 (shim access), PF0301
-/// (unknown name) and PF0303 (absent in the target view) as applicable.
+/// Resolve a field's type, reporting PF0301 (unknown name) and PF0303
+/// (absent in the target view) as applicable.
 /// Returns `None` when no type is known (lint continues best-effort).
 fn check_field(
     field: &Field,
@@ -286,21 +285,6 @@ fn check_field(
     d: &mut Diagnostics,
     anchor: &Anchor,
 ) -> Option<Ty> {
-    if field.shim {
-        d.push(
-            codes::QUERY_SHIM_ACCESS,
-            Severity::Warn,
-            anchor.clone(),
-            format!(
-                "deprecated string-keyed access `shim:{}` reads the legacy property map; \
-                 intern the key and use the typed metric columns instead",
-                field.name
-            ),
-        );
-        // Shim reads surface as rendered strings; their keys live outside
-        // the schema, so no unknown-field check applies.
-        return Some(Ty::Str);
-    }
     match schema.lookup(&field.name) {
         None => {
             let suggestion = schema
@@ -465,7 +449,7 @@ fn check_filter_emptiness(
                 ));
             }
         }
-        Value::Str(s) if op == CmpOp::Eq && !field.shim => {
+        Value::Str(s) if op == CmpOp::Eq => {
             if let Some(prev) = cons.str_eq.get(&field.name) {
                 if prev != s {
                     empty(format!(
@@ -617,14 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn pf0306_warns_on_shim_access() {
-        let d = lint("from vertices | filter shim:region == \"main\"");
-        assert_eq!(codes_of(&d), vec![codes::QUERY_SHIM_ACCESS]);
-        assert_eq!(d.items()[0].severity, Severity::Warn);
-        assert!(!d.has_errors());
-    }
-
-    #[test]
     fn subquery_findings_are_reported() {
         let d = lint("from vertices | join minus (from vertices | filter tme > 1)");
         assert_eq!(codes_of(&d), vec![codes::QUERY_UNKNOWN_FIELD]);
@@ -635,7 +611,7 @@ mod tests {
         // One query tripping several families at once; emission must come
         // out in (code, anchor, message) order however the walk found them.
         let src = "from vertices | sort proc | filter tme > 1 | filter time == nan \
-                   | select shim:x, time-per-proc";
+                   | select time-per-proc";
         let d = lint(src);
         let codes = codes_of(&d);
         let mut sorted = codes.clone();
@@ -645,7 +621,6 @@ mod tests {
         assert!(codes.contains(&codes::QUERY_ABSENT_COLUMN));
         assert!(codes.contains(&codes::QUERY_NAN_ORDER));
         assert!(codes.contains(&codes::QUERY_EMPTY_RESULT));
-        assert!(codes.contains(&codes::QUERY_SHIM_ACCESS));
         // Linting twice renders identically.
         assert_eq!(d.render_text(), lint(src).render_text());
         assert_eq!(d.render_json(), lint(src).render_json());

@@ -63,9 +63,7 @@ fn main() {
     // 5. Read metrics through the typed accessors. Metric keys are
     //    interned `KeyId`s (re-exported as `perflow::mkeys`), so the hot
     //    path never hashes a string — `metric_f64` is an O(1) column
-    //    lookup. Prefer this over the old stringly
-    //    `vprop(v, "time")`-style access, which survives only as a
-    //    compatibility shim.
+    //    lookup. String properties (`debug-info`) read through `vstr`.
     let total: f64 = td
         .vertex_ids()
         .map(|v| td.metric_f64(v, perflow::mkeys::SELF_TIME))

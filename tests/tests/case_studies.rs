@@ -99,7 +99,7 @@ fn lammps_iterated_causal_blames_pair_force_loop() {
     let procs: Vec<i64> = causes
         .ids
         .iter()
-        .filter_map(|&v| pag.vprop(v, pag::keys::PROC).and_then(|p| p.as_i64()))
+        .filter_map(|&v| pag.metric_i64(v, pag::mkeys::PROC))
         .collect();
     assert!(
         procs.iter().any(|&p| p < 3),

@@ -1,11 +1,10 @@
-//! Columnar-storage compatibility suite (ISSUE 7): PAG1 → PAG2 wire
-//! round-trips under hostile inputs, the checked-in legacy fixture, and
-//! shim-vs-typed write identity.
+//! Columnar-storage compatibility suite (ISSUE 7): PAG2 wire round-trips
+//! under hostile inputs and the checked-in legacy PAG1 fixture.
 
 use proptest::prelude::*;
 
-use pag::serialize::{decode, encode, encode_v1, DecodeError};
-use pag::{keys, mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
+use pag::serialize::{decode, encode, DecodeError};
+use pag::{mkeys, EdgeId, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 
 /// A legacy PAG1 snapshot checked in before the columnar migration.
 /// Readers must keep accepting it forever.
@@ -90,17 +89,13 @@ fn same_bits(a: f64, b: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// PAG1 → decode → PAG2 → decode preserves the graph exactly, even
-    /// with hostile names, NaN/±inf metrics and absent columns.
+    /// PAG2 encode → decode preserves the graph exactly and re-encodes to
+    /// the same bytes, even with hostile names, NaN/±inf metrics and
+    /// absent columns.
     #[test]
-    fn pag1_to_pag2_roundtrip(spec in arb_graph()) {
+    fn pag2_roundtrip(spec in arb_graph()) {
         let g = build(&spec);
-        let v1 = encode_v1(&g);
-        let d1 = decode(&v1).unwrap();
-        // The legacy encoding of the decoded graph is byte-stable.
-        prop_assert_eq!(encode_v1(&d1), v1);
-
-        let v2 = encode(&d1);
+        let v2 = encode(&g);
         let d2 = decode(&v2).unwrap();
         prop_assert_eq!(encode(&d2), v2);
 
@@ -130,45 +125,6 @@ proptest! {
             }
         }
     }
-
-    /// The string-keyed shim and the typed accessors address one store:
-    /// writing the same logical graph through either API yields
-    /// byte-identical encodings in both wire formats.
-    #[test]
-    fn shim_and_typed_writes_are_one_store(spec in arb_graph()) {
-        let typed = build(&spec);
-        let mut shim = Pag::new(ViewKind::Parallel, "columnar-prop");
-        for (name, time, count, vec) in &spec.vertices {
-            let v = shim.add_vertex(VertexLabel::Compute, name.as_str());
-            if let Some(t) = time {
-                shim.set_vprop(v, keys::TIME, *t);
-            }
-            if let Some(c) = count {
-                shim.set_vprop(v, keys::COUNT, *c);
-            }
-            if let Some(xs) = vec {
-                shim.set_vprop(v, keys::TIME_PER_PROC, xs.clone());
-            }
-        }
-        for (a, b) in &spec.edges {
-            shim.add_edge(
-                VertexId(*a as u32),
-                VertexId(*b as u32),
-                EdgeLabel::IntraProc,
-            );
-        }
-        prop_assert_eq!(encode(&shim), encode(&typed));
-        prop_assert_eq!(encode_v1(&shim), encode_v1(&typed));
-        for v in typed.vertex_ids() {
-            // Reads agree in both directions too.
-            let via_shim = shim.metric_f64(v, mkeys::TIME);
-            let via_typed = typed
-                .vprop(v, keys::TIME)
-                .and_then(|p| p.as_f64())
-                .unwrap_or(0.0);
-            prop_assert!(same_bits(via_shim, via_typed));
-        }
-    }
 }
 
 // ---------------------------------------------------------------- fixture
@@ -176,23 +132,56 @@ proptest! {
 #[test]
 fn pag1_fixture_still_decodes() {
     let g = decode(PAG1_FIXTURE).expect("legacy PAG1 snapshot must stay readable");
-    assert!(g.num_vertices() > 0, "fixture is not empty");
-    // Its metrics landed in the columnar store.
-    let total: f64 = g.vertex_ids().map(|v| g.metric_f64(v, mkeys::TIME)).sum();
-    assert!(total > 0.0, "fixture carries time metrics");
-    // Decode → legacy re-encode reproduces the snapshot byte for byte.
+    assert_eq!((g.num_vertices(), g.num_edges()), (4, 3));
+    assert_eq!((g.num_procs(), g.threads_per_proc()), (3, 2));
+    assert_eq!(g.root(), Some(VertexId(0)));
+    // Its metrics landed in the columnar store, its strings in `vstr`.
+    assert_eq!(g.metric(VertexId(0), mkeys::TIME), Some(3.25));
+    assert_eq!(g.metric_i64(VertexId(0), mkeys::COUNT), Some(7));
+    let per_proc = g.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
+    assert_eq!((per_proc[0], per_proc[2]), (1.0, f64::INFINITY));
+    assert!(per_proc[1].is_nan());
+    assert_eq!(g.metric_i64(VertexId(1), mkeys::COMM_BYTES), Some(-9));
     assert_eq!(
-        encode_v1(&g),
-        PAG1_FIXTURE,
-        "encode_v1 must stay byte-identical to the pre-columnar encoder"
+        g.metric(VertexId(1), mkeys::WAIT_TIME),
+        Some(f64::NEG_INFINITY)
     );
-    // And the modern format round-trips the same graph.
-    let d2 = decode(&encode(&g)).unwrap();
-    assert_eq!(encode_v1(&d2), PAG1_FIXTURE);
+    assert_eq!(
+        g.vstr(VertexId(1), pag::keys::DEBUG_INFO),
+        Some("main.c:42")
+    );
+    let user = g.key_id("user-key ∆").expect("user key interned");
+    assert_eq!(g.metric(VertexId(2), user), Some(0.5));
+    assert_eq!(
+        g.vstr(VertexId(2), "user-str"),
+        Some("ünïcode \"quoted\"\nnewline")
+    );
+    let empty = g.key_id("empty-vec").expect("user vector key interned");
+    assert_eq!(g.metric_vec(VertexId(3), empty), Some(&[][..]));
+    assert_eq!(g.emetric_i64(EdgeId(0), mkeys::COMM_BYTES), Some(4096));
+    assert_eq!(g.estr(EdgeId(0), "edge-str"), Some("weight\\label"));
+    assert!(g.emetric(EdgeId(1), mkeys::WAIT_TIME).unwrap().is_nan());
+    // The modern format round-trips the same graph.
+    let v2 = encode(&g);
+    let d2 = decode(&v2).unwrap();
+    assert_eq!(encode(&d2), v2);
+    for v in g.vertex_ids() {
+        assert_eq!(
+            format!("{:?}", d2.prop_entries(v)),
+            format!("{:?}", g.prop_entries(v))
+        );
+    }
 }
 
 #[test]
 fn pag1_fixture_with_trailing_bytes_is_rejected() {
+    // Torn the other way: no prefix decodes (and none panics).
+    for cut in 0..PAG1_FIXTURE.len() {
+        assert!(
+            decode(&PAG1_FIXTURE[..cut]).is_err(),
+            "prefix {cut} decoded"
+        );
+    }
     let mut padded = PAG1_FIXTURE.to_vec();
     padded.push(0);
     match decode(&padded) {

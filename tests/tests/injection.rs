@@ -66,8 +66,7 @@ fn degraded_node_is_located_by_imbalance_analysis() {
     let proc = lagging
         .graph
         .pag()
-        .vprop(lagging.ids[0], pag::keys::PROC)
-        .and_then(|p| p.as_i64());
+        .metric_i64(lagging.ids[0], pag::mkeys::PROC);
     assert_eq!(proc, Some(5), "wrong straggler located");
 }
 
@@ -129,13 +128,11 @@ fn crashed_rank_yields_partial_data_and_is_localized() {
     let set = run.vertices();
     let pag = set.graph.pag();
     let root_status = pag
-        .vprop(run.root(), pag::keys::RANK_STATUS)
-        .and_then(|p| p.as_str().map(String::from))
+        .vstr(run.root(), pag::keys::RANK_STATUS)
         .expect("degraded run must carry rank-status on the root");
     assert!(root_status.contains("rank 5 crashed"), "{root_status}");
     let per_proc = pag
-        .vprop(run.root(), pag::keys::COMPLETENESS_PER_PROC)
-        .and_then(|p| p.as_f64_slice().map(<[f64]>::to_vec))
+        .metric_vec(run.root(), pag::mkeys::COMPLETENESS_PER_PROC)
         .expect("degraded run must carry per-proc completeness");
     assert_eq!(per_proc.len(), 8);
 
@@ -164,13 +161,8 @@ fn crashed_rank_yields_partial_data_and_is_localized() {
     let marked: Vec<i64> = pv
         .ids
         .iter()
-        .filter(|&&v| pv.graph.pag().vprop(v, pag::keys::RANK_STATUS).is_some())
-        .filter_map(|&v| {
-            pv.graph
-                .pag()
-                .vprop(v, pag::keys::PROC)
-                .and_then(|p| p.as_i64())
-        })
+        .filter(|&&v| pv.graph.pag().vstr(v, pag::keys::RANK_STATUS).is_some())
+        .filter_map(|&v| pv.graph.pag().metric_i64(v, pag::mkeys::PROC))
         .collect();
     assert_eq!(marked, vec![5], "only rank 5's flow should be marked");
 }
@@ -199,8 +191,7 @@ fn sample_loss_degrades_collection_without_touching_timing() {
     let lossy_set = lossy.vertices();
     let pag = lossy_set.graph.pag();
     let root_compl = pag
-        .vprop(lossy.root(), pag::keys::COMPLETENESS)
-        .and_then(|p| p.as_f64())
+        .metric(lossy.root(), pag::mkeys::COMPLETENESS)
         .expect("degraded run must carry root completeness");
     assert!(
         (root_compl - 0.75).abs() < 0.05,

@@ -110,7 +110,7 @@ fn chain_pag(times: &[f64]) -> Pag {
     let mut g = Pag::new(ViewKind::TopDown, "chain");
     for (i, t) in times.iter().enumerate() {
         let v = g.add_vertex(VertexLabel::Compute, format!("f{i}"));
-        g.set_vprop(v, keys::TIME, *t);
+        g.set_metric(v, pag::mkeys::TIME, *t);
         if i > 0 {
             g.add_edge(VertexId(i as u32 - 1), v, EdgeLabel::IntraProc);
         }

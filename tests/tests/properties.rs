@@ -161,12 +161,7 @@ proptest! {
         let sum_self = |r: &collect::ProfiledRun| -> f64 {
             r.pag
                 .vertex_ids()
-                .map(|v| {
-                    r.pag
-                        .vprop(v, pag::keys::SELF_TIME)
-                        .and_then(|p| p.as_f64())
-                        .unwrap_or(0.0)
-                })
+                .map(|v| r.pag.metric_f64(v, pag::mkeys::SELF_TIME))
                 .sum()
         };
         let faulted_total = sum_self(&run) + lost as f64 * period;
@@ -178,15 +173,12 @@ proptest! {
 
         // Completeness metadata stays in range and appears iff degraded.
         for v in run.pag.vertex_ids() {
-            if let Some(cp) = run.pag.vprop(v, pag::keys::COMPLETENESS).and_then(|p| p.as_f64()) {
+            if let Some(cp) = run.pag.metric(v, pag::mkeys::COMPLETENESS) {
                 prop_assert!((0.0..=1.0).contains(&cp), "completeness {} out of range", cp);
             }
         }
         if lost > 0 {
-            let root_compl = run
-                .pag
-                .vprop(run.root, pag::keys::COMPLETENESS)
-                .and_then(|p| p.as_f64());
+            let root_compl = run.pag.metric(run.root, pag::mkeys::COMPLETENESS);
             prop_assert!(root_compl.is_some(), "degraded run must mark the root");
         }
     }

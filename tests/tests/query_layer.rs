@@ -33,7 +33,7 @@ fn hostile_name() -> impl Strategy<Value = String> {
 }
 
 fn field() -> impl Strategy<Value = Field> {
-    (hostile_name(), any::<bool>()).prop_map(|(name, shim)| Field { name, shim })
+    hostile_name().prop_map(Field::named)
 }
 
 fn cmp_op() -> impl Strategy<Value = CmpOp> {
@@ -171,18 +171,18 @@ proptest! {
         prop_assert_eq!(a.render_json(), b.render_json());
     }
 
-    /// obs, verify and serve expose the same escaper (satellite of the
-    /// PF03xx work: serve now delegates instead of hand-rolling), and
-    /// what it emits survives a parse through serve's JSON parser.
+    /// obs and verify expose the same escaper, and what it emits
+    /// survives a parse through the one JSON parser (`obs::json`, which
+    /// the daemon uses for its request bodies).
     #[test]
     fn json_escaping_is_unified_and_parseable(s in hostile_name()) {
         let escaped = obs::json_escape(&s);
         prop_assert_eq!(&escaped, &verify::json_escape(&s));
-        prop_assert_eq!(&escaped, &serve::json::escape(&s));
+        prop_assert_eq!(&escaped, &obs::json::escape(&s));
         let literal = format!("\"{escaped}\"");
-        let parsed = serve::json::Json::parse(&literal)
+        let parsed = obs::json::Json::parse(&literal)
             .unwrap_or_else(|e| panic!("escaped literal failed to parse: {e}\n{literal}"));
-        prop_assert_eq!(parsed, serve::json::Json::Str(s));
+        prop_assert_eq!(parsed, obs::json::Json::Str(s));
     }
 }
 
@@ -265,4 +265,14 @@ fn lint_orders_mixed_findings_canonically() {
         codes_seen, sorted,
         "diagnostics not in canonical order: {codes_seen:?}"
     );
+}
+
+/// The retired `shim:` field prefix is an ordinary syntax error: one
+/// PF0300 and no AST.
+#[test]
+fn retired_shim_prefix_is_a_syntax_error() {
+    let (q, d) = lint_query_text("from vertices | filter shim:region == \"main\"");
+    assert!(q.is_none());
+    let codes_seen: Vec<&str> = d.items().iter().map(|x| x.code).collect();
+    assert_eq!(codes_seen, [codes::QUERY_SYNTAX]);
 }

@@ -15,14 +15,11 @@ use proptest::prelude::*;
 
 /// FNV-1a over 64-bit words — a process-independent fingerprint base.
 fn fnv(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = obs::Fnv::new();
+    for &w in words {
+        h.u64(w);
     }
-    h
+    h.finish()
 }
 
 /// What an [`FpPass`] does when it runs.

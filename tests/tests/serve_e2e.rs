@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use serve::json::Json;
+use obs::json::Json;
 use serve::{Server, ServerConfig};
 
 fn http(
@@ -508,8 +508,8 @@ fn bench_diff_endpoint_judges_snapshots() {
     // Snapshots may also arrive as JSON-encoded strings.
     let body = format!(
         r#"{{"baseline":{},"current":{}}}"#,
-        serve::json::Json::Str(base.to_string()).render(),
-        serve::json::Json::Str(base.to_string()).render()
+        obs::json::Json::Str(base.to_string()).render(),
+        obs::json::Json::Str(base.to_string()).render()
     );
     let (s, out) = http(addr, "POST", "/bench-diff", &[], Some(&body));
     assert_eq!(s, 200, "{out}");
