@@ -18,8 +18,9 @@ fn main() {
     let pflow = PerFlow::new();
     let prog = workloads::zeusmp();
     let small = pflow.run(&prog, &RunConfig::new(16)).unwrap();
-    let large_ranks = bench_large_ranks().min(256); // parallel view kept moderate
-    let large = pflow.run(&prog, &RunConfig::new(large_ranks)).unwrap();
+    let large = pflow
+        .run(&prog, &RunConfig::new(bench_large_ranks()))
+        .unwrap();
 
     let result = scalability_analysis(&small, &large, 10, 0.2).unwrap();
     println!("{}", result.report.render());
@@ -50,13 +51,17 @@ fn main() {
         }
     }
 
-    let cause_names: Vec<&str> = result
-        .root_causes
-        .ids
-        .iter()
-        .map(|&v| result.root_causes.graph.pag().vertex_name(v))
-        .collect();
-    println!(
-        "\nshape check: root causes {cause_names:?} — paper identifies loop_10.1 in bvald_ (and loop_1.1 in newdt_)"
+    // Shape check: the paper identifies loop_10.1 in bvald_.
+    let causes = &result.root_causes;
+    let pag = causes.graph.pag();
+    assert!(
+        causes.ids.iter().any(|&v| {
+            pag.vertex(v).label == pag::VertexLabel::Loop
+                && pag
+                    .vstr(v, pag::keys::DEBUG_INFO)
+                    .is_some_and(|d| d.starts_with("bvald.F"))
+        }),
+        "no bvald.F loop among the root causes:\n{}",
+        result.report.render()
     );
 }

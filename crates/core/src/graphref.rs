@@ -5,10 +5,11 @@
 //! profiled run and lazily materializes its parallel view; [`GraphRef`]
 //! is the cheap shared reference sets carry.
 
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use collect::{build_parallel_view, ProfiledRun};
-use pag::{Pag, VertexId};
+use pag::{mkeys, Pag, VertexId};
 use simrt::RunData;
 
 use crate::set::VertexSet;
@@ -142,6 +143,17 @@ impl GraphRef {
     pub fn all_vertices(&self) -> VertexSet {
         let ids = self.pag().vertex_ids().collect();
         VertexSet::new(self.clone(), ids)
+    }
+
+    /// Project a top-down set onto this parallel view: every flow replica
+    /// (across processes and threads) of a member of `topdown`.
+    pub(crate) fn replicas_of(&self, topdown: &VertexSet) -> VertexSet {
+        let pag = self.pag();
+        let ids: HashSet<i64> = topdown.ids.iter().map(|v| v.0 as i64).collect();
+        self.all_vertices().retain(|v| {
+            pag.metric_i64(v, mkeys::TOPDOWN_VERTEX)
+                .is_some_and(|td| ids.contains(&td))
+        })
     }
 }
 

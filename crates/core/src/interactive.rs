@@ -12,7 +12,7 @@
 //! heuristic [`InteractiveSession::suggest`]ions for the next pass based
 //! on what the current set contains.
 
-use pag::{keys, mkeys, CallKind, VertexLabel};
+use pag::{keys, CallKind, VertexLabel};
 
 use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
 use crate::passes;
@@ -152,14 +152,7 @@ impl InteractiveSession {
     /// Project the current set onto the parallel view (all flow replicas
     /// of the current top-down vertices).
     pub fn to_parallel(&mut self) -> &VertexSet {
-        let pv = GraphRef::Parallel(std::sync::Arc::clone(&self.run));
-        let ids: std::collections::HashSet<i64> =
-            self.current.ids.iter().map(|v| v.0 as i64).collect();
-        let next = pv.all_vertices().retain(|v| {
-            pv.pag()
-                .metric_i64(v, mkeys::TOPDOWN_VERTEX)
-                .is_some_and(|td| ids.contains(&td))
-        });
+        let next = GraphRef::Parallel(std::sync::Arc::clone(&self.run)).replicas_of(&self.current);
         self.step("to_parallel_view".to_string(), next);
         &self.current
     }

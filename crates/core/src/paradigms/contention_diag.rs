@@ -1,7 +1,7 @@
 //! The Vite-style diagnosis graph (Fig. 14) and the LAMMPS-style
 //! iterated causal loop (Fig. 11).
 
-use pag::{keys, mkeys};
+use pag::keys;
 
 use crate::error::PerFlowError;
 use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
@@ -57,12 +57,7 @@ pub fn contention_diagnosis(
     // Project suspicious vertices onto the slow run's parallel view
     // (all replicas across processes and threads).
     let pv = GraphRef::Parallel(std::sync::Arc::clone(slow));
-    let ids: std::collections::HashSet<i64> = suspicious.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
-            .is_some_and(|td| ids.contains(&td))
-    });
+    let flows = pv.replicas_of(&suspicious);
 
     // Causal analysis over the laggard replicas.
     let laggards = {
@@ -143,12 +138,7 @@ pub fn iterative_causal(
 
     // Project onto the parallel view and find the imbalanced replicas.
     let pv = GraphRef::Parallel(std::sync::Arc::clone(run));
-    let ids: std::collections::HashSet<i64> = comm_hot.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
-            .is_some_and(|td| ids.contains(&td))
-    });
+    let flows = pv.replicas_of(&comm_hot);
     let mut current = imbalance(&flows, 0.1);
     if current.is_empty() {
         current = flows.sort_by(keys::TIME).top(8);

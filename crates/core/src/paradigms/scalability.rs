@@ -84,12 +84,7 @@ pub fn scalability_analysis(
     // 5. Project onto the parallel view: the lagging flow replicas of the
     //    union vertices.
     let pv = GraphRef::Parallel(std::sync::Arc::clone(large));
-    let union_ids: std::collections::HashSet<i64> = union.ids.iter().map(|v| v.0 as i64).collect();
-    let flows = pv.all_vertices().retain(|v| {
-        pv.pag()
-            .metric_i64(v, mkeys::TOPDOWN_VERTEX)
-            .is_some_and(|td| union_ids.contains(&td))
-    });
+    let flows = pv.replicas_of(&union);
     let mut lagging = imbalance(&flows, imbalance_threshold);
     if lagging.is_empty() {
         // Uniformly lost time: take the slowest replica per vertex.

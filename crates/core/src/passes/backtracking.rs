@@ -40,9 +40,7 @@ pub fn backtracking(set: &VertexSet, max_steps: usize) -> (VertexSet, EdgeSet) {
             if !visited.insert(v) {
                 break;
             }
-            if !vs.ids.contains(&v) {
-                vs.ids.push(v);
-            }
+            vs.ids.push(v);
             if COLL_COMM.contains(&pag.vertex_name(v)) && v != start {
                 break; // collectives synchronize: propagation ends here
             }
@@ -191,6 +189,23 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), vs.ids.len());
+    }
+
+    #[test]
+    fn merging_walks_keep_first_visit_order() {
+        let g = propagation_graph();
+        // waitall1 walks the comm edge into flow 0; allreduce1's walk
+        // then merges into it at waitall1 after one step.
+        let bugs = VertexSet::new(g.clone(), vec![VertexId(4), VertexId(5)]);
+        let (vs, es) = backtracking(&bugs, 100);
+        assert_eq!(vs.ids, [4, 2, 1, 0, 5].map(VertexId));
+        assert_eq!(es.len(), 4);
+        // Reversed starts: the first walk covers everything, the second
+        // start is already visited and adds nothing.
+        let bugs = VertexSet::new(g.clone(), vec![VertexId(5), VertexId(4)]);
+        let (vs, es) = backtracking(&bugs, 100);
+        assert_eq!(vs.ids, [5, 4, 2, 1, 0].map(VertexId));
+        assert_eq!(es.len(), 4);
     }
 
     #[test]

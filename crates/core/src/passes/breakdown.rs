@@ -104,7 +104,7 @@ pub fn breakdown(set: &VertexSet, threshold: f64) -> (VertexSet, Report, Vec<Bre
         } else {
             (CommCause::Uniform, v)
         };
-        if cause != CommCause::Uniform && !causes.ids.contains(&cause_vertex) {
+        if cause != CommCause::Uniform && !causes.scores.contains_key(&cause_vertex) {
             causes.ids.push(cause_vertex);
             causes
                 .scores

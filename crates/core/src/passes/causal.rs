@@ -3,6 +3,8 @@
 //! parallel view, where ancestry = reachability through flow order and
 //! cross-flow dependence edges.
 
+use std::collections::HashSet;
+
 use pag::{CallKind, EdgeId, VertexId, VertexLabel};
 
 use crate::error::PerFlowError;
@@ -42,7 +44,7 @@ pub fn causal(set: &VertexSet, cfg: &CausalConfig) -> (VertexSet, EdgeSet) {
     let pag = set.graph.pag();
     let mut causes = VertexSet::new(set.graph.clone(), Vec::new());
     let mut path_edges: Vec<EdgeId> = Vec::new();
-    let mut scanned: std::collections::HashSet<VertexId> = Default::default();
+    let mut scanned: HashSet<VertexId> = Default::default();
     let mut pairs = 0usize;
 
     if set.ids.len() == 1 {
@@ -52,9 +54,15 @@ pub fn causal(set: &VertexSet, cfg: &CausalConfig) -> (VertexSet, EdgeSet) {
         return (causes, EdgeSet::new(set.graph.clone(), path_edges));
     }
 
+    let input: Option<HashSet<VertexId>> = cfg
+        .restrict_to_input
+        .then(|| set.ids.iter().copied().collect());
     'outer: for (i, &v1) in set.ids.iter().enumerate() {
+        if scanned.contains(&v1) {
+            continue;
+        }
         for &v2 in set.ids.iter().skip(i + 1) {
-            if scanned.contains(&v1) || scanned.contains(&v2) {
+            if scanned.contains(&v2) {
                 continue;
             }
             pairs += 1;
@@ -71,15 +79,15 @@ pub fn causal(set: &VertexSet, cfg: &CausalConfig) -> (VertexSet, EdgeSet) {
             } else {
                 anc
             };
-            if cfg.restrict_to_input && !set.ids.contains(&resolved) {
-                continue;
+            if input.as_ref().is_none_or(|ids| ids.contains(&resolved)) {
+                if !causes.scores.contains_key(&resolved) {
+                    causes.ids.push(resolved);
+                }
+                *causes.scores.entry(resolved).or_insert(0.0) += 1.0;
+                path_edges.extend(p1);
+                path_edges.extend(p2);
             }
-            if !causes.ids.contains(&resolved) {
-                causes.ids.push(resolved);
-            }
-            *causes.scores.entry(resolved).or_insert(0.0) += 1.0;
-            path_edges.extend(p1);
-            path_edges.extend(p2);
+            break; // v1 is paired: every later v2 would be skipped
         }
     }
     path_edges.sort();

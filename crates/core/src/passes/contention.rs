@@ -38,12 +38,13 @@ pub fn contention(
     let pag = set.graph.pag();
     let mut vertices = VertexSet::new(set.graph.clone(), Vec::new());
     let mut edges: Vec<EdgeId> = Vec::new();
+    let mut seen_edges = std::collections::HashSet::new();
     let mut embeddings = Vec::new();
     for &v in &set.ids {
         let embs = match_subgraph(pag, &pattern, Some((anchor_idx, v)), max_per_anchor);
         for emb in embs {
             for &gv in &emb.mapping {
-                if !vertices.ids.contains(&gv) {
+                if !vertices.scores.contains_key(&gv) {
                     vertices.ids.push(gv);
                 }
                 *vertices.scores.entry(gv).or_insert(0.0) += 1.0;
@@ -51,7 +52,7 @@ pub fn contention(
             for pe in &pattern.edges {
                 if let Some(e) = find_edge(pag, emb.mapping[pe.src], emb.mapping[pe.dst], pe.label)
                 {
-                    if !edges.contains(&e) {
+                    if seen_edges.insert(e) {
                         edges.push(e);
                     }
                 }

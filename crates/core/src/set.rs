@@ -162,11 +162,9 @@ impl VertexSet {
             return Err(PerFlowError::GraphMismatch);
         }
         let mut out = self.clone();
-        for &v in &other.ids {
-            if !out.ids.contains(&v) {
-                out.ids.push(v);
-            }
-        }
+        let mut seen: HashSet<VertexId> = self.ids.iter().copied().collect();
+        out.ids
+            .extend(other.ids.iter().copied().filter(|&v| seen.insert(v)));
         for (&v, &s) in &other.scores {
             out.scores.entry(v).or_insert(s);
         }
@@ -178,7 +176,8 @@ impl VertexSet {
         if !self.graph.same_graph(&other.graph) {
             return Err(PerFlowError::GraphMismatch);
         }
-        Ok(self.retain(|v| other.ids.contains(&v)))
+        let probe: HashSet<VertexId> = other.ids.iter().copied().collect();
+        Ok(self.retain(|v| probe.contains(&v)))
     }
 
     /// Set difference (members of self not in other).
@@ -186,7 +185,8 @@ impl VertexSet {
         if !self.graph.same_graph(&other.graph) {
             return Err(PerFlowError::GraphMismatch);
         }
-        Ok(self.retain(|v| !other.ids.contains(&v)))
+        let probe: HashSet<VertexId> = other.ids.iter().copied().collect();
+        Ok(self.retain(|v| !probe.contains(&v)))
     }
 
     /// Attach a score to a member.
@@ -250,25 +250,23 @@ impl EdgeSet {
             return Err(PerFlowError::GraphMismatch);
         }
         let mut out = self.clone();
-        for &e in &other.ids {
-            if !out.ids.contains(&e) {
-                out.ids.push(e);
-            }
-        }
+        let mut seen: HashSet<EdgeId> = self.ids.iter().copied().collect();
+        out.ids
+            .extend(other.ids.iter().copied().filter(|&e| seen.insert(e)));
         Ok(out)
     }
 
     /// The endpoint vertices of all member edges.
     pub fn endpoints(&self) -> VertexSet {
-        let mut ids = Vec::new();
-        for &e in &self.ids {
-            let ed = self.graph.pag().edge(e);
-            for v in [ed.src, ed.dst] {
-                if !ids.contains(&v) {
-                    ids.push(v);
-                }
-            }
-        }
+        let pag = self.graph.pag();
+        let mut seen = HashSet::new();
+        let ids = self
+            .ids
+            .iter()
+            .map(|&e| pag.edge(e))
+            .flat_map(|ed| [ed.src, ed.dst])
+            .filter(|&v| seen.insert(v))
+            .collect();
         VertexSet::new(self.graph.clone(), ids)
     }
 }
@@ -277,6 +275,7 @@ impl EdgeSet {
 mod tests {
     use super::*;
     use pag::{keys, mkeys, EdgeLabel, Pag, ViewKind};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn detached() -> GraphRef {
@@ -439,6 +438,131 @@ mod tests {
         let es = EdgeSet::new(g.clone(), vec![EdgeId(0), EdgeId(1)]);
         let eps = es.endpoints();
         assert_eq!(eps.len(), 3);
+    }
+
+    /// The `Vec::contains` set algebra this module used before its
+    /// operations became linear-time — the reference model.
+    mod oracle {
+        use super::*;
+
+        pub fn union(a: &VertexSet, b: &VertexSet) -> VertexSet {
+            let mut out = a.clone();
+            for &v in &b.ids {
+                if !out.ids.contains(&v) {
+                    out.ids.push(v);
+                }
+            }
+            for (&v, &s) in &b.scores {
+                out.scores.entry(v).or_insert(s);
+            }
+            out
+        }
+
+        pub fn intersect(a: &VertexSet, b: &VertexSet) -> VertexSet {
+            a.retain(|v| b.ids.contains(&v))
+        }
+
+        pub fn difference(a: &VertexSet, b: &VertexSet) -> VertexSet {
+            a.retain(|v| !b.ids.contains(&v))
+        }
+
+        pub fn edge_union(a: &EdgeSet, b: &EdgeSet) -> Vec<EdgeId> {
+            let mut ids = a.ids.clone();
+            for &e in &b.ids {
+                if !ids.contains(&e) {
+                    ids.push(e);
+                }
+            }
+            ids
+        }
+
+        pub fn endpoints(es: &EdgeSet) -> Vec<VertexId> {
+            let mut ids = Vec::new();
+            for &e in &es.ids {
+                let ed = es.graph.pag().edge(e);
+                for v in [ed.src, ed.dst] {
+                    if !ids.contains(&v) {
+                        ids.push(v);
+                    }
+                }
+            }
+            ids
+        }
+    }
+
+    const RING: u32 = 12;
+
+    /// `RING` vertices, edges `i → i+1` and `i → i+3` (mod `RING`).
+    fn ring() -> GraphRef {
+        let mut g = Pag::new(ViewKind::TopDown, "ring");
+        for i in 0..RING {
+            g.add_vertex(VertexLabel::Compute, format!("v{i}").as_str());
+        }
+        for i in 0..RING {
+            for step in [1, 3] {
+                g.add_edge(
+                    VertexId(i),
+                    VertexId((i + step) % RING),
+                    EdgeLabel::IntraProc,
+                );
+            }
+        }
+        GraphRef::Detached(Arc::new(g))
+    }
+
+    /// Random member ids (duplicates likely) plus random scores, some on
+    /// non-members.
+    fn members() -> impl Strategy<Value = (Vec<u32>, Vec<(u32, u8)>)> {
+        (
+            prop::collection::vec(0..RING, 0..24),
+            prop::collection::vec((0..RING, any::<u8>()), 0..8),
+        )
+    }
+
+    fn vertex_set(g: &GraphRef, (ids, scores): &(Vec<u32>, Vec<(u32, u8)>)) -> VertexSet {
+        let ids = ids.iter().map(|&i| VertexId(i)).collect();
+        scores
+            .iter()
+            .fold(VertexSet::new(g.clone(), ids), |set, &(v, s)| {
+                set.with_score(VertexId(v), s as f64)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn vertex_algebra_matches_vec_contains_oracle(a in members(), b in members()) {
+            let g = ring();
+            let (a, b) = (vertex_set(&g, &a), vertex_set(&g, &b));
+            type Op = fn(&VertexSet, &VertexSet) -> Result<VertexSet, PerFlowError>;
+            type Oracle = fn(&VertexSet, &VertexSet) -> VertexSet;
+            let ops: [(Op, Oracle); 3] = [
+                (VertexSet::union, oracle::union),
+                (VertexSet::intersect, oracle::intersect),
+                (VertexSet::difference, oracle::difference),
+            ];
+            let foreign = vertex_set(&ring(), &(vec![0], vec![]));
+            for (op, oracle) in ops {
+                let (got, want) = (op(&a, &b).unwrap(), oracle(&a, &b));
+                prop_assert_eq!(got.ids, want.ids);
+                prop_assert_eq!(got.scores, want.scores);
+                prop_assert!(matches!(op(&a, &foreign), Err(PerFlowError::GraphMismatch)));
+            }
+        }
+
+        #[test]
+        fn edge_algebra_matches_vec_contains_oracle(
+            a in prop::collection::vec(0..2 * RING, 0..32),
+            b in prop::collection::vec(0..2 * RING, 0..32),
+        ) {
+            let g = ring();
+            let edge_set =
+                |ids: &[u32]| EdgeSet::new(g.clone(), ids.iter().map(|&e| EdgeId(e)).collect());
+            let (a, b) = (edge_set(&a), edge_set(&b));
+            prop_assert_eq!(a.union(&b).unwrap().ids, oracle::edge_union(&a, &b));
+            prop_assert_eq!(a.endpoints().ids, oracle::endpoints(&a));
+            let foreign = EdgeSet::new(ring(), vec![EdgeId(0)]);
+            prop_assert!(matches!(a.union(&foreign), Err(PerFlowError::GraphMismatch)));
+        }
     }
 
     #[test]

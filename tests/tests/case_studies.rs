@@ -44,6 +44,40 @@ fn zeusmp_scalability_analysis_finds_bvald_boundary_loop() {
     );
 }
 
+/// The `zeusmp_scalability` benchmark shape (16 → 128 ranks, default
+/// seed): the planted root cause is found in `bvald.F`, and the
+/// backtracked vertex and edge sets have exactly the sizes they had
+/// before the set operations became linear-time.
+#[test]
+fn zeusmp_scalability_at_benchmark_scale_pins_backtrack_sets() {
+    let pflow = PerFlow::new();
+    let prog = workloads::zeusmp();
+    let small = pflow.run(&prog, &RunConfig::new(16)).unwrap();
+    let large = pflow.run(&prog, &RunConfig::new(128)).unwrap();
+    let result = scalability_analysis(&small, &large, 10, 0.2).unwrap();
+
+    let pag = result.root_causes.graph.pag();
+    let causes: Vec<(&str, &str)> = result
+        .root_causes
+        .ids
+        .iter()
+        .map(|&v| {
+            let info = pag.vstr(v, pag::keys::DEBUG_INFO).unwrap_or("");
+            (pag.vertex_name(v), info)
+        })
+        .collect();
+    for name in ["loop_10.1", "bvald_fill"] {
+        assert!(
+            causes
+                .iter()
+                .any(|(n, info)| *n == name && info.starts_with("bvald.F")),
+            "root causes missing {name} at bvald.F: {causes:?}"
+        );
+    }
+    assert_eq!(result.backtrack_vertices.len(), 30965);
+    assert_eq!(result.backtrack_edges.len(), 30836);
+}
+
 #[test]
 fn zeusmp_fix_shape_matches_paper() {
     // Paper: speedup 72.57× → 77.71× of ideal 128× (16→2048 ranks); i.e.
