@@ -176,6 +176,67 @@ impl Expr {
         }
     }
 
+    /// Lower the expression against one run: every `Param` becomes its
+    /// value (0.0 if unset), `NRanks` becomes `nranks`, and any sub-tree
+    /// left with only constant operands is folded by [`Expr::eval`]
+    /// itself, so the bound tree evaluates to the same bits as the
+    /// original under every context of that run. `NThreads` stays: a
+    /// thread region overrides it with the region's own thread count.
+    pub fn bind(&self, params: &HashMap<String, f64>, nranks: u32) -> Expr {
+        use Expr::*;
+        let konst = |e: &Expr| matches!(e, Const(_));
+        let bin = |mk: fn(Box<Expr>, Box<Expr>) -> Expr, a: &Expr, b: &Expr| {
+            let (a, b) = (a.bind(params, nranks), b.bind(params, nranks));
+            let closed = konst(&a) && konst(&b);
+            (mk(Box::new(a), Box::new(b)), closed)
+        };
+        let un = |mk: fn(Box<Expr>) -> Expr, a: &Expr| {
+            let a = a.bind(params, nranks);
+            let closed = konst(&a);
+            (mk(Box::new(a)), closed)
+        };
+        let (bound, closed) = match self {
+            Param(_) | NRanks => (self.clone(), true),
+            Const(_) | Rank | Thread | NThreads | Iter | IterUp(_) | Noise { .. } => {
+                (self.clone(), false)
+            }
+            Add(a, b) => bin(Add, a, b),
+            Sub(a, b) => bin(Sub, a, b),
+            Mul(a, b) => bin(Mul, a, b),
+            Div(a, b) => bin(Div, a, b),
+            Rem(a, b) => bin(Rem, a, b),
+            Min(a, b) => bin(Min, a, b),
+            Max(a, b) => bin(Max, a, b),
+            Lt(a, b) => bin(Lt, a, b),
+            Eq(a, b) => bin(Eq, a, b),
+            Floor(a) => un(Floor, a),
+            Sqrt(a) => un(Sqrt, a),
+            Log2(a) => un(Log2, a),
+            Select { cond, then, els } => match cond.bind(params, nranks) {
+                Const(v) if v != 0.0 => return then.bind(params, nranks),
+                Const(_) => return els.bind(params, nranks),
+                cond => {
+                    let (then, els) = (then.bind(params, nranks), els.bind(params, nranks));
+                    (cond.select(then, els), false)
+                }
+            },
+        };
+        if !closed {
+            return bound;
+        }
+        // No context-dependent leaf is left below `bound`; only `nranks`
+        // and `params` are read.
+        Const(bound.eval(&EvalCtx {
+            rank: 0,
+            nranks,
+            thread: 0,
+            nthreads: 1,
+            iters: &[],
+            params,
+            seed: 0,
+        }))
+    }
+
     /// Evaluate and round to a non-negative integer (trip counts, peers).
     pub fn eval_u64(&self, ctx: &EvalCtx<'_>) -> u64 {
         self.eval(ctx).max(0.0).round() as u64

@@ -312,6 +312,60 @@ impl Program {
         }
     }
 
+    /// The program lowered against one run: every expression replaced by
+    /// its [`Expr::bind`]. Statement ids, order and names are unchanged,
+    /// so executing the bound program is indistinguishable from executing
+    /// `self` under `params` on `nranks` ranks.
+    pub fn bind(&self, params: &HashMap<String, f64>, nranks: u32) -> Program {
+        fn walk(stmts: &mut [Stmt], f: &impl Fn(&mut Expr)) {
+            for s in stmts {
+                match &mut s.kind {
+                    StmtKind::Compute { cost_us: e, .. } | StmtKind::Lock { hold_us: e, .. } => {
+                        f(e)
+                    }
+                    StmtKind::Loop { trips: e, body, .. }
+                    | StmtKind::ThreadRegion { threads: e, body } => {
+                        f(e);
+                        walk(body, f);
+                    }
+                    StmtKind::Branch {
+                        cond,
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        f(cond);
+                        walk(then_body, f);
+                        walk(else_body, f);
+                    }
+                    StmtKind::Call { target } => {
+                        if let CallTarget::Indirect { selector, .. } = target {
+                            f(selector);
+                        }
+                    }
+                    StmtKind::Comm(op) => match op {
+                        CommOp::Send { peer: a, bytes, .. }
+                        | CommOp::Recv { peer: a, bytes, .. }
+                        | CommOp::Isend { peer: a, bytes, .. }
+                        | CommOp::Irecv { peer: a, bytes, .. }
+                        | CommOp::Bcast { root: a, bytes }
+                        | CommOp::Reduce { root: a, bytes } => {
+                            f(a);
+                            f(bytes);
+                        }
+                        CommOp::Allreduce { bytes } | CommOp::Alltoall { bytes } => f(bytes),
+                        CommOp::Wait { .. } | CommOp::Waitall | CommOp::Barrier => {}
+                    },
+                }
+            }
+        }
+        let mut bound = self.clone();
+        for func in &mut bound.functions {
+            walk(&mut func.body, &|e| *e = e.bind(params, nranks));
+        }
+        bound
+    }
+
     /// Total number of statements of each coarse kind
     /// `(compute, loops, branches, calls, comms, locks, regions)`.
     pub fn stmt_histogram(&self) -> [usize; 7] {

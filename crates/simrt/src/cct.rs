@@ -7,9 +7,9 @@
 //! performance-data embedding (§3.3) later resolves a context to the PAG
 //! vertices along its path.
 
-use std::collections::HashMap;
-
 use progmodel::{FuncId, StmtId};
+
+use crate::hash::IntMap;
 
 /// Interned calling-context id. `CtxId(0)` is the root (program entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,7 +36,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Cct {
     nodes: Vec<Node>,
-    intern: HashMap<(CtxId, CtxFrame), CtxId>,
+    intern: IntMap<(CtxId, CtxFrame), CtxId>,
 }
 
 impl Cct {
@@ -48,7 +48,7 @@ impl Cct {
                 frame: CtxFrame::Func(entry),
                 depth: 0,
             }],
-            intern: HashMap::new(),
+            intern: IntMap::default(),
         }
     }
 

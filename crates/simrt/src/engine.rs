@@ -27,7 +27,9 @@
 //! [`merge_shards`] folds back into one [`RunData`] in rank order.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use progmodel::{CallTarget, CommOp, EvalCtx, Program, Stmt, StmtId, StmtKind};
 
@@ -35,6 +37,7 @@ use crate::cct::{CtxFrame, CtxId};
 use crate::collector::{merge_shards, Collector};
 use crate::config::RunConfig;
 use crate::faults::{fault_roll, FaultStream};
+use crate::hash::IntMap;
 use crate::net::collective_cost;
 use crate::record::{CommKindTag, CommRecord, LockRecord, MsgEdge, RankStatus, RunData};
 use crate::threads::run_thread_region;
@@ -57,8 +60,11 @@ pub fn simulate(prog: &Program, cfg: &RunConfig) -> Result<RunData, SimError> {
     let _span = cfg.obs.span(obs::Layer::Simrt, "simulate", 0);
     let mut params = prog.default_params.clone();
     params.extend(cfg.params.iter().map(|(k, v)| (k.clone(), *v)));
-    let mut engine = Engine::new(prog, cfg, params);
-    engine.run()?;
+    // Everything run-invariant in the program's expressions is evaluated
+    // here, once, instead of on every interpreter step.
+    let bound = prog.bind(&params, cfg.nranks);
+    let mut engine = Engine::new(&bound, cfg, params);
+    engine.run(POOL_PAYS)?;
     Ok(engine.finish())
 }
 
@@ -74,8 +80,6 @@ struct Req {
     completion: Option<f64>,
     /// Matched remote side (rank, stmt, ctx) once known.
     matched: Option<(u32, StmtId, CtxId)>,
-    /// Still listed in `outstanding`.
-    live: bool,
 }
 
 #[derive(Debug)]
@@ -169,6 +173,7 @@ struct RankState<'p> {
     clock: f64,
     frames: Vec<Frame<'p>>,
     iters: Vec<u64>,
+    /// Request slots; emptied whenever `outstanding` empties.
     reqs: Vec<Req>,
     outstanding: Vec<usize>,
     coll_seq: u64,
@@ -176,6 +181,18 @@ struct RankState<'p> {
     done: bool,
     call_depth: usize,
     health: Health,
+    /// This rank's entries of `RunConfig::rank_slowdown` and the fault
+    /// plan's crash / hang tables, looked up once.
+    slow: f64,
+    crash_at: Option<f64>,
+    hang_at: Option<f64>,
+}
+
+impl RankState<'_> {
+    /// Whether the rank can run a segment in the next phase.
+    fn runnable(&self) -> bool {
+        !self.done && self.blocked.is_none() && self.health.is_ok()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -204,13 +221,25 @@ struct RecvInst {
 struct Channel {
     sends: VecDeque<SendInst>,
     recvs: VecDeque<RecvInst>,
+    /// Matches made so far: keys the message-drop fault stream (the match
+    /// sequence *within* a channel is deterministic; the global
+    /// interleaving across channels is not).
+    matches: u64,
+    /// Already listed for matching in the current inter-phase step.
+    touched: bool,
 }
+
+/// One arrival at a collective: (rank, post time, context, statement).
+type CollPost = (u32, f64, CtxId, StmtId);
 
 struct CollInst {
     kind: CommKindTag,
     bytes: u64,
-    posts: Vec<(u32, f64, CtxId, StmtId)>,
+    /// One entry per arrived rank (a rank posts an instance once).
+    posts: Vec<CollPost>,
     completion: Option<f64>,
+    /// The last arriver, fixed when the instance completes.
+    late: Option<CollPost>,
 }
 
 /// A cross-rank action buffered during a segment and published by the
@@ -248,12 +277,12 @@ struct RankCtx<'p> {
 /// Matcher state owned by the (single-threaded) inter-phase scheduler.
 #[derive(Default)]
 struct Shared {
-    channels: HashMap<(u32, u32, u32), Channel>,
-    /// Per-channel match counters keying the message-drop fault stream
-    /// (the match sequence *within* a channel is deterministic; the
-    /// global interleaving across channels is not).
-    chan_matches: HashMap<(u32, u32, u32), u64>,
-    collectives: HashMap<u64, CollInst>,
+    channels: IntMap<(u32, u32, u32), Channel>,
+    /// Collective instances, indexed by the per-rank sequence number
+    /// every rank counts identically.
+    collectives: Vec<CollInst>,
+    /// Every instance below this index has completed.
+    open_coll: usize,
     /// Cross-rank dependence edges; each endpoint's context lives in
     /// that endpoint rank's shard until the final merge remaps them.
     msg_edges: Vec<MsgEdge>,
@@ -316,7 +345,6 @@ fn push_req(
         post,
         completion: None,
         matched: None,
-        live: true,
     });
     state.outstanding.push(slot);
     slot
@@ -324,21 +352,39 @@ fn push_req(
 
 // ------------------------------------------------------------- segments
 
-/// Read-only context for running one rank's segment. Holds the phase's
-/// crash *snapshot*: a rank crashing mid-phase becomes visible to its
-/// peers only at the next phase boundary, which keeps segments
-/// order-independent.
+/// Read-only context for running rank segments, shared by every thread
+/// that runs them. `crashed` is the phase's crash *snapshot*: only the
+/// scheduler writes it, and only between phases, so a rank crashing
+/// mid-phase becomes visible to its peers at the next phase boundary,
+/// which keeps segments order-independent. `Relaxed` suffices: a pool
+/// thread reads it after taking the [`PoolCtrl`] mutex the scheduler
+/// released to start the phase.
 struct SegCtx<'a, 'p> {
     prog: &'p Program,
     cfg: &'a RunConfig,
     params: &'a HashMap<String, f64>,
-    crashed: &'a [bool],
+    crashed: &'a [AtomicBool],
 }
 
 impl<'a, 'p> SegCtx<'a, 'p> {
-    /// Run one rank until it blocks, finishes, faults or errors.
-    fn run_segment(&self, rc: &mut RankCtx<'p>) {
+    /// Run the segment of every runnable rank of `rankctxs`. A segment
+    /// touches only its own rank, so any split of a phase's ranks among
+    /// threads gives the same result.
+    fn run_segments(&self, rankctxs: &[Mutex<RankCtx<'p>>]) {
+        for m in rankctxs {
+            self.run_segment(m);
+        }
+    }
+
+    /// Run one rank, if it can run, until it blocks, finishes, faults or
+    /// errors.
+    fn run_segment(&self, m: &Mutex<RankCtx<'p>>) {
+        let rc = &mut *m.lock().unwrap();
+        if !rc.state.runnable() {
+            return;
+        }
         let t0 = self.cfg.obs.now_us();
+        let mut steps = 0u64;
         loop {
             // A scheduled crash/hang fires at the first event boundary at
             // or after its virtual time.
@@ -346,8 +392,12 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 break;
             }
             match self.step(rc) {
-                Ok(StepOutcome::Progress) => continue,
-                Ok(StepOutcome::Blocked | StepOutcome::Done) => break,
+                Ok(StepOutcome::Progress) => steps += 1,
+                Ok(StepOutcome::Blocked) => {
+                    steps += 1;
+                    break;
+                }
+                Ok(StepOutcome::Done) => break,
                 Err(e) => {
                     rc.error = Some(e);
                     break;
@@ -364,6 +414,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                 &[("vclock_us", rc.state.clock)],
             );
             self.cfg.obs.count("simrt.segments", 1);
+            self.cfg.obs.count("simrt.steps", steps);
         }
     }
 
@@ -373,15 +424,14 @@ impl<'a, 'p> SegCtx<'a, 'p> {
         if rc.state.done || !rc.state.health.is_ok() {
             return false;
         }
-        let rank = rc.state.rank;
-        if let Some(&t) = self.cfg.faults.crash.get(&rank) {
+        if let Some(t) = rc.state.crash_at {
             if rc.state.clock >= t {
                 let at = rc.state.clock.max(t);
                 crash_state(&mut rc.state, at);
                 return true;
             }
         }
-        if let Some(&t) = self.cfg.faults.hang.get(&rank) {
+        if let Some(t) = rc.state.hang_at {
             if rc.state.clock >= t {
                 let at = rc.state.clock.max(t);
                 stall_state(&mut rc.state, at, true);
@@ -393,7 +443,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 
     /// True when `rank` was crashed as of the start of this phase.
     fn is_crashed(&self, rank: u32) -> bool {
-        self.crashed[rank as usize]
+        self.crashed[rank as usize].load(Ordering::Relaxed)
     }
 
     fn ectx<'s>(&'s self, state: &'s RankState<'p>) -> EvalCtx<'s> {
@@ -415,7 +465,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
         debug_assert!(dt >= 0.0);
         let t0 = rc.state.clock;
         let t1 = t0 + dt;
-        let fired = rc.shard.account(rc.state.rank, 0, ctx, t0, t1);
+        let fired = rc.shard.account(0, ctx, t0, t1);
         rc.state.clock = t1 + fired as f64 * rc.shard.sample_cost_us();
     }
 
@@ -465,18 +515,11 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 
         match &stmt.kind {
             StmtKind::Compute { cost_us, pmu, .. } => {
-                let slow = self
-                    .cfg
-                    .rank_slowdown
-                    .get(&rc.state.rank)
-                    .copied()
-                    .unwrap_or(1.0);
-                let dt = cost_us.eval(&self.ectx(&rc.state)).max(0.0) * slow;
+                let dt = cost_us.eval(&self.ectx(&rc.state)).max(0.0) * rc.state.slow;
                 let t0 = rc.state.clock;
                 self.advance(rc, dt, ctx);
                 rc.shard.pmu(ctx, dt, pmu);
-                let rank = rc.state.rank;
-                rc.shard.trace(rank, stmt.id, t0, t0 + dt);
+                rc.shard.trace(stmt.id, t0, t0 + dt);
                 rc.state.clock += rc.shard.trace_probe_cost_us();
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 Ok(StepOutcome::Progress)
@@ -545,13 +588,6 @@ impl<'a, 'p> SegCtx<'a, 'p> {
             StmtKind::ThreadRegion { threads, body } => {
                 let t = threads.eval_u64(&self.ectx(&rc.state)).max(1) as u32;
                 let start = rc.state.clock;
-                let iters = rc.state.iters.clone();
-                let slow = self
-                    .cfg
-                    .rank_slowdown
-                    .get(&rc.state.rank)
-                    .copied()
-                    .unwrap_or(1.0);
                 let end = run_thread_region(
                     self.prog,
                     body,
@@ -562,8 +598,8 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                     t,
                     self.params,
                     self.cfg.seed,
-                    &iters,
-                    slow,
+                    &rc.state.iters,
+                    rc.state.slow,
                     &mut rc.shard,
                 )?;
                 rc.state.clock = end;
@@ -588,7 +624,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                     release: t0 + hold,
                     blocked_by: None,
                 });
-                rc.shard.trace(rank, stmt.id, t0, t0 + hold);
+                rc.shard.trace(stmt.id, t0, t0 + hold);
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 Ok(StepOutcome::Progress)
             }
@@ -648,7 +684,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
             complete: post + overhead,
             wait: 0.0,
         });
-        rc.shard.trace(rank, stmt, post, post + overhead);
+        rc.shard.trace(stmt, post, post + overhead);
         rc.state.frames.last_mut().unwrap().idx += 1;
     }
 
@@ -702,7 +738,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                     complete: post + overhead,
                     wait: 0.0,
                 });
-                rc.shard.trace(rank, stmt.id, post, post + overhead);
+                rc.shard.trace(stmt.id, post, post + overhead);
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 Ok(StepOutcome::Progress)
             }
@@ -737,7 +773,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                     complete: post + overhead,
                     wait: 0.0,
                 });
-                rc.shard.trace(rank, stmt.id, post, post + overhead);
+                rc.shard.trace(stmt.id, post, post + overhead);
                 rc.state.frames.last_mut().unwrap().idx += 1;
                 Ok(StepOutcome::Progress)
             }
@@ -776,7 +812,7 @@ impl<'a, 'p> SegCtx<'a, 'p> {
                         complete: post + overhead,
                         wait: 0.0,
                     });
-                    rc.shard.trace(rank, stmt.id, post, post + overhead);
+                    rc.shard.trace(stmt.id, post, post + overhead);
                     rc.state.frames.last_mut().unwrap().idx += 1;
                     Ok(StepOutcome::Progress)
                 } else {
@@ -914,55 +950,45 @@ impl<'a, 'p> SegCtx<'a, 'p> {
 
 // ------------------------------------------------------------ scheduler
 
+/// The scheduler thread starts every phase alone and shares the rest
+/// with the pool once the remaining segments, at the pace of those it has
+/// run, would take this long inline. Waking a helper costs tens of µs,
+/// and whatever a helper allocates it page-faults in afresh each run
+/// (its allocator arena does not stay warm the way the scheduler
+/// thread's does), so shorter phases are faster inline. Host time may
+/// pick the path because both compute the same bits.
+const POOL_PAYS: Duration = Duration::from_millis(2);
+
 /// The inter-phase scheduler: runs on one thread, owns the matcher state,
 /// and performs every cross-rank step in rank order.
 struct Sched<'a, 'p> {
-    prog: &'p Program,
+    seg: &'a SegCtx<'a, 'p>,
     cfg: &'a RunConfig,
-    params: &'a HashMap<String, f64>,
     rankctxs: &'a [Mutex<RankCtx<'p>>],
     shared: &'a mut Shared,
-    /// Live crashed set (updated as crashes are discovered; snapshotted
-    /// once per phase for the segments).
-    crashed: Vec<bool>,
 }
 
 impl<'a, 'p> Sched<'a, 'p> {
-    fn drive(&mut self, pool: Option<(&PoolCtrl, usize)>) -> Result<(), SimError> {
-        let n = self.rankctxs.len();
-        let mut runnable = vec![false; n];
+    fn drive(&mut self, pool: Option<(&PoolCtrl, &dyn Fn())>) -> Result<(), SimError> {
+        // Ranks that can run a segment in the coming phase.
+        let mut nrun = self.rankctxs.len();
         let mut phase_idx: u64 = 0;
         loop {
-            // Phase start: snapshot who can run and who is (already) dead.
-            let mut progressed = false;
-            for (r, flag) in runnable.iter_mut().enumerate() {
-                let rc = self.rankctxs[r].lock().unwrap();
-                *flag = !rc.state.done && rc.state.blocked.is_none() && rc.state.health.is_ok();
-                progressed |= *flag;
-            }
             // Segments: the identical per-rank code runs either inline
-            // (serial) or strided across the pool — bit-identical by
+            // (serial) or shared out among the pool — bit-identical by
             // construction since segments touch only rank-local state.
+            let progressed = nrun > 0;
             if progressed {
                 let t0 = self.cfg.obs.now_us();
                 match pool {
-                    Some((ctrl, nworkers)) => ctrl.run_phase(nworkers, &runnable, &self.crashed),
-                    None => {
-                        let seg = SegCtx {
-                            prog: self.prog,
-                            cfg: self.cfg,
-                            params: self.params,
-                            crashed: &self.crashed,
-                        };
-                        for (r, &run) in runnable.iter().enumerate() {
-                            if run {
-                                seg.run_segment(&mut self.rankctxs[r].lock().unwrap());
-                            }
-                        }
+                    // The first phase builds every rank's context tree
+                    // and buffers: all allocation, so never shared.
+                    Some((ctrl, spawn)) if phase_idx > 0 => {
+                        ctrl.run_phase(self.seg, self.rankctxs, spawn)
                     }
+                    _ => self.seg.run_segments(self.rankctxs),
                 }
                 if self.cfg.obs.is_enabled() {
-                    let nrun = runnable.iter().filter(|&&x| x).count();
                     self.cfg.obs.record_span(
                         obs::Layer::Simrt,
                         "phase",
@@ -975,104 +1001,14 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
                 phase_idx += 1;
             }
-            // Errors surface in rank order, independent of scheduling.
-            for m in self.rankctxs {
-                if let Some(e) = m.lock().unwrap().error.take() {
-                    return Err(e);
-                }
-            }
-            // Publish buffered effects in rank order.
-            let mut touched_chans: Vec<(u32, u32, u32)> = Vec::new();
-            let mut touched_colls: Vec<u64> = Vec::new();
-            for m in self.rankctxs {
-                let effects = std::mem::take(&mut m.lock().unwrap().effects);
-                for eff in effects {
-                    match eff {
-                        Effect::Send { key, inst } => {
-                            if !touched_chans.contains(&key) {
-                                touched_chans.push(key);
-                            }
-                            self.shared
-                                .channels
-                                .entry(key)
-                                .or_default()
-                                .sends
-                                .push_back(inst);
-                        }
-                        Effect::Recv { key, inst } => {
-                            if !touched_chans.contains(&key) {
-                                touched_chans.push(key);
-                            }
-                            self.shared
-                                .channels
-                                .entry(key)
-                                .or_default()
-                                .recvs
-                                .push_back(inst);
-                        }
-                        Effect::Coll {
-                            inst,
-                            kind,
-                            bytes,
-                            rank,
-                            post,
-                            ctx,
-                            stmt,
-                        } => {
-                            if !touched_colls.contains(&inst) {
-                                touched_colls.push(inst);
-                            }
-                            let entry =
-                                self.shared
-                                    .collectives
-                                    .entry(inst)
-                                    .or_insert_with(|| CollInst {
-                                        kind,
-                                        bytes: 0,
-                                        posts: Vec::new(),
-                                        completion: None,
-                                    });
-                            debug_assert_eq!(
-                                entry.kind, kind,
-                                "ranks disagree on collective {inst}: {:?} vs {kind:?}",
-                                entry.kind
-                            );
-                            entry.bytes = entry.bytes.max(bytes);
-                            entry.posts.push((rank, post, ctx, stmt));
-                        }
-                    }
-                }
-            }
-            for key in &touched_chans {
-                self.try_match(*key);
-            }
             // Crash sweep: notify peers of ranks that died this phase.
-            let mut any_crash = false;
-            for r in 0..n {
-                let newly = {
-                    let rc = self.rankctxs[r].lock().unwrap();
-                    match rc.state.health {
-                        Health::Crashed(at) if !self.crashed[r] => Some(at),
-                        _ => None,
-                    }
-                };
-                if let Some(at) = newly {
-                    self.crashed[r] = true;
-                    self.notify_crash(r as u32, at);
-                    any_crash = true;
-                }
+            for (dead, at) in self.publish_effects()? {
+                self.seg.crashed[dead as usize].store(true, Ordering::Relaxed);
+                self.notify_crash(dead, at);
             }
-            for inst in &touched_colls {
-                self.complete_collective_if_ready(*inst);
-            }
-            if any_crash {
-                self.recheck_collectives();
-            }
-            let resolved = self.resolve_blocked();
-            let all_done = self.rankctxs.iter().all(|m| {
-                let rc = m.lock().unwrap();
-                rc.state.done || !rc.state.health.is_ok()
-            });
+            self.complete_ready_collectives();
+            let (resolved, runnable, all_done) = self.resolve_blocked();
+            nrun = runnable;
             if all_done {
                 return self.check_injected_hangs();
             }
@@ -1088,7 +1024,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                 if self.any_injected_hang() {
                     return Err(self.hang_error(blocked));
                 }
-                if self.crashed.iter().any(|&c| c) {
+                if self.seg.crashed.iter().any(|c| c.load(Ordering::Relaxed)) {
                     // Survivors stuck forever behind the crash (e.g. a
                     // dependence the fail-fast notification cannot break):
                     // mark them hung and degrade gracefully to a partial
@@ -1107,40 +1043,103 @@ impl<'a, 'p> Sched<'a, 'p> {
         }
     }
 
+    /// Publish every rank's buffered effects in rank order, then pair
+    /// what became matchable, channel by channel in first-touched order.
+    /// Returns the ranks that crashed during the phase. A segment's
+    /// deferred error surfaces here, lowest rank first, independent of
+    /// scheduling.
+    fn publish_effects(&mut self) -> Result<Vec<(u32, f64)>, SimError> {
+        let mut touched = Vec::new();
+        let mut died = Vec::new();
+        for m in self.rankctxs {
+            let mut rc = m.lock().unwrap();
+            if let Some(e) = rc.error.take() {
+                return Err(e);
+            }
+            match rc.state.health {
+                Health::Crashed(at) if !self.seg.is_crashed(rc.state.rank) => {
+                    died.push((rc.state.rank, at))
+                }
+                _ => {}
+            }
+            for eff in rc.effects.drain(..) {
+                match eff {
+                    Effect::Send { key, inst } => {
+                        self.shared.channel(key, &mut touched).sends.push_back(inst)
+                    }
+                    Effect::Recv { key, inst } => {
+                        self.shared.channel(key, &mut touched).recvs.push_back(inst)
+                    }
+                    Effect::Coll {
+                        inst,
+                        kind,
+                        bytes,
+                        rank,
+                        post,
+                        ctx,
+                        stmt,
+                    } => {
+                        // A rank reaches instance k only through k-1, so
+                        // a new instance is always the next index.
+                        let colls = &mut self.shared.collectives;
+                        if inst as usize == colls.len() {
+                            colls.push(CollInst {
+                                kind,
+                                bytes: 0,
+                                posts: Vec::with_capacity(self.rankctxs.len()),
+                                completion: None,
+                                late: None,
+                            });
+                        }
+                        let entry = &mut colls[inst as usize];
+                        debug_assert_eq!(
+                            entry.kind, kind,
+                            "ranks disagree on collective {inst}: {:?} vs {kind:?}",
+                            entry.kind
+                        );
+                        entry.bytes = entry.bytes.max(bytes);
+                        entry.posts.push((rank, post, ctx, stmt));
+                    }
+                }
+            }
+        }
+        for key in touched {
+            self.try_match(key);
+        }
+        Ok(died)
+    }
+
     // -------------------------------------------------- fault machinery
 
     /// Force pending scheduled faults onto blocked ranks (quiescence
     /// watchdog path). Returns whether anything fired.
     fn apply_scheduled_faults_to_blocked(&mut self) -> bool {
         let mut any = false;
-        for r in 0..self.rankctxs.len() {
-            let rank = r as u32;
-            let crash_t = self.cfg.faults.crash.get(&rank).copied();
-            let hang_t = self.cfg.faults.hang.get(&rank).copied();
-            if crash_t.is_none() && hang_t.is_none() {
-                continue;
-            }
-            let mut fired_crash: Option<f64> = None;
-            {
-                let mut rc = self.rankctxs[r].lock().unwrap();
-                if rc.state.done || !rc.state.health.is_ok() || rc.state.blocked.is_none() {
+        for (r, m) in self.rankctxs.iter().enumerate() {
+            let fired_crash = {
+                let mut rc = m.lock().unwrap();
+                let state = &mut rc.state;
+                if state.done || !state.health.is_ok() || state.blocked.is_none() {
                     continue;
                 }
-                if let Some(t) = crash_t {
-                    let at = rc.state.clock.max(t);
-                    crash_state(&mut rc.state, at);
-                    fired_crash = Some(at);
+                if let Some(t) = state.crash_at {
+                    let at = state.clock.max(t);
+                    crash_state(state, at);
                     any = true;
-                } else if let Some(t) = hang_t {
-                    let at = rc.state.clock.max(t);
-                    stall_state(&mut rc.state, at, true);
-                    any = true;
+                    Some(at)
+                } else {
+                    if let Some(t) = state.hang_at {
+                        let at = state.clock.max(t);
+                        stall_state(state, at, true);
+                        any = true;
+                    }
+                    None
                 }
-            }
+            };
             if let Some(at) = fired_crash {
-                self.crashed[r] = true;
-                self.notify_crash(rank, at);
-                self.recheck_collectives();
+                self.seg.crashed[r].store(true, Ordering::Relaxed);
+                self.notify_crash(r as u32, at);
+                self.complete_ready_collectives();
             }
         }
         any
@@ -1156,7 +1155,7 @@ impl<'a, 'p> Sched<'a, 'p> {
             }
             let mut rc = m.lock().unwrap();
             for req in &mut rc.state.reqs {
-                if req.live && req.peer == dead && req.completion.is_none() {
+                if req.peer == dead && req.completion.is_none() {
                     req.completion = Some(req.post.max(at));
                 }
             }
@@ -1247,37 +1246,35 @@ impl<'a, 'p> Sched<'a, 'p> {
     /// Match pending sends/recvs on one channel, computing completions.
     fn try_match(&mut self, key: (u32, u32, u32)) {
         let rankctxs = self.rankctxs;
-        loop {
-            let (send, recv) = {
-                let Some(chan) = self.shared.channels.get_mut(&key) else {
-                    return;
-                };
-                if chan.sends.is_empty() || chan.recvs.is_empty() {
-                    return;
-                }
-                (
-                    chan.sends.pop_front().unwrap(),
-                    chan.recvs.pop_front().unwrap(),
-                )
-            };
-            let overhead = self.cfg.network.op_overhead_us;
-            let mut transfer = self.cfg.network.transfer_us(send.bytes);
+        let cfg = self.cfg;
+        let Shared {
+            channels,
+            msg_edges,
+            retransmits,
+            ..
+        } = &mut *self.shared;
+        let chan = channels.get_mut(&key).expect("touched channels exist");
+        chan.touched = false;
+        while !chan.sends.is_empty() && !chan.recvs.is_empty() {
+            let send = chan.sends.pop_front().expect("checked non-empty");
+            let recv = chan.recvs.pop_front().expect("checked non-empty");
+            let overhead = cfg.network.op_overhead_us;
+            let mut transfer = cfg.network.transfer_us(send.bytes);
             // Injected network fault: this message is dropped and
             // retransmitted after a timeout, stretching its transfer.
             // Each match is keyed by its channel and its index in that
             // channel's (deterministic, FIFO) match sequence, so the drop
             // pattern replays under a seed no matter how matching work
             // interleaves across channels.
-            if self.cfg.faults.msg_drop_rate > 0.0 {
-                let ctr = self.shared.chan_matches.entry(key).or_insert(0);
-                let id = *ctr;
-                *ctr += 1;
+            if cfg.faults.msg_drop_rate > 0.0 {
+                let id = chan.matches;
+                chan.matches += 1;
                 let chan_id = ((key.0 as u64) << 42) ^ ((key.1 as u64) << 21) ^ key.2 as u64;
-                if fault_roll(self.cfg.seed, FaultStream::MsgDrop, chan_id, id)
-                    < self.cfg.faults.msg_drop_rate
+                if fault_roll(cfg.seed, FaultStream::MsgDrop, chan_id, id)
+                    < cfg.faults.msg_drop_rate
                 {
-                    transfer += self.cfg.faults.msg_delay_us;
-                    self.shared.retransmits += 1;
+                    transfer += cfg.faults.msg_delay_us;
+                    *retransmits += 1;
                 }
             }
             let (send_complete, xfer_end) = if send.eager {
@@ -1288,43 +1285,37 @@ impl<'a, 'p> Sched<'a, 'p> {
             };
             let recv_complete = recv.post.max(xfer_end);
 
-            // Sender side.
-            match send.req_slot {
-                Some(slot) => {
-                    let mut rc = rankctxs[send.rank as usize].lock().unwrap();
+            // Sender side. An eager send completed locally at post time:
+            // nothing to resolve — and its request slot may have been
+            // retired and reused long before this match.
+            if !send.eager {
+                let mut rc = rankctxs[send.rank as usize].lock().unwrap();
+                if let Some(slot) = send.req_slot {
                     let req = &mut rc.state.reqs[slot];
                     req.completion = Some(send_complete);
                     req.matched = Some((recv.rank, recv.stmt, recv.ctx));
-                }
-                None if send.eager => {
-                    // Eager blocking send: completed locally at post time;
-                    // nothing to resolve on the sender side.
-                }
-                None => {
+                } else {
                     // Blocking rendezvous send: unblock.
-                    {
-                        let mut rc = rankctxs[send.rank as usize].lock().unwrap();
-                        if let Some(b) = rc.state.blocked.as_mut() {
-                            debug_assert!(
-                                matches!(
-                                    b.info,
-                                    BlockInfo::P2p {
-                                        kind: CommKindTag::Send,
-                                        ..
-                                    }
-                                ),
-                                "rendezvous sender must be blocked on its send"
-                            );
-                            b.resume = Some(send_complete);
-                            if let BlockInfo::P2p { matched, .. } = &mut b.info {
-                                *matched = Some((recv.rank, recv.stmt, recv.ctx));
-                            }
+                    if let Some(b) = rc.state.blocked.as_mut() {
+                        debug_assert!(
+                            matches!(
+                                b.info,
+                                BlockInfo::P2p {
+                                    kind: CommKindTag::Send,
+                                    ..
+                                }
+                            ),
+                            "rendezvous sender must be blocked on its send"
+                        );
+                        b.resume = Some(send_complete);
+                        if let BlockInfo::P2p { matched, .. } = &mut b.info {
+                            *matched = Some((recv.rank, recv.stmt, recv.ctx));
                         }
                     }
                     // Late receiver delayed the sender: dependence edge
                     // receiver → sender.
-                    if recv.post > send.post {
-                        self.msg_edge(MsgEdge {
+                    if recv.post > send.post && cfg.collection.collect_comm {
+                        msg_edges.push(MsgEdge {
                             src_rank: recv.rank,
                             src_stmt: recv.stmt,
                             src_ctx: recv.ctx,
@@ -1339,97 +1330,78 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
             }
             // Receiver side.
-            match recv.req_slot {
-                Some(slot) => {
-                    let mut rc = rankctxs[recv.rank as usize].lock().unwrap();
-                    let req = &mut rc.state.reqs[slot];
-                    req.completion = Some(recv_complete);
-                    req.matched = Some((send.rank, send.stmt, send.ctx));
-                }
-                None => {
-                    let mut rc = rankctxs[recv.rank as usize].lock().unwrap();
-                    if let Some(b) = rc.state.blocked.as_mut() {
-                        b.resume = Some(recv_complete);
-                        if let BlockInfo::P2p { matched, .. } = &mut b.info {
-                            *matched = Some((send.rank, send.stmt, send.ctx));
-                        }
-                    }
+            let mut rc = rankctxs[recv.rank as usize].lock().unwrap();
+            let matched_send = Some((send.rank, send.stmt, send.ctx));
+            if let Some(slot) = recv.req_slot {
+                let req = &mut rc.state.reqs[slot];
+                req.completion = Some(recv_complete);
+                req.matched = matched_send;
+            } else if let Some(b) = rc.state.blocked.as_mut() {
+                b.resume = Some(recv_complete);
+                if let BlockInfo::P2p { matched, .. } = &mut b.info {
+                    *matched = matched_send;
                 }
             }
         }
     }
 
-    /// A collective completes when every *live* (non-crashed) rank has
-    /// posted; crashed ranks are dropped from the membership (the
-    /// shrunken communicator), while hung ranks still count — a hang
-    /// blocks collectives, which is how it propagates.
-    fn collective_ready(&self, inst: &CollInst) -> bool {
-        (0..self.cfg.nranks)
-            .filter(|&x| !self.crashed[x as usize])
-            .all(|x| inst.posts.iter().any(|&(pr, _, _, _)| pr == x))
-    }
-
-    /// Complete collective `inst` if every live rank has posted.
-    fn complete_collective_if_ready(&mut self, inst: u64) {
-        let Some(c) = self.shared.collectives.get(&inst) else {
-            return;
-        };
-        if c.completion.is_some() || !self.collective_ready(c) {
-            return;
+    /// Complete every open collective whose live ranks have all arrived.
+    /// Crashed ranks are dropped from the membership (the shrunken
+    /// communicator), while hung ranks still count — a hang blocks
+    /// collectives, which is how it propagates. A rank posts an instance
+    /// at most once, so "every live rank posted" is a count, and only a
+    /// new post or a crash can make it true.
+    fn complete_ready_collectives(&mut self) {
+        let seg = self.seg;
+        let live = (0..self.cfg.nranks).filter(|&r| !seg.is_crashed(r)).count();
+        let shared = &mut *self.shared;
+        for c in &mut shared.collectives[shared.open_coll..] {
+            if c.completion.is_some()
+                || c.posts.iter().filter(|p| !seg.is_crashed(p.0)).count() < live
+            {
+                continue;
+            }
+            let cost = collective_cost(&self.cfg.network, c.kind, c.bytes, self.cfg.nranks);
+            let max_post = c
+                .posts
+                .iter()
+                .map(|&(_, p, _, _)| p)
+                .fold(f64::NEG_INFINITY, f64::max);
+            c.completion = Some(max_post + cost);
+            c.late = c.posts.iter().max_by(|a, b| a.1.total_cmp(&b.1)).copied();
+            // Resuming ranks read `completion` and `late` only.
+            c.posts = Vec::new();
         }
-        let cost = collective_cost(&self.cfg.network, c.kind, c.bytes, self.cfg.nranks);
-        let entry = self
-            .shared
-            .collectives
-            .get_mut(&inst)
-            .expect("instance exists: fetched above");
-        let max_post = entry
-            .posts
-            .iter()
-            .map(|&(_, p, _, _)| p)
-            .fold(f64::NEG_INFINITY, f64::max);
-        entry.completion = Some(max_post + cost);
-    }
-
-    /// Re-evaluate pending collectives after a crash shrank the
-    /// membership: instances now complete over the survivors.
-    fn recheck_collectives(&mut self) {
-        let insts: Vec<u64> = self
-            .shared
-            .collectives
-            .iter()
-            .filter(|(_, c)| c.completion.is_none())
-            .map(|(&i, _)| i)
-            .collect();
-        for i in insts {
-            self.complete_collective_if_ready(i);
+        while (shared.collectives.get(shared.open_coll)).is_some_and(|c| c.completion.is_some()) {
+            shared.open_coll += 1;
         }
     }
 
     // -------------------------------------------------------- resolution
 
     /// Resolve blocked ranks whose completion is now computable, in rank
-    /// order. Returns whether any rank was unblocked.
-    fn resolve_blocked(&mut self) -> bool {
-        let mut any = false;
-        let rankctxs = self.rankctxs;
-        for (r, cell) in rankctxs.iter().enumerate() {
-            let blocked = cell.lock().unwrap().state.blocked.take();
-            let Some(blocked) = blocked else {
-                continue;
-            };
-            if self.try_finish(r, &blocked) {
-                any = true;
-            } else {
-                cell.lock().unwrap().state.blocked = Some(blocked);
+    /// order. Returns whether any rank was unblocked, how many ranks can
+    /// run a segment next, and whether every rank has finished or faulted.
+    fn resolve_blocked(&mut self) -> (bool, usize, bool) {
+        let (mut any, mut runnable, mut all_done) = (false, 0, true);
+        for m in self.rankctxs {
+            let mut rc = m.lock().unwrap();
+            if let Some(blocked) = rc.state.blocked.take() {
+                if self.try_finish(&mut rc, &blocked) {
+                    any = true;
+                } else {
+                    rc.state.blocked = Some(blocked);
+                }
             }
+            runnable += rc.state.runnable() as usize;
+            all_done &= rc.state.done || !rc.state.health.is_ok();
         }
-        any
+        (any, runnable, all_done)
     }
 
     /// Attempt to complete a blocked operation; true if the rank resumed.
-    fn try_finish(&mut self, r: usize, blocked: &Blocked) -> bool {
-        let rankctxs = self.rankctxs;
+    fn try_finish(&mut self, rc: &mut RankCtx<'p>, blocked: &Blocked) -> bool {
+        let rank = rc.state.rank;
         match &blocked.info {
             BlockInfo::P2p {
                 kind,
@@ -1443,10 +1415,8 @@ impl<'a, 'p> Sched<'a, 'p> {
                 let Some(resume) = blocked.resume else {
                     return false;
                 };
-                let mut rc = rankctxs[r].lock().unwrap();
-                let rank = rc.state.rank;
                 let wait = (resume - post).max(0.0);
-                let fired = rc.shard.account(rank, 0, *ctx, *post, resume);
+                let fired = rc.shard.account(0, *ctx, *post, resume);
                 let resume = resume + fired as f64 * rc.shard.sample_cost_us();
                 rc.shard.comm(CommRecord {
                     rank,
@@ -1459,7 +1429,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                     complete: resume,
                     wait,
                 });
-                rc.shard.trace(rank, *stmt, *post, resume);
+                rc.shard.trace(*stmt, *post, resume);
                 if *kind == CommKindTag::Recv && wait > 0.0 {
                     if let Some((src_rank, src_stmt, src_ctx)) = matched {
                         self.msg_edge(MsgEdge {
@@ -1477,7 +1447,6 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
                 rc.state.clock = resume.max(rc.state.clock);
                 rc.state.frames.last_mut().unwrap().idx += 1;
-                rc.state.blocked = None;
                 true
             }
             BlockInfo::Wait {
@@ -1486,28 +1455,22 @@ impl<'a, 'p> Sched<'a, 'p> {
                 stmt,
                 post,
             } => {
-                let completion = rankctxs[r].lock().unwrap().state.reqs[*slot].completion;
-                let Some(completion) = completion else {
+                let Some(completion) = rc.state.reqs[*slot].completion else {
                     return false;
                 };
                 let resume = completion.max(*post);
-                self.finish_requests(r, &[*slot], *ctx, *stmt, *post, resume, CommKindTag::Wait);
+                self.finish_requests(rc, Some(*slot), *ctx, *stmt, *post, resume);
                 true
             }
             BlockInfo::Waitall { ctx, stmt, post } => {
-                let (slots, resume) = {
-                    let rc = rankctxs[r].lock().unwrap();
-                    let slots: Vec<usize> = rc.state.outstanding.clone();
-                    let mut resume = *post;
-                    for &s in &slots {
-                        match rc.state.reqs[s].completion {
-                            Some(c) => resume = resume.max(c),
-                            None => return false,
-                        }
+                let mut resume = *post;
+                for &s in &rc.state.outstanding {
+                    match rc.state.reqs[s].completion {
+                        Some(c) => resume = resume.max(c),
+                        None => return false,
                     }
-                    (slots, resume)
-                };
-                self.finish_requests(r, &slots, *ctx, *stmt, *post, resume, CommKindTag::Waitall);
+                }
+                self.finish_requests(rc, None, *ctx, *stmt, *post, resume);
                 true
             }
             BlockInfo::Coll {
@@ -1518,21 +1481,15 @@ impl<'a, 'p> Sched<'a, 'p> {
                 kind,
                 bytes,
             } => {
-                let Some(completion) = self.shared.collectives.get(inst).and_then(|c| c.completion)
-                else {
+                let c = &self.shared.collectives[*inst as usize];
+                let Some(completion) = c.completion else {
                     return false;
                 };
                 // Dependence edge from the last arriver to this rank.
-                let late = self
-                    .shared
-                    .collectives
-                    .get(inst)
-                    .and_then(|ci| ci.posts.iter().max_by(|a, b| a.1.total_cmp(&b.1)).copied());
-                let mut rc = rankctxs[r].lock().unwrap();
-                let rank = rc.state.rank;
+                let late = c.late;
                 let resume = completion.max(*post);
                 let wait = resume - post;
-                let fired = rc.shard.account(rank, 0, *ctx, *post, resume);
+                let fired = rc.shard.account(0, *ctx, *post, resume);
                 let resume = resume + fired as f64 * rc.shard.sample_cost_us();
                 rc.shard.comm(CommRecord {
                     rank,
@@ -1545,7 +1502,7 @@ impl<'a, 'p> Sched<'a, 'p> {
                     complete: resume,
                     wait,
                 });
-                rc.shard.trace(rank, *stmt, *post, resume);
+                rc.shard.trace(*stmt, *post, resume);
                 if let Some((late_rank, late_post, late_ctx, late_stmt)) = late {
                     if late_rank != rank && wait > 0.0 && late_post > *post {
                         self.msg_edge(MsgEdge {
@@ -1563,42 +1520,45 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
                 rc.state.clock = resume;
                 rc.state.frames.last_mut().unwrap().idx += 1;
-                rc.state.blocked = None;
                 true
             }
         }
     }
 
-    /// Complete a Wait/Waitall: retire request slots, record, resume.
-    #[allow(clippy::too_many_arguments)]
+    /// Complete an `MPI_Wait` on `slot`, or (`None`) an `MPI_Waitall` on
+    /// every outstanding request: retire the slots, record, resume.
     fn finish_requests(
         &mut self,
-        r: usize,
-        slots: &[usize],
+        rc: &mut RankCtx<'p>,
+        slot: Option<usize>,
         ctx: CtxId,
         stmt: StmtId,
         post: f64,
         resume: f64,
-        kind: CommKindTag,
     ) {
-        let rankctxs = self.rankctxs;
-        let mut rc = rankctxs[r].lock().unwrap();
         let rank = rc.state.rank;
+        let kind = match slot {
+            Some(_) => CommKindTag::Wait,
+            None => CommKindTag::Waitall,
+        };
         let wait = (resume - post).max(0.0);
-        let fired = rc.shard.account(rank, 0, ctx, post, resume);
+        let fired = rc.shard.account(0, ctx, post, resume);
         let resume = resume + fired as f64 * rc.shard.sample_cost_us();
+        let state = &mut rc.state;
+        let retired = match &slot {
+            Some(s) => std::slice::from_ref(s),
+            None => &state.outstanding[..],
+        };
         // A single-request wait reports its request's peer; Waitall has no
         // single peer.
-        let peer = if slots.len() == 1 {
-            rc.state.reqs[slots[0]].peer
-        } else {
-            u32::MAX
+        let peer = match retired {
+            [s] => state.reqs[*s].peer,
+            _ => u32::MAX,
         };
         let mut bytes_total = 0;
-        for &s in slots {
-            let req = rc.state.reqs[s].clone();
+        for &s in retired {
+            let req = &state.reqs[s];
             bytes_total += req.bytes;
-            rc.state.reqs[s].live = false;
             // A matched remote operation that delayed this wait produces a
             // dependence edge onto the wait statement.
             if let (Some((src_rank, src_stmt, src_ctx)), Some(c)) = (req.matched, req.completion) {
@@ -1617,7 +1577,17 @@ impl<'a, 'p> Sched<'a, 'p> {
                 }
             }
         }
-        rc.state.outstanding.retain(|s| !slots.contains(s));
+        match slot {
+            Some(s) => state.outstanding.retain(|&o| o != s),
+            None => state.outstanding.clear(),
+        }
+        // No match will look a retired slot up: a match completes the
+        // request it names (eager sends aside, which it leaves alone), and
+        // a request completed without one had a peer that crashed and
+        // will never match. So the slots are reused.
+        if state.outstanding.is_empty() {
+            state.reqs.clear();
+        }
         rc.shard.comm(CommRecord {
             rank,
             ctx,
@@ -1629,57 +1599,120 @@ impl<'a, 'p> Sched<'a, 'p> {
             complete: resume,
             wait,
         });
-        rc.shard.trace(rank, stmt, post, resume);
+        rc.shard.trace(stmt, post, resume);
         rc.state.clock = resume;
         rc.state.frames.last_mut().unwrap().idx += 1;
-        rc.state.blocked = None;
+    }
+}
+
+impl Shared {
+    /// The channel `key`, listed in `touched` the first time an
+    /// inter-phase step reaches it.
+    fn channel(
+        &mut self,
+        key: (u32, u32, u32),
+        touched: &mut Vec<(u32, u32, u32)>,
+    ) -> &mut Channel {
+        let chan = self.channels.entry(key).or_default();
+        if !chan.touched {
+            chan.touched = true;
+            touched.push(key);
+        }
+        chan
     }
 }
 
 // ---------------------------------------------------------- worker pool
 
+/// Ranks claimed at a time from [`PoolCtrl::next`].
+const CLAIM: usize = 4;
+
+#[derive(Default)]
 struct PoolState {
     generation: u64,
     shutdown: bool,
-    done_count: usize,
-    runnable: Vec<bool>,
-    crashed: Vec<bool>,
+    /// Helpers currently claiming ranks.
+    active: usize,
+    /// The helper threads exist (spawned when a phase is first shared).
+    spawned: bool,
 }
 
-/// Generation-barrier protocol for the persistent worker pool: the
-/// scheduler publishes a phase (runnable set + crash snapshot) by bumping
-/// `generation`; each worker runs its strided share of the runnable ranks
-/// and increments `done_count`; the scheduler waits for all workers.
+/// The helper threads and the part of a phase they help with. Once the
+/// scheduler decides to share a phase, every thread — the scheduler
+/// included — claims the remaining ranks [`CLAIM`] at a time from `next`;
+/// the scheduler wakes the helpers by bumping `generation`, never waits
+/// for one to arrive, and leaves the phase when no rank is unclaimed and
+/// no helper is `active`. A helper registers as active before it claims,
+/// so one that arrives after the phase ended finds `next` exhausted — or,
+/// arriving later still, joins the next shared phase.
 struct PoolCtrl {
     state: Mutex<PoolState>,
     start: Condvar,
     done: Condvar,
+    /// First unclaimed rank of the shared phase. `SeqCst`: a helper's
+    /// claim must see everything the scheduler wrote before it set the
+    /// counter, [`SegCtx::crashed`] included.
+    next: AtomicUsize,
+    /// [`POOL_PAYS`] (zero in tests, to share every phase).
+    pays: Duration,
 }
 
 impl PoolCtrl {
-    fn new(nranks: usize) -> Self {
-        PoolCtrl {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                shutdown: false,
-                done_count: 0,
-                runnable: vec![false; nranks],
-                crashed: vec![false; nranks],
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
+    /// Run the segments of claimed ranks until none is left unclaimed.
+    fn run_claimed<'p>(&self, seg: &SegCtx<'_, 'p>, rankctxs: &[Mutex<RankCtx<'p>>]) {
+        loop {
+            let r = self.next.fetch_add(CLAIM, Ordering::SeqCst);
+            if r >= rankctxs.len() {
+                return;
+            }
+            seg.run_segments(&rankctxs[r..rankctxs.len().min(r + CLAIM)]);
         }
     }
 
-    /// Run one phase on the pool; blocks until every worker finished.
-    fn run_phase(&self, nworkers: usize, runnable: &[bool], crashed: &[bool]) {
-        let mut st = self.state.lock().unwrap();
-        st.runnable.copy_from_slice(runnable);
-        st.crashed.copy_from_slice(crashed);
-        st.done_count = 0;
-        st.generation += 1;
+    /// Run one phase on the scheduler thread, sharing the rest with the
+    /// helpers (`spawn`ed the first time) once the remaining ranks, at
+    /// the pace of those already run, would take `pays` inline.
+    fn run_phase<'p>(
+        &self,
+        seg: &SegCtx<'_, 'p>,
+        rankctxs: &[Mutex<RankCtx<'p>>],
+        spawn: &dyn Fn(),
+    ) {
+        let n = rankctxs.len();
+        let t = Instant::now();
+        for r in 0..n {
+            // Look at the clock at doubling rank counts only; too short
+            // a sample of the phase's pace decides nothing.
+            if r >= CLAIM && r.is_power_of_two() {
+                let spent = t.elapsed();
+                if spent >= self.pays / 4 && spent * (n - r) as u32 >= self.pays * r as u32 {
+                    return self.share(seg, rankctxs, r, spawn);
+                }
+            }
+            seg.run_segment(&rankctxs[r]);
+        }
+    }
+
+    /// Share the ranks from `from` on; returns when all have run.
+    fn share<'p>(
+        &self,
+        seg: &SegCtx<'_, 'p>,
+        rankctxs: &[Mutex<RankCtx<'p>>],
+        from: usize,
+        spawn: &dyn Fn(),
+    ) {
+        self.next.store(from, Ordering::SeqCst);
+        {
+            let mut st = self.state.lock().unwrap();
+            st.generation += 1;
+            if !std::mem::replace(&mut st.spawned, true) {
+                spawn();
+            }
+        }
         self.start.notify_all();
-        while st.done_count < nworkers {
+        self.run_claimed(seg, rankctxs);
+        let mut st = self.state.lock().unwrap();
+        while st.active > 0 {
             st = self.done.wait(st).unwrap();
         }
     }
@@ -1690,18 +1723,10 @@ impl PoolCtrl {
     }
 }
 
-fn worker_loop<'p>(
-    w: usize,
-    nworkers: usize,
-    rankctxs: &[Mutex<RankCtx<'p>>],
-    ctrl: &PoolCtrl,
-    prog: &'p Program,
-    cfg: &RunConfig,
-    params: &HashMap<String, f64>,
-) {
+fn helper_loop<'p>(seg: &SegCtx<'_, 'p>, rankctxs: &[Mutex<RankCtx<'p>>], ctrl: &PoolCtrl) {
     let mut generation = 0u64;
     loop {
-        let (runnable, crashed) = {
+        {
             let mut st = ctrl.state.lock().unwrap();
             while !st.shutdown && st.generation == generation {
                 st = ctrl.start.wait(st).unwrap();
@@ -1710,24 +1735,12 @@ fn worker_loop<'p>(
                 return;
             }
             generation = st.generation;
-            (st.runnable.clone(), st.crashed.clone())
-        };
-        let seg = SegCtx {
-            prog,
-            cfg,
-            params,
-            crashed: &crashed,
-        };
-        let mut r = w;
-        while r < rankctxs.len() {
-            if runnable[r] {
-                seg.run_segment(&mut rankctxs[r].lock().unwrap());
-            }
-            r += nworkers;
+            st.active += 1;
         }
+        ctrl.run_claimed(seg, rankctxs);
         let mut st = ctrl.state.lock().unwrap();
-        st.done_count += 1;
-        if st.done_count == nworkers {
+        st.active -= 1;
+        if st.active == 0 {
             ctrl.done.notify_all();
         }
     }
@@ -1743,11 +1756,11 @@ impl<'p> Engine<'p> {
                     cfg.collection.clone(),
                     cfg.faults.clone(),
                     cfg.seed,
+                    rank,
                     cfg.nranks,
                     cfg.nthreads,
                     prog.entry,
-                )
-                .for_rank(rank);
+                );
                 let root = shard.data.cct.root();
                 Mutex::new(RankCtx {
                     state: RankState {
@@ -1767,6 +1780,9 @@ impl<'p> Engine<'p> {
                         done: false,
                         call_depth: 0,
                         health: Health::Ok,
+                        slow: cfg.rank_slowdown.get(&rank).copied().unwrap_or(1.0),
+                        crash_at: cfg.faults.crash.get(&rank).copied(),
+                        hang_at: cfg.faults.hang.get(&rank).copied(),
                     },
                     shard,
                     effects: Vec::new(),
@@ -1783,7 +1799,8 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn run(&mut self) -> Result<(), SimError> {
+    /// Simulate to completion; `pool_pays` is [`POOL_PAYS`].
+    fn run(&mut self, pool_pays: Duration) -> Result<(), SimError> {
         let nranks = self.cfg.nranks as usize;
         let workers = match self.cfg.sim_workers {
             Some(n) => n.max(1),
@@ -1792,30 +1809,40 @@ impl<'p> Engine<'p> {
                 .unwrap_or(1),
         }
         .min(nranks.max(1));
-        let prog = self.prog;
-        let cfg = self.cfg;
-        let params = &self.params;
+        let crashed: Vec<AtomicBool> = (0..nranks).map(|_| AtomicBool::new(false)).collect();
+        let seg = SegCtx {
+            prog: self.prog,
+            cfg: self.cfg,
+            params: &self.params,
+            crashed: &crashed,
+        };
         let rankctxs: &[Mutex<RankCtx<'p>>] = &self.rankctxs;
         let mut sched = Sched {
-            prog,
-            cfg,
-            params,
+            seg: &seg,
+            cfg: self.cfg,
             rankctxs,
             shared: &mut self.shared,
-            crashed: vec![false; nranks],
         };
         if workers <= 1 {
             return sched.drive(None);
         }
-        // The pool control block must outlive the scope's spawned threads,
-        // so it lives here, not inside the scope closure.
-        let ctrl = PoolCtrl::new(nranks);
+        // The scheduler thread is worker 0. The pool control block must
+        // outlive the scope's spawned threads, so it lives here, not
+        // inside the scope closure.
+        let ctrl = PoolCtrl {
+            state: Mutex::default(),
+            start: Condvar::new(),
+            done: Condvar::new(),
+            next: AtomicUsize::new(0),
+            pays: pool_pays,
+        };
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let ctrl = &ctrl;
-                s.spawn(move || worker_loop(w, workers, rankctxs, ctrl, prog, cfg, params));
-            }
-            let out = sched.drive(Some((&ctrl, workers)));
+            let spawn = || {
+                for _ in 1..workers {
+                    s.spawn(|| helper_loop(&seg, rankctxs, &ctrl));
+                }
+            };
+            let out = sched.drive(Some((&ctrl, &spawn)));
             ctrl.shutdown();
             out
         })
@@ -1830,6 +1857,7 @@ impl<'p> Engine<'p> {
                 self.cfg.collection.clone(),
                 self.cfg.faults.clone(),
                 self.cfg.seed,
+                0,
                 0,
                 self.cfg.nthreads,
                 self.prog.entry,
@@ -1856,5 +1884,102 @@ impl<'p> Engine<'p> {
             elapsed,
             statuses,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use progmodel::{c, noise, nranks, rank, ProgramBuilder};
+
+    /// Ring exchange with request slots that are retired and reused, a
+    /// rendezvous-sized message and a collective per iteration.
+    fn ring() -> Program {
+        let mut pb = ProgramBuilder::new("ring");
+        let main = pb.declare("main", "ring.c");
+        pb.define(main, |f| {
+            f.loop_("it", c(4.0), |b| {
+                b.compute("work", c(50.0) * noise(0.3, 1) + rank());
+                b.isend((rank() + 1.0).rem(nranks()), c(64.0), 1);
+                b.irecv((rank() + nranks() - 1.0).rem(nranks()), c(64.0), 1);
+                b.isend((rank() + 2.0).rem(nranks()), c(1e5), 2);
+                b.irecv((rank() + nranks() - 2.0).rem(nranks()), c(1e5), 2);
+                b.wait(3);
+                b.waitall();
+                b.allreduce(c(8.0));
+            });
+        });
+        pb.build(main)
+    }
+
+    /// With `pool_pays` zero every phase after the first is shared from
+    /// its fifth rank on, whatever the host clock says: the helper path,
+    /// forced, computes the serial run bit for bit.
+    #[test]
+    fn forced_sharing_matches_serial() {
+        let prog = ring();
+        let digest = |workers, pool_pays| {
+            let cfg = RunConfig::new(37).with_sim_workers(workers);
+            let mut engine = Engine::new(&prog, &cfg, HashMap::new());
+            engine.run(pool_pays).unwrap();
+            engine.finish().digest()
+        };
+        let serial = digest(1, POOL_PAYS);
+        assert_eq!(digest(3, Duration::ZERO), serial);
+        assert_eq!(digest(8, Duration::ZERO), serial);
+    }
+
+    /// An eager `Isend` is retired by the sender's `Waitall` a phase
+    /// before the receiver (held up by a third rank) posts; the late match
+    /// must not reach into the sender's request slots, which by then hold
+    /// a new request.
+    #[test]
+    fn late_match_of_a_retired_eager_isend_leaves_reused_slots_alone() {
+        let mut pb = ProgramBuilder::new("late");
+        let main = pb.declare("main", "late.c");
+        pb.define(main, |f| {
+            f.branch(
+                "sender",
+                rank().eq(0.0),
+                |s| {
+                    s.isend(c(1.0), c(64.0), 1);
+                    s.waitall();
+                    s.irecv(c(1.0), c(64.0), 2);
+                    s.wait(0);
+                },
+                |o| {
+                    o.branch(
+                        "receiver",
+                        rank().eq(1.0),
+                        |r| {
+                            r.recv(c(2.0), c(64.0), 9);
+                            r.recv(c(0.0), c(64.0), 1);
+                            r.compute("later", c(100.0));
+                            r.send(c(0.0), c(64.0), 2);
+                        },
+                        |t| {
+                            t.compute("late", c(100.0));
+                            t.send(c(1.0), c(64.0), 9);
+                        },
+                    );
+                },
+            );
+        });
+        let prog = pb.build(main);
+        let data = simulate(&prog, &RunConfig::new(3).serial_sim()).unwrap();
+        let wait = data
+            .comm_records
+            .iter()
+            .find(|r| r.kind == CommKindTag::Wait)
+            .expect("wait record");
+        // Rank 0 waits for rank 1's send, posted after ~200 µs of compute
+        // — not for the stale match of its own first message.
+        assert!(wait.complete > 200.0, "wait completed at {}", wait.complete);
+        let edge = data
+            .msg_edges
+            .iter()
+            .find(|e| e.kind == CommKindTag::Wait)
+            .expect("dependence edge onto the wait");
+        assert_eq!((edge.src_rank, edge.dst_rank), (1, 0));
     }
 }

@@ -26,6 +26,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod faults;
+mod hash;
 pub mod net;
 pub mod record;
 pub mod threads;

@@ -20,6 +20,7 @@ use progmodel::{CallTarget, EvalCtx, PmuSpec, Program, Stmt, StmtId, StmtKind};
 use crate::cct::{Cct, CtxFrame, CtxId};
 use crate::collector::Collector;
 use crate::error::SimError;
+use crate::hash::IntMap;
 use crate::record::LockRecord;
 
 const MAX_CALL_DEPTH: usize = 256;
@@ -87,8 +88,8 @@ pub fn run_thread_region(
     // Phase 2: process all threads, resolving lock contention FIFO.
     let mut cursor = vec![0usize; t_count as usize];
     let mut clock = vec![region_start; t_count as usize];
-    let mut lock_free: HashMap<u32, f64> = HashMap::new();
-    let mut lock_holder: HashMap<u32, (u32, StmtId, CtxId)> = HashMap::new();
+    // Per lock: when it is next free, and who holds it until then.
+    let mut locks: IntMap<u32, (f64, (u32, StmtId, CtxId))> = IntMap::default();
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(TotalF64, u32)>> =
         std::collections::BinaryHeap::new();
     let mut end = region_start;
@@ -111,9 +112,9 @@ pub fn run_thread_region(
                     } => {
                         let t0 = clock[t];
                         let t1 = t0 + dur;
-                        let fired = col.account(rank, $t, *ctx, t0, t1);
+                        let fired = col.account($t, *ctx, t0, t1);
                         col.pmu(*ctx, *dur, pmu);
-                        col.trace(rank, *stmt, t0, t1);
+                        col.trace(*stmt, t0, t1);
                         clock[t] =
                             t1 + fired as f64 * col.sample_cost_us() + col.trace_probe_cost_us();
                         cursor[t] += 1;
@@ -142,17 +143,13 @@ pub fn run_thread_region(
             } => (*lock, *hold, *ctx, *stmt),
             Seg::Compute { .. } => unreachable!("heap entries point at lock segments"),
         };
-        let free = lock_free.get(&lock).copied().unwrap_or(f64::NEG_INFINITY);
-        let acquire = req.max(free);
+        let held = locks.get(&lock).copied();
+        let acquire = req.max(held.map_or(f64::NEG_INFINITY, |(free, _)| free));
         let wait = acquire - req;
-        let blocked_by = if wait > 0.0 {
-            lock_holder.get(&lock).copied()
-        } else {
-            None
-        };
+        let blocked_by = held.filter(|_| wait > 0.0).map(|(_, holder)| holder);
         let release = acquire + hold;
-        let fired = col.account(rank, t, ctx, req, release);
-        col.trace(rank, stmt, req, release);
+        let fired = col.account(t, ctx, req, release);
+        col.trace(stmt, req, release);
         let probe = fired as f64 * col.sample_cost_us() + col.trace_probe_cost_us();
         col.lock(LockRecord {
             rank,
@@ -165,8 +162,7 @@ pub fn run_thread_region(
             release,
             blocked_by,
         });
-        lock_free.insert(lock, release);
-        lock_holder.insert(lock, (t, stmt, ctx));
+        locks.insert(lock, (release, (t, stmt, ctx)));
         clock[ti] = release + probe;
         cursor[ti] += 1;
         advance!(t);

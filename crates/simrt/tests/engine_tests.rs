@@ -682,3 +682,23 @@ fn digest_distinguishes_different_runs() {
     let again = simulate(&prog, &RunConfig::new(4).with_seed(1)).unwrap();
     assert_eq!(a.digest(), again.digest(), "same run must re-digest equal");
 }
+
+/// `nthreads()` is the run's thread count outside a region and the
+/// region's own inside one, so lowering the program against the run must
+/// leave it alone.
+#[test]
+fn region_thread_count_overrides_the_configured_one() {
+    let mut pb = ProgramBuilder::new("nthreads");
+    let main = pb.declare("main", "nt.c");
+    pb.define(main, |f| {
+        f.compute("outer", c(10.0) * nthreads());
+        f.thread_region(c(2.0), |r| r.compute("two", c(100.0) * nthreads()));
+        f.thread_region(nthreads(), |r| r.compute("all", c(100.0) * nthreads()));
+    });
+    let prog = pb.build(main);
+    let cfg = RunConfig::new(1)
+        .with_threads(8)
+        .with_collection(CollectionConfig::off());
+    let data = simulate(&prog, &cfg).unwrap();
+    assert_eq!(data.elapsed[0], 10.0 * 8.0 + 100.0 * 2.0 + 100.0 * 8.0);
+}
