@@ -1,6 +1,6 @@
 //! The bench-snapshot regression watchdog: load two `RunMetrics`-shaped
-//! JSON snapshots (the checked-in `BENCH_*.json` files or any
-//! `--metrics-json` output), align passes by name through the
+//! JSON snapshots (any `--metrics-json` output, or the benchmark's
+//! `benchmark/out/BENCH_pipeline.json`), align passes by name through the
 //! [`perf_regression`] paradigm, and render PF-diagnostic verdicts.
 //!
 //! The watchdog is deliberately front-end-agnostic: `perflow-cli
@@ -383,12 +383,48 @@ mod tests {
         assert!(BenchSnapshot::parse(r#"{"passes":[{"name":"a"}]}"#).is_err());
     }
 
+    /// A real document: the `--metrics-json` rendering of an observed
+    /// comm-analysis session, exactly as `perflow-cli` prints it.
     #[test]
-    fn real_checked_in_baselines_self_compare_clean() {
-        for file in ["../../BENCH_pag.json", "../../BENCH_query.json"] {
-            let text = std::fs::read_to_string(file).unwrap();
-            let out = bench_diff_texts(&text, &text, &BenchDiffConfig::default()).unwrap();
-            assert!(!out.regressed(), "{file}: {}", out.render_text());
-        }
+    fn live_run_metrics_self_compare_clean_and_flag_a_tripled_pass() {
+        let cfg = crate::AnalysisConfig {
+            ranks: 4,
+            ..crate::AnalysisConfig::default()
+        };
+        let obs = perflow::Obs::enabled();
+        let run = perflow::PerFlow::new()
+            .run(
+                &crate::workload("cg").unwrap(),
+                &simrt::RunConfig::new(cfg.ranks)
+                    .with_seed(cfg.seed)
+                    .with_obs(obs.clone()),
+            )
+            .unwrap();
+        let ctx = crate::checkpoint_context("cg", &cfg, &run);
+        let res = crate::ResilienceConfig::default();
+        let session = crate::comm_analysis_session(&run, &obs, &res, ctx).unwrap();
+        let text = session.outputs.metrics.render_json();
+
+        let clean = bench_diff_texts(&text, &text, &BenchDiffConfig::default()).unwrap();
+        assert!(!clean.regressed(), "{}", clean.render_text());
+        assert!(clean.aligned > 0);
+
+        // Tripling the slowest pass regresses; without a noise floor that
+        // holds however fast a 4-rank session's passes are.
+        let baseline = BenchSnapshot::parse(&text).unwrap();
+        let mut slowed = baseline.clone();
+        let slowest = slowed
+            .passes
+            .iter_mut()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        slowest.1 *= 3.0;
+        let cfg = BenchDiffConfig {
+            noise_floor_us: 0.0,
+            ..BenchDiffConfig::default()
+        };
+        let out = bench_diff(&baseline, &slowed, &cfg).unwrap();
+        let text = out.render_text();
+        assert!(out.regressed() && text.contains("error[PF0401]"), "{text}");
     }
 }

@@ -15,8 +15,10 @@
 //! cargo run --release --bin perflow-cli -- cg --ranks 8 --crash 5@10000 --sample-loss 0.1
 //! cargo run --release --bin perflow-cli -- cg --query 'from vertices | sort time desc nan_last | top 5 | select name, time'
 //! cargo run --release --bin perflow-cli -- cg --check-query 'from vertices | filter tme > 5'
-//! cargo run --release --bin perflow-cli -- --bench-diff BENCH_pag.json BENCH_new.json --bench-threshold 0.15
+//! cargo run --release --bin perflow-cli -- --bench-diff before.json benchmark/out/BENCH_pipeline.json --bench-threshold 0.15
 //! ```
+
+mod closed_stdout;
 
 use driver::{AnalysisConfig, CheckpointStatus, Paradigm, ResilienceConfig, WORKLOAD_NAMES};
 use perflow::{ExecPolicy, Obs, PerFlow};
@@ -115,6 +117,7 @@ fn fail(e: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
+    closed_stdout::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(target) = args.first() else { usage() };
     if target == "list" {

@@ -87,6 +87,9 @@ fn trace_covers_all_three_layers() {
         names.iter().any(|n| n.starts_with("pass:")),
         "core layer must record pass:* spans, got {names:?}"
     );
+    // Every exporter has the pipeline to show.
+    assert!(!obs.prometheus().is_empty() && !obs.folded_stacks().is_empty());
+    assert!(obs.chrome_trace().contains("\"pass:"));
     // Per-rank lanes: embed.rank spans cover every rank.
     let mut rank_lanes: Vec<u32> = spans
         .iter()
@@ -153,6 +156,10 @@ fn run_metrics_report_passes_and_cache_hits() {
     assert_eq!(cold.metrics.worker_busy_us.len(), cold.metrics.workers);
     assert!(cold.metrics.passes.iter().all(|p| !p.cache_hit));
     assert!(cold.metrics.passes.iter().all(|p| p.wall_us >= 0.0));
+    // The wall-time histogram covers every pass, in the run's metrics
+    // and on the handle.
+    assert_eq!(cold.metrics.wall_hist.count(), g.len() as u64);
+    assert!(obs.histogram("core.pass.wall_us").is_some());
     // Node ids are sorted and dispatch order is a permutation.
     let ids: Vec<usize> = cold.metrics.passes.iter().map(|p| p.node).collect();
     let mut sorted = ids.clone();

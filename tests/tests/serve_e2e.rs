@@ -79,6 +79,7 @@ fn eight_concurrent_distinct_workloads_complete() {
     })
     .unwrap();
     let addr = server.local_addr();
+    assert_eq!(http(addr, "GET", "/healthz", &[], None).0, 200);
     let workloads = ["bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"];
     let ids: Vec<(String, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = workloads
