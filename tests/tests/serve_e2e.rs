@@ -228,6 +228,7 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     assert_eq!(j.get("error").and_then(Json::as_str), Some("invalid query"));
     assert!(body.contains("PF0301"), "{body}");
     assert!(body.contains("did you mean `time`"), "{body}");
+    assert_eq!(body, "{\"error\":\"invalid query\",\"summary\":\"1 error, 0 warnings, 0 infos\",\"diagnostics\":[{\"code\":\"PF0301\",\"severity\":\"error\",\"anchor\":{\"kind\":\"stage\",\"index\":1,\"op\":\"filter\"},\"message\":\"unknown metric or field `tme`; did you mean `time`?\"}]}", "invalid-query body changed");
     let (_, jobs) = http(addr, "GET", "/jobs", &[("X-Api-Key", "t")], None);
     assert_eq!(jobs.trim(), r#"{"jobs":[]}"#, "rejected query was enqueued");
 
