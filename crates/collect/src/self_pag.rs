@@ -28,13 +28,13 @@
 //! pass groups by; worker-lane imbalance therefore falls out of the
 //! existing pass unmodified.
 //!
-//! Span nesting is reconstructed per (layer, lane) from timestamps: spans
-//! sorted by (start, −duration) and matched with an interval stack, the
-//! same containment rule the folded-stack exporter uses.
+//! Span nesting comes from [`obs::walk_span_nesting`], the walk the
+//! folded-stack exporter folds too, so the PAG and the flamegraph cannot
+//! disagree on which span encloses which.
 
 use std::collections::BTreeMap;
 
-use obs::{Layer, Obs, SpanRec};
+use obs::{Layer, Obs};
 use pag::{mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 
 /// A span path: the chain of span names from a layer's outermost span
@@ -67,76 +67,6 @@ pub struct SelfPag {
     pub dropped_spans: u64,
 }
 
-/// Reconstruct nesting for one (layer, lane) group and accumulate into
-/// the per-layer and per-flow path statistics. `spans` must be sorted by
-/// (start, −duration, name).
-fn accumulate_lane(
-    layer: Layer,
-    lane: u32,
-    spans: &[&SpanRec],
-    td: &mut BTreeMap<(Layer, Path), PathStat>,
-    fl: &mut BTreeMap<(Layer, u32, Path), PathStat>,
-) {
-    struct Open {
-        end_us: f64,
-        path: Path,
-        dur_us: f64,
-        child_us: f64,
-    }
-    let mut stack: Vec<Open> = Vec::new();
-    let close = |o: Open,
-                 td: &mut BTreeMap<(Layer, Path), PathStat>,
-                 fl: &mut BTreeMap<(Layer, u32, Path), PathStat>| {
-        let self_us = (o.dur_us - o.child_us).max(0.0);
-        for stat in [
-            td.entry((layer, o.path.clone())).or_default(),
-            fl.entry((layer, lane, o.path)).or_default(),
-        ] {
-            stat.incl_us += o.dur_us;
-            stat.self_us += self_us;
-            stat.count += 1;
-        }
-    };
-    for s in spans {
-        while let Some(top) = stack.last() {
-            if s.start_us >= top.end_us {
-                let o = stack.pop().unwrap();
-                close(o, td, fl);
-            } else {
-                break;
-            }
-        }
-        let path = match stack.last_mut() {
-            Some(top) => {
-                top.child_us += s.dur_us;
-                let mut p = top.path.clone();
-                p.push(s.name.to_string());
-                p
-            }
-            None => vec![s.name.to_string()],
-        };
-        if path.len() > 1 {
-            for map_path in [
-                td.entry((layer, path[..path.len() - 1].to_vec()))
-                    .or_default(),
-                fl.entry((layer, lane, path[..path.len() - 1].to_vec()))
-                    .or_default(),
-            ] {
-                map_path.has_children = true;
-            }
-        }
-        stack.push(Open {
-            end_us: s.start_us + s.dur_us,
-            path,
-            dur_us: s.dur_us,
-            child_us: 0.0,
-        });
-    }
-    while let Some(o) = stack.pop() {
-        close(o, td, fl);
-    }
-}
-
 /// Build the self-analysis PAG pair from a recorded trace. Deterministic
 /// for a given span set (the trace itself is sorted and all aggregation
 /// uses ordered maps). An empty or disabled handle yields a root-only
@@ -145,28 +75,33 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
     let spans = obs.spans();
     let dropped = obs.dropped_spans();
 
-    // Group per (layer, lane), preserving the (start, …) sort within.
-    let mut groups: BTreeMap<(Layer, u32), Vec<&SpanRec>> = BTreeMap::new();
-    for s in &spans {
-        groups.entry((s.layer, s.lane)).or_default().push(s);
-    }
-
     let mut td_stats: BTreeMap<(Layer, Path), PathStat> = BTreeMap::new();
     let mut fl_stats: BTreeMap<(Layer, u32, Path), PathStat> = BTreeMap::new();
-    for ((layer, lane), lane_spans) in &groups {
-        let mut sorted = lane_spans.clone();
-        sorted.sort_by(|a, b| {
-            a.start_us
-                .total_cmp(&b.start_us)
-                .then(b.dur_us.total_cmp(&a.dur_us))
-                .then(a.name.cmp(&b.name))
-        });
-        accumulate_lane(*layer, *lane, &sorted, &mut td_stats, &mut fl_stats);
-    }
+    obs::walk_span_nesting(&spans, |n| {
+        let (layer, lane) = (n.span.layer, n.span.lane);
+        let path: Path = n
+            .ancestors
+            .iter()
+            .chain([&n.span])
+            .map(|s| s.name.to_string())
+            .collect();
+        for stat in [
+            td_stats.entry((layer, path.clone())).or_default(),
+            fl_stats.entry((layer, lane, path)).or_default(),
+        ] {
+            stat.incl_us += n.span.dur_us;
+            stat.self_us += n.self_us;
+            stat.count += 1;
+            stat.has_children |= n.has_children;
+        }
+    });
 
-    // Lanes per layer, in lane order (positions of TIME_PER_PROC).
+    // The flows, one per (layer, lane) that recorded a span, and the
+    // lanes per layer in lane order (positions of TIME_PER_PROC).
+    let mut flows: Vec<(Layer, u32)> = fl_stats.keys().map(|&(l, ln, _)| (l, ln)).collect();
+    flows.dedup();
     let mut layer_lanes: BTreeMap<Layer, Vec<u32>> = BTreeMap::new();
-    for &(layer, lane) in groups.keys() {
+    for &(layer, lane) in &flows {
         layer_lanes.entry(layer).or_default().push(lane);
     }
 
@@ -236,7 +171,6 @@ pub fn build_self_pag(obs: &Obs) -> SelfPag {
     }
 
     // ---- Parallel view -------------------------------------------------
-    let flows: Vec<(Layer, u32)> = groups.keys().copied().collect();
     let mut pv = Pag::new(ViewKind::Parallel, "perflow:self:parallel");
     pv.set_num_procs(flows.len() as u32);
     for (proc, &(layer, lane)) in flows.iter().enumerate() {

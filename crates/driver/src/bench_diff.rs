@@ -13,7 +13,7 @@
 //!
 //! [`PF0401`]: perflow::verify::codes::BENCH_REGRESSED
 
-use obs::json::Json;
+use obs::json::{obj, Json};
 use perflow::paradigms::perf_regression::{perf_regression, RegressionConfig, RegressionResult};
 use perflow::passes::report_pass::format_time_us;
 use perflow::verify::{codes, Anchor, Diagnostics, Severity};
@@ -128,15 +128,14 @@ impl BenchDiffOutcome {
         out
     }
 
-    /// Render the verdict as a JSON object.
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"regressed\":{},\"aligned\":{},\"summary\":\"{}\",\"diagnostics\":{}}}",
-            self.regressed(),
-            self.aligned,
-            obs::json_escape(&self.diagnostics.summary()),
-            self.diagnostics.render_json()
-        )
+    /// The verdict as a JSON object.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("regressed", Json::Bool(self.regressed())),
+            ("aligned", Json::Num(self.aligned as f64)),
+            ("summary", Json::Str(self.diagnostics.summary())),
+            ("diagnostics", self.diagnostics.to_json()),
+        ])
     }
 }
 
@@ -292,7 +291,7 @@ mod tests {
         assert_eq!(out.aligned, 2);
         assert!(out.diagnostics.is_empty());
         assert!(out.render_text().contains("2 passes aligned"));
-        assert!(out.render_json().contains("\"regressed\":false"));
+        assert!(out.to_json().render().contains("\"regressed\":false"));
     }
 
     #[test]
@@ -403,7 +402,7 @@ mod tests {
         let ctx = crate::checkpoint_context("cg", &cfg, &run);
         let res = crate::ResilienceConfig::default();
         let session = crate::comm_analysis_session(&run, &obs, &res, ctx).unwrap();
-        let text = session.outputs.metrics.render_json();
+        let text = session.outputs.metrics.to_json().render();
 
         let clean = bench_diff_texts(&text, &text, &BenchDiffConfig::default()).unwrap();
         assert!(!clean.regressed(), "{}", clean.render_text());

@@ -34,58 +34,74 @@ pub fn weakly_connected_components(g: &Pag) -> (Vec<u32>, usize) {
     (comp, next as usize)
 }
 
-/// Tarjan strongly connected components (iterative). Returns the list of
+/// Tarjan strongly connected components of a PAG. Returns the list of
 /// SCCs, each a vector of vertices; singleton SCCs without self-loops are
-/// included.
+/// included. Successors are visited in `out_edges` order.
 pub fn strongly_connected_components(g: &Pag) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut index = vec![u32::MAX; n];
-    let mut lowlink = vec![0u32; n];
+    let succ: Vec<Vec<usize>> = g
+        .vertex_ids()
+        .map(|v| g.out_neighbors(v).map(VertexId::index).collect())
+        .collect();
+    tarjan_sccs(&succ)
+        .into_iter()
+        .map(|scc| scc.into_iter().map(|v| VertexId(v as u32)).collect())
+        .collect()
+}
+
+/// Iterative Tarjan strongly connected components over a dense adjacency
+/// list (`succ[v]` = successors of `v`, visited in order). No recursion:
+/// deep chains must not overflow the stack. SCCs are returned in the
+/// order Tarjan completes them (reverse topological order of the
+/// condensation), each listed from the last vertex pushed back to its
+/// root; a singleton is cyclic only if it has a self-loop.
+pub fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = succ.len();
+    const UNSET: usize = usize::MAX;
+    let mut index = vec![UNSET; n];
+    let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
+    let mut next_index = 0usize;
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    // Explicit DFS frames: (node, next-child position).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
 
-    // Explicit DFS state: (vertex, next out-edge position).
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != u32::MAX {
+    for start in 0..n {
+        if index[start] != UNSET {
             continue;
         }
-        call.push((root, 0));
-        index[root] = next_index;
-        lowlink[root] = next_index;
+        frames.push((start, 0));
+        index[start] = next_index;
+        low[start] = next_index;
         next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
+        stack.push(start);
+        on_stack[start] = true;
 
-        while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-            let out = g.out_edges(VertexId(v as u32));
-            if *ei < out.len() {
-                let e = out[*ei];
-                *ei += 1;
-                let w = g.edge(e).dst.index();
-                if index[w] == u32::MAX {
+        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
+            if *child < succ[v].len() {
+                let w = succ[v][*child];
+                *child += 1;
+                if index[w] == UNSET {
                     index[w] = next_index;
-                    lowlink[w] = next_index;
+                    low[w] = next_index;
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call.push((w, 0));
+                    frames.push((w, 0));
                 } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
+                    low[v] = low[v].min(index[w]);
                 }
             } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
                 }
-                if lowlink[v] == index[v] {
+                if low[v] == index[v] {
                     let mut scc = Vec::new();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        scc.push(VertexId(w as u32));
+                        scc.push(w);
                         if w == v {
                             break;
                         }
@@ -165,5 +181,16 @@ mod tests {
         let sccs = strongly_connected_components(&g);
         assert_eq!(sccs.len(), 2);
         assert!(sccs.iter().all(|s| s.len() == 2));
+    }
+
+    #[test]
+    fn tarjan_handles_long_chains_iteratively() {
+        // A 10_000-node chain with a closing back-edge: recursion-free
+        // SCC must find the whole ring without overflowing the stack.
+        let n = 10_000;
+        let succ: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 1) % n]).collect();
+        let sccs = tarjan_sccs(&succ);
+        assert_eq!(sccs.len(), 1);
+        assert_eq!(sccs[0].len(), n);
     }
 }

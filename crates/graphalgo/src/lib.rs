@@ -20,7 +20,7 @@ pub mod subgraph;
 pub mod traverse;
 
 pub use coarsen::{coarsen, coarsen_parallel_by_topdown};
-pub use components::{strongly_connected_components, weakly_connected_components};
+pub use components::{strongly_connected_components, tarjan_sccs, weakly_connected_components};
 pub use diff::{graph_difference, graph_difference_scaled, hottest_differences};
 pub use kpaths::k_heaviest_paths;
 pub use lca::{lca_bfs, lowest_common_ancestor, LcaIndex};

@@ -87,74 +87,13 @@ pub fn recursive_functions(p: &Program) -> HashSet<FuncId> {
         .collect();
 
     let mut recursive = HashSet::new();
-    for scc in tarjan_sccs(&succ) {
+    for scc in graphalgo::tarjan_sccs(&succ) {
         let cyclic = scc.len() > 1 || succ[scc[0]].contains(&scc[0]);
         if cyclic {
             recursive.extend(scc.into_iter().map(|i| ids[i]));
         }
     }
     recursive
-}
-
-/// Iterative Tarjan strongly-connected components over a dense adjacency
-/// list (no recursion: deep call chains must not overflow the stack).
-fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        frames.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < succ[v].len() {
-                let w = succ[v][*child];
-                *child += 1;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// Summary of what static analysis could and could not resolve.

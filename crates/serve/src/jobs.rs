@@ -213,10 +213,10 @@ pub struct JobResult {
     /// True when the report came from the fingerprint-keyed cache
     /// without re-running the analysis.
     pub cached: bool,
-    /// Rendered [`perflow::RunMetrics`] JSON for jobs that executed the
+    /// [`perflow::RunMetrics::to_json`] for jobs that executed the
     /// observed scheduler (`comm` jobs that actually ran). `None` for
     /// paradigm/query jobs and report-cache hits.
-    pub run_metrics: Option<String>,
+    pub run_metrics: Option<Json>,
 }
 
 /// One tracked job.
@@ -290,8 +290,7 @@ impl JobRecord {
         let run = self
             .result
             .as_ref()
-            .and_then(|r| r.run_metrics.as_deref())
-            .and_then(|text| Json::parse(text).ok())
+            .and_then(|r| r.run_metrics.clone())
             .unwrap_or(Json::Null);
         Some(obj(vec![
             (
@@ -575,7 +574,7 @@ mod tests {
                 report: "line1\nline2".into(),
                 report_digest: 0xabcd,
                 cached: true,
-                run_metrics: Some(r#"{"total_wall_us":5}"#.to_string()),
+                run_metrics: Some(obj(vec![("total_wall_us", Json::Num(5.0))])),
             }),
             2.0,
         );

@@ -70,7 +70,7 @@ pub mod queue;
 use cache::LruMap;
 use http::{respond, Request};
 use jobs::{JobKind, JobRecord, JobRegistry, JobResult, JobSpec, Registry};
-use obs::json::{self, obj, Json};
+use obs::json::{obj, Json};
 use queue::{JobQueue, PushError};
 
 /// Everything tunable about the daemon.
@@ -462,11 +462,12 @@ fn submit(shared: &Arc<Shared>, req: &Request, require_query: bool) -> Response 
             return (
                 400,
                 "application/json",
-                format!(
-                    "{{\"error\":\"invalid query\",\"summary\":\"{}\",\"diagnostics\":{}}}",
-                    json::escape(&d.summary()),
-                    d.render_json()
-                ),
+                obj(vec![
+                    ("error", Json::Str("invalid query".into())),
+                    ("summary", Json::Str(d.summary())),
+                    ("diagnostics", d.to_json()),
+                ])
+                .render(),
             );
         }
     }
@@ -635,7 +636,7 @@ fn bench_diff_endpoint(shared: &Arc<Shared>, req: &Request) -> Response {
         (Err(e), _) | (_, Err(e)) => return (400, "application/json", err_body(e)),
     };
     shared.obs.count(names::SERVE_BENCH_DIFF, 1);
-    (200, "application/json", outcome.render_json())
+    (200, "application/json", outcome.to_json().render())
 }
 
 // ---------------------------------------------------------------------------
@@ -798,7 +799,7 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
                 &shared.pass_cache,
             )
             .map_err(|e| e.to_string())?;
-            run_metrics = Some(out.outputs.metrics.render_json());
+            run_metrics = Some(out.outputs.metrics.to_json());
             (out.report, out.report_digest)
         }
     };

@@ -153,7 +153,7 @@ pub fn lint_graph(g: &GraphShape) -> Diagnostics {
     // PF0001 — cycle localization via Tarjan SCC: every SCC with more
     // than one member (or a self-loop) is reported as one named ring.
     let mut in_cycle = vec![false; n];
-    for scc in tarjan_sccs(&succ) {
+    for scc in graphalgo::tarjan_sccs(&succ) {
         let cyclic = scc.len() > 1 || succ[scc[0]].contains(&scc[0]);
         if !cyclic {
             continue;
@@ -312,69 +312,6 @@ pub fn lint_checkpoint(g: &GraphShape) -> Diagnostics {
         }
     }
     d.finish()
-}
-
-/// Iterative Tarjan strongly-connected components over a dense adjacency
-/// list. Returns SCCs; singleton SCCs are cyclic only with a self-loop
-/// (the caller checks).
-fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    // Explicit DFS frames: (node, next-child position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        frames.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < succ[v].len() {
-                let w = succ[v][*child];
-                *child += 1;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 #[cfg(test)]
@@ -659,20 +596,5 @@ mod tests {
     #[test]
     fn empty_graph_is_clean() {
         assert!(lint_graph(&GraphShape::default()).is_empty());
-    }
-
-    #[test]
-    fn tarjan_handles_long_chains_iteratively() {
-        // A 10_000-node chain with a closing back-edge: recursion-free
-        // SCC must find the whole ring without overflowing the stack.
-        let n = 10_000;
-        let nodes = (0..n)
-            .map(|i| node(&format!("n{i}"), usize::from(i > 0)))
-            .collect();
-        let mut wires: Vec<WireShape> = (0..n - 1).map(|i| wire(i, i + 1, 0)).collect();
-        wires.push(wire(n - 1, 0, 0));
-        let d = lint_graph(&GraphShape { nodes, wires });
-        let cyc = d.items().iter().find(|x| x.code == codes::CYCLE).unwrap();
-        assert!(cyc.message.contains(&format!("{n} node(s)")));
     }
 }

@@ -34,8 +34,9 @@
 //! order is fully deterministic (sorted by code, anchor, message) and
 //! renders both as human-readable text and machine-readable JSON.
 //!
-//! The crate deliberately depends only on `pag`, `query`, `progmodel`
-//! and the zero-dependency `obs` (for the shared JSON escaping helper):
+//! The crate deliberately depends only on `pag`, `query`, `progmodel`,
+//! `graphalgo` (for its SCC search) and the zero-dependency `obs` (for
+//! the JSON document type):
 //! the dataflow engine hands it a plain structural snapshot
 //! ([`GraphShape`]), so `core` can depend on `verify` without a cycle.
 
@@ -45,7 +46,7 @@ pub mod pag_check;
 pub mod program_lint;
 pub mod query_lint;
 
-pub use diag::{json_escape, Anchor, Diagnostic, Diagnostics, Severity};
+pub use diag::{Anchor, Diagnostic, Diagnostics, Severity};
 pub use graph::{lint_checkpoint, lint_graph, GraphShape, NodeShape, WireShape};
 pub use pag_check::check_pag;
 pub use program_lint::lint_program;

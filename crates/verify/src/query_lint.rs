@@ -623,7 +623,7 @@ mod tests {
         assert!(codes.contains(&codes::QUERY_EMPTY_RESULT));
         // Linting twice renders identically.
         assert_eq!(d.render_text(), lint(src).render_text());
-        assert_eq!(d.render_json(), lint(src).render_json());
+        assert_eq!(d.to_json().render(), lint(src).to_json().render());
     }
 
     #[test]

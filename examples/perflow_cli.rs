@@ -47,7 +47,7 @@ fn usage() -> ! {
 fn check_query_exit(qtext: &str, json: bool) -> ! {
     let d = driver::check_query(qtext);
     if json {
-        println!("{}", d.render_json());
+        println!("{}", d.to_json().render());
     } else if d.is_empty() {
         println!("query ok: no findings");
     } else {
@@ -94,7 +94,7 @@ fn bench_diff_exit(rest: &[String]) -> ! {
     let outcome = driver::bench_diff::bench_diff_texts(&read(old_path), &read(new_path), &cfg)
         .unwrap_or_else(|e| fail(e));
     if json {
-        println!("{}", outcome.render_json());
+        println!("{}", outcome.to_json().render());
     } else {
         print!("{}", outcome.render_text());
     }
@@ -290,7 +290,7 @@ fn main() {
     if lint || lint_json {
         let outcome = driver::lint(&prog, &run).unwrap_or_else(|e| fail(e));
         if lint_json {
-            println!("{}", outcome.render_json(target));
+            println!("{}", outcome.to_json(target).render());
         } else {
             println!("{}", outcome.render_text());
         }
@@ -302,7 +302,7 @@ fn main() {
         // never reaches the evaluator.
         let out = driver::run_query(&run, qtext).unwrap_or_else(|e| fail(e));
         if query_json {
-            println!("{}", out.render_json(target));
+            println!("{}", out.to_json(target).render());
         } else {
             print!("{}", out.render_text());
         }
@@ -362,7 +362,7 @@ fn main() {
             print!("\n{}", out.outputs.metrics.render());
         }
         if metrics_json {
-            println!("{}", out.outputs.metrics.render_json());
+            println!("{}", out.outputs.metrics.to_json().render());
         }
         let write_file = |path: &String, what: &str, contents: String| {
             std::fs::write(path, contents)

@@ -6,9 +6,10 @@
 //! `python3 -m json.tool` round-trip of every JSON exporter against
 //! hostile span names.
 
+use obs::json::Json;
 use obs::{Histogram, Layer, Obs};
 use perflow::paradigms::comm_analysis_graph;
-use perflow::verify::{check_pag, Severity};
+use perflow::verify::{check_pag, Anchor, Diagnostics, Severity};
 use perflow::{self_analysis, ExecOptions, PassCache, PerFlow, RunHandleExt};
 use progmodel::{c, nranks, rank, Program, ProgramBuilder};
 use proptest::prelude::*;
@@ -157,7 +158,7 @@ proptest! {
             h
         };
         let (a, b) = (build(), build());
-        prop_assert_eq!(a.render_json(), b.render_json());
+        prop_assert_eq!(a.to_json().render(), b.to_json().render());
         prop_assert_eq!(a.count(), values.len() as u64);
     }
 
@@ -172,15 +173,100 @@ proptest! {
         }
         let fwd = merged_in_order(&values, chunk, false);
         let rev = merged_in_order(&values, chunk, true);
-        prop_assert_eq!(whole.render_json(), fwd.render_json());
-        prop_assert_eq!(fwd.render_json(), rev.render_json());
+        prop_assert_eq!(whole.to_json().render(), fwd.to_json().render());
+        prop_assert_eq!(fwd.to_json().render(), rev.to_json().render());
     }
 }
 
-/// Round-trip every JSON exporter through `python3 -m json.tool` with
-/// hostile span names. Skips silently when python3 is not on PATH.
+/// Round-trip every JSON exporter with hostile strings: in-process
+/// through `obs::json` (parse, then render back to the same bytes), and
+/// through `python3 -m json.tool`, which is skipped silently when python3
+/// is not on PATH.
 #[test]
 fn json_exports_survive_python_round_trip() {
+    const HOSTILE: [&str; 5] = [
+        "quote\"backslash\\",
+        "newline\nand\ttab",
+        "control\u{1}\u{8}\u{c}chars",
+        "unicode π µs ✓",
+        "non-BMP 😀 𝄞",
+    ];
+    let mut docs: Vec<(&str, String)> = Vec::new();
+
+    let obs = Obs::enabled();
+    for (i, name) in HOSTILE.iter().enumerate() {
+        obs.record_span(Layer::Core, *name, i as u32, 1.0, 10.0, &[("k\"ey", 1.0)]);
+    }
+    obs.count("evil\"counter", 3);
+    docs.push(("chrome_trace", obs.chrome_trace()));
+
+    let mut h = Histogram::new();
+    for v in [0.25, 3.0, 1e19, f64::NAN] {
+        h.record(v);
+    }
+    docs.push(("Histogram", h.to_json().render()));
+
+    let mut d = Diagnostics::new();
+    for (i, name) in HOSTILE.iter().enumerate() {
+        d.push(
+            "PF0102",
+            Severity::Warn,
+            Anchor::Vertex {
+                id: i as u32,
+                name: name.to_string(),
+            },
+            format!("vertex {name} is odd"),
+        );
+    }
+    let d = d.finish();
+    docs.push(("Diagnostics", d.to_json().render()));
+    let lint = driver::LintOutcome {
+        targets: vec![("pag:top-down", d.clone())],
+    };
+    docs.push(("LintOutcome", lint.to_json(HOSTILE[0]).render()));
+    let mut report = perflow::Report::new(HOSTILE[1]).with_columns(&HOSTILE);
+    report.push_row(HOSTILE.iter().map(|s| s.to_string()).collect());
+    let query = driver::QueryOutcome {
+        query: HOSTILE[4].into(),
+        diagnostics: d,
+        report: Some(report),
+    };
+    docs.push(("QueryOutcome", query.to_json(HOSTILE[2]).render()));
+    let snapshot = |wall_us: f64| driver::bench_diff::BenchSnapshot {
+        passes: HOSTILE.iter().map(|n| (n.to_string(), wall_us)).collect(),
+    };
+    let diff = driver::bench_diff::bench_diff(
+        &snapshot(1_000.0),
+        &snapshot(9_000.0),
+        &driver::bench_diff::BenchDiffConfig::default(),
+    )
+    .unwrap();
+    assert!(diff.regressed());
+    docs.push(("BenchDiffOutcome", diff.to_json().render()));
+
+    // An observed run's --metrics-json output.
+    let pflow = PerFlow::new();
+    let obs2 = Obs::enabled();
+    let run = pflow
+        .run(&workload(), &RunConfig::new(2).with_obs(obs2.clone()))
+        .unwrap();
+    let (g, _) = comm_analysis_graph(run.vertices()).unwrap();
+    let out = g
+        .execute_with(&ExecOptions::new().with_obs(obs2.clone()))
+        .unwrap();
+    docs.push(("RunMetrics", out.metrics.to_json().render()));
+    docs.push((
+        "empty RunMetrics",
+        perflow::RunMetrics::default().to_json().render(),
+    ));
+
+    for (what, text) in &docs {
+        let back = Json::parse(text)
+            .unwrap_or_else(|e| panic!("{what} does not parse: {e}\n{text}"))
+            .render();
+        assert_eq!(&back, text, "{what} does not round-trip");
+    }
+
     let python_ok = std::process::Command::new("python3")
         .arg("--version")
         .output()
@@ -189,7 +275,7 @@ fn json_exports_survive_python_round_trip() {
         eprintln!("python3 unavailable; skipping round-trip check");
         return;
     }
-    let parse = |what: &str, text: &str| {
+    for (what, text) in &docs {
         use std::io::Write as _;
         let mut child = std::process::Command::new("python3")
             .args(["-m", "json.tool"])
@@ -210,36 +296,5 @@ fn json_exports_survive_python_round_trip() {
             "{what} is not valid JSON: {}\n{text}",
             String::from_utf8_lossy(&out.stderr)
         );
-    };
-
-    let obs = Obs::enabled();
-    for (i, name) in [
-        "quote\"backslash\\",
-        "newline\nand\ttab",
-        "control\u{1}\u{8}\u{c}chars",
-        "unicode π µs ✓",
-    ]
-    .iter()
-    .enumerate()
-    {
-        obs.record_span(Layer::Core, *name, i as u32, 1.0, 10.0, &[("k\"ey", 1.0)]);
     }
-    obs.count("evil\"counter", 3);
-    parse("chrome_trace", &obs.chrome_trace());
-
-    // An observed run's --metrics-json output parses too.
-    let pflow = PerFlow::new();
-    let obs2 = Obs::enabled();
-    let run = pflow
-        .run(&workload(), &RunConfig::new(2).with_obs(obs2.clone()))
-        .unwrap();
-    let (g, _) = comm_analysis_graph(run.vertices()).unwrap();
-    let out = g
-        .execute_with(&ExecOptions::new().with_obs(obs2.clone()))
-        .unwrap();
-    parse("RunMetrics::render_json", &out.metrics.render_json());
-    parse(
-        "empty RunMetrics",
-        &perflow::RunMetrics::default().render_json(),
-    );
 }

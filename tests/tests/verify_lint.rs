@@ -139,7 +139,7 @@ fn lint_json_is_wellformed_with_hostile_names() {
     };
     let d = verify::lint_graph(&g);
     assert!(d.has_errors(), "cycle + missing input expected");
-    let json = d.render_json();
+    let json = d.to_json().render();
     assert!(json.starts_with('[') && json.ends_with(']'));
     let mut depth = 0i64;
     let mut in_str = false;
@@ -208,7 +208,7 @@ proptest! {
         let d1 = verify::lint_graph(&g);
         let d2 = verify::lint_graph(&g);
         prop_assert_eq!(d1.render_text(), d2.render_text());
-        prop_assert_eq!(d1.render_json(), d2.render_json());
+        prop_assert_eq!(d1.to_json().render(), d2.to_json().render());
         let items = d1.items();
         for w in items.windows(2) {
             let ka = (w[0].code, &w[0].anchor, &w[0].message);
