@@ -34,12 +34,13 @@ fn stmt_names(prog: &Program) -> HashMap<u32, String> {
 }
 
 /// Collapse the run's sample counts into folded stacks. Values are µs
-/// (count × sampling period, rounded) when the run sampled on a period,
-/// raw counts otherwise. Empty string when the run has no samples.
+/// (a stack's total count × sampling period, rounded once) when the run
+/// sampled on a period, raw counts otherwise. Empty string when the run
+/// has no samples.
 pub fn folded_samples(prog: &Program, data: &RunData) -> String {
     let names = stmt_names(prog);
     let scale = data.sample_period_us.unwrap_or(1.0);
-    let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for (&(ctx, _rank, _thread), &count) in &data.samples {
         let mut stack = String::new();
         for frame in data.cct.path(ctx) {
@@ -58,8 +59,14 @@ pub fn folded_samples(prog: &Program, data: &RunData) -> String {
         if stack.is_empty() {
             continue;
         }
-        *stacks.entry(stack).or_insert(0) += (count as f64 * scale).round() as u64;
+        *counts.entry(stack).or_insert(0) += count;
     }
+    // Round per stack, not per (rank, thread) bucket, so a stack's value
+    // does not depend on how its samples split across ranks.
+    let stacks = counts
+        .into_iter()
+        .map(|(stack, n)| (stack, (n as f64 * scale).round() as u64))
+        .collect();
     render_folded(&stacks)
 }
 
@@ -68,31 +75,55 @@ mod tests {
     use super::*;
     use crate::profile;
     use progmodel::{c, ProgramBuilder};
-    use simrt::RunConfig;
+    use simrt::{CollectionConfig, RunConfig};
 
-    #[test]
-    fn sampled_run_produces_rooted_stacks() {
+    fn fold_prog(trips: f64, kernel_us: f64) -> Program {
         let mut pb = ProgramBuilder::new("fold");
         let main = pb.declare("main", "f.c");
         pb.define(main, |f| {
-            f.loop_("outer", c(20.0), |b| {
-                b.compute("kernel", c(500.0));
+            f.loop_("outer", c(trips), |b| {
+                b.compute("kernel", c(kernel_us));
             });
         });
-        let p = pb.build(main);
-        let run = profile(&p, &RunConfig::new(2)).unwrap();
-        let folded = folded_samples(&p, &run.data);
-        assert!(!folded.is_empty());
-        // Every stack starts at the entry function.
-        for line in folded.lines() {
-            assert!(line.starts_with("main"), "{line}");
-            let (_, v) = line.rsplit_once(' ').unwrap();
-            v.parse::<u64>().unwrap();
+        pb.build(main)
+    }
+
+    #[test]
+    fn sampled_run_produces_rooted_stacks() {
+        // The second run samples each rank's kernel once on a 2.5 µs
+        // period: 64 × 2.5 = 160 µs, where rounding every rank's bucket
+        // first would read 64 × 3 = 192.
+        let fractional = RunConfig::new(64).with_collection(CollectionConfig {
+            sampling_period_us: Some(2.5),
+            sample_cost_us: 0.0,
+            ..CollectionConfig::default()
+        });
+        let runs = [
+            (fold_prog(20.0, 500.0), RunConfig::new(2)),
+            (fold_prog(1.0, 3.0), fractional),
+        ];
+        let folded: Vec<String> = runs
+            .iter()
+            .map(|(p, cfg)| folded_samples(p, &profile(p, cfg).unwrap().data))
+            .collect();
+        for folded in &folded {
+            assert!(!folded.is_empty());
+            // Every stack starts at the entry function.
+            for line in folded.lines() {
+                assert!(line.starts_with("main"), "{line}");
+                let (_, v) = line.rsplit_once(' ').unwrap();
+                v.parse::<u64>().unwrap();
+            }
+            // The hot kernel appears under its loop.
+            assert!(
+                folded.lines().any(|l| l.contains("outer;kernel")),
+                "{folded}"
+            );
         }
-        // The hot kernel appears under its loop.
         assert!(
-            folded.lines().any(|l| l.contains("outer;kernel")),
-            "{folded}"
+            folded[1].lines().any(|l| l == "main;outer;kernel 160"),
+            "{}",
+            folded[1]
         );
     }
 

@@ -12,7 +12,6 @@ use pag::{keys, mkeys, Pag, VertexId};
 use progmodel::Program;
 use simrt::{CtxId, RunData};
 
-use crate::resolve::ContextResolver;
 use crate::static_pag::StaticPag;
 
 /// A fully profiled run: the data-carrying top-down PAG plus everything
@@ -21,19 +20,14 @@ use crate::static_pag::StaticPag;
 pub struct ProfiledRun {
     /// Top-down view with embedded performance data.
     pub pag: Pag,
-    /// `(parent vertex, frame)` → child vertex (extended by dynamic
-    /// fill-in).
-    pub child_map: HashMap<(VertexId, simrt::CtxFrame), VertexId>,
     /// Root vertex.
     pub root: VertexId,
     /// The raw run data.
     pub data: RunData,
-    /// Resolved context → vertex path cache.
+    /// Every context in the run data → its vertex path (root..deepest).
     pub ctx_paths: HashMap<CtxId, Vec<VertexId>>,
     /// Inclusive sampled time per (vertex, rank, thread), µs.
     pub vt_times: HashMap<(VertexId, u32, u32), f64>,
-    /// Static-analysis wall time (seconds).
-    pub static_seconds: f64,
 }
 
 impl ProfiledRun {
@@ -176,12 +170,6 @@ fn accumulate_rank(
     acc
 }
 
-/// Embed run data into the static skeleton ([`embed_observed`] with a
-/// disabled observability handle).
-pub fn embed(prog: &Program, sp: StaticPag, data: RunData) -> ProfiledRun {
-    embed_observed(prog, sp, data, &obs::Obs::disabled())
-}
-
 /// Embed run data into the static skeleton.
 ///
 /// Embedding is two-phase: a serial *resolve* phase walks every calling
@@ -190,14 +178,20 @@ pub fn embed(prog: &Program, sp: StaticPag, data: RunData) -> ProfiledRun {
 /// a parallel *accumulate* phase shards the per-rank records across
 /// scoped worker threads against the now-frozen context→path table and
 /// merges the per-rank accumulators in rank order. The embedded PAG is
-/// bit-identical regardless of the worker count — and of whether `obs`
-/// is enabled (spans measure host wall-clock only).
-pub fn embed_observed(prog: &Program, sp: StaticPag, data: RunData, obs: &obs::Obs) -> ProfiledRun {
-    embed_on(prog, sp, data, obs, crate::par::host_workers())
+/// bit-identical regardless of the worker count.
+pub fn embed(prog: &Program, sp: StaticPag, data: RunData) -> ProfiledRun {
+    embed_on(
+        prog,
+        sp,
+        data,
+        &obs::Obs::disabled(),
+        crate::par::host_workers(),
+    )
 }
 
-/// [`embed_observed`] with the phase-2 worker count pinned, so tests can
-/// vary it.
+/// [`embed()`] recording `Collect`-layer spans into `obs` (results are
+/// bit-identical whether it is enabled: spans measure host wall-clock
+/// only), with the phase-2 worker count pinned so tests can vary it.
 pub(crate) fn embed_on(
     prog: &Program,
     mut sp: StaticPag,
@@ -212,7 +206,6 @@ pub(crate) fn embed_on(
     // that mutates the PAG (indirect-call fill-in), and sorted order makes
     // the resulting vertex ids independent of hash-map iteration order.
     let resolve_t0 = obs.now_us();
-    let mut resolver = ContextResolver::new(prog);
     let mut all_ctxs: Vec<CtxId> = Vec::new();
     all_ctxs.extend(data.samples.keys().map(|&(c, _, _)| c));
     all_ctxs.extend(data.pmu.keys().copied());
@@ -229,7 +222,7 @@ pub(crate) fn embed_on(
     all_ctxs.dedup();
     let mut ctx_paths: HashMap<CtxId, Vec<VertexId>> = HashMap::with_capacity(all_ctxs.len());
     for ctx in all_ctxs {
-        let p = resolver.resolve(&mut sp, &data.cct, ctx);
+        let p = crate::resolve::resolve(prog, &mut sp, &data.cct, ctx);
         ctx_paths.insert(ctx, p);
     }
     if obs.is_enabled() {
@@ -504,12 +497,10 @@ pub(crate) fn embed_on(
     // phase-1 resolve) — hand it to downstream consumers as-is.
     ProfiledRun {
         pag: sp.pag,
-        child_map: sp.child_map,
         root: sp.root,
         data,
         ctx_paths,
         vt_times,
-        static_seconds: sp.static_seconds,
     }
 }
 

@@ -27,14 +27,13 @@ pub mod app_folded;
 pub mod embed;
 mod par;
 pub mod parallel;
-pub mod resolve;
+mod resolve;
 pub mod self_pag;
 pub mod static_pag;
 
 pub use app_folded::folded_samples;
-pub use embed::{embed, embed_observed, ProfiledRun};
+pub use embed::{embed, ProfiledRun};
 pub use parallel::build_parallel_view;
-pub use resolve::ContextResolver;
 pub use self_pag::{build_self_pag, SelfPag};
 pub use static_pag::{static_analysis, StaticPag};
 
@@ -54,7 +53,13 @@ pub fn profile(prog: &Program, cfg: &RunConfig) -> Result<ProfiledRun, SimError>
         static_analysis(prog)
     };
     let data = simulate(prog, cfg)?;
-    Ok(embed_observed(prog, static_pag, data, &cfg.obs))
+    Ok(embed::embed_on(
+        prog,
+        static_pag,
+        data,
+        &cfg.obs,
+        par::host_workers(),
+    ))
 }
 
 #[cfg(test)]
@@ -62,8 +67,8 @@ mod tests {
     use super::*;
     use simrt::FaultPlan;
 
-    /// `static_analysis` and `embed` promise bit-identical output at any
-    /// worker count; pin the count and compare the encoded PAGs.
+    /// `embed` promises bit-identical output at any worker count; pin the
+    /// count and compare the encoded PAGs.
     #[test]
     fn outputs_are_bit_identical_at_any_worker_count() {
         let cases = [
@@ -79,12 +84,9 @@ mod tests {
             ),
             ("vite", workloads::vite(), RunConfig::new(4).with_threads(4)),
         ];
-        // Both sides of `static_pag`'s serial cutoff are exercised.
-        assert!(cases.iter().any(|(_, p, _)| p.functions.len() < 8));
-        assert!(cases.iter().any(|(_, p, _)| p.functions.len() >= 8));
         for (name, prog, cfg) in &cases {
             let collect_on = |workers: usize| {
-                let sp = static_pag::static_analysis_on(prog, workers);
+                let sp = static_analysis(prog);
                 let skeleton = pag::serialize::encode(&sp.pag);
                 let data = simulate(prog, cfg).unwrap();
                 assert_eq!(data.is_complete(), cfg.faults.is_inert(), "{name}");

@@ -1,5 +1,5 @@
-//! Scoped-thread sharding for collect's two data-parallel phases
-//! (function templates in `static_pag`, per-rank accumulation in `embed`).
+//! Scoped-thread sharding for collect's one data-parallel phase, the
+//! per-rank accumulation in `embed`.
 //!
 //! The workspace's determinism contract is `N workers == 1 worker`: shards
 //! are claimed from an atomic counter by plain scoped threads, but results

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use graphalgo::dfs_preorder;
 use pag::{keys, mkeys, CallKind, CommKind, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 use simrt::CommKindTag;
 
@@ -22,14 +23,13 @@ pub fn build_parallel_view(run: &ProfiledRun) -> Pag {
 
     // Pre-order traversal of the top-down tree (edge insertion order is
     // source order, so this is the paper's "vertex access sequence").
-    let order = graphalgo_preorder(td, run.root);
-    let pos_of: HashMap<VertexId, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let order = dfs_preorder(td, run.root);
 
     // Thread-region subtrees: region vertex → its pre-order subtree.
     let regions: Vec<(VertexId, Vec<VertexId>)> = td
         .vertex_ids()
         .filter(|&v| td.vertex(v).label == VertexLabel::Call(CallKind::ThreadSpawn))
-        .map(|v| (v, graphalgo_preorder(td, v)))
+        .map(|v| (v, dfs_preorder(td, v)))
         .collect();
 
     let per_flow = order.len();
@@ -161,7 +161,6 @@ pub fn build_parallel_view(run: &ProfiledRun) -> Pag {
         }
     }
 
-    let _ = pos_of; // kept for future flow-position queries
     pv
 }
 
@@ -197,28 +196,6 @@ fn add_flow_vertex(
         pv.set_vstr(nv, keys::DEBUG_INFO, d.to_string());
     }
     nv
-}
-
-/// Pre-order traversal following tree edges in insertion order.
-fn graphalgo_preorder(td: &Pag, start: VertexId) -> Vec<VertexId> {
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    let mut visited = vec![false; td.num_vertices()];
-    while let Some(v) = stack.pop() {
-        if visited[v.index()] {
-            continue;
-        }
-        visited[v.index()] = true;
-        order.push(v);
-        let out = td.out_edges(v);
-        for &e in out.iter().rev() {
-            let w = td.edge(e).dst;
-            if !visited[w.index()] {
-                stack.push(w);
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]

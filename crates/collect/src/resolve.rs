@@ -12,87 +12,52 @@
 //!   call vertex, attributing deeper frames there (standard profiler
 //!   truncation).
 
-use std::collections::HashMap;
-
 use pag::VertexId;
 use progmodel::Program;
 use simrt::{Cct, CtxFrame, CtxId};
 
 use crate::static_pag::{expand_dynamic_call, StaticPag};
 
-/// Memoizing resolver of contexts to skeleton vertex paths.
-pub struct ContextResolver<'p> {
-    prog: &'p Program,
-    /// ctx → path of vertices (root..deepest), memoized.
-    cache: HashMap<CtxId, Vec<VertexId>>,
-}
-
-impl<'p> ContextResolver<'p> {
-    /// New resolver for a program.
-    pub fn new(prog: &'p Program) -> Self {
-        ContextResolver {
-            prog,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// Resolve a context to the vertex path from the root to the deepest
-    /// matching vertex. May extend `sp` (dynamic fill-in).
-    pub fn resolve(&mut self, sp: &mut StaticPag, cct: &Cct, ctx: CtxId) -> Vec<VertexId> {
-        if let Some(path) = self.cache.get(&ctx) {
-            return path.clone();
-        }
-        let frames = cct.path(ctx);
-        let mut path = Vec::with_capacity(frames.len());
-        let mut cur = sp.root;
-        path.push(cur);
-        // frames[0] is the entry function (== root).
-        for frame in frames.into_iter().skip(1) {
-            match sp.child_map.get(&(cur, frame)) {
-                Some(&v) => {
-                    cur = v;
-                    path.push(cur);
-                }
-                None => {
-                    match frame {
-                        CtxFrame::Func(fid) => {
-                            // Runtime-resolved call target (indirect call,
-                            // or recursion past the static cut — only
-                            // expand under call vertices with no static
-                            // child for this function).
-                            if sp.pag.vertex(cur).label
-                                == pag::VertexLabel::Call(pag::CallKind::Indirect)
-                            {
-                                let v = expand_dynamic_call(sp, self.prog, cur, fid);
-                                cur = v;
-                                path.push(cur);
-                            } else {
-                                // Recursive call beyond the cut: clamp.
-                                break;
-                            }
-                        }
-                        CtxFrame::Stmt(_) => {
-                            // Statement under a clamped recursion: stop.
+/// Resolve a context to the vertex path from the root to the deepest
+/// matching vertex. May extend `sp` (dynamic fill-in).
+pub(crate) fn resolve(prog: &Program, sp: &mut StaticPag, cct: &Cct, ctx: CtxId) -> Vec<VertexId> {
+    let frames = cct.path(ctx);
+    let mut path = Vec::with_capacity(frames.len());
+    let mut cur = sp.root;
+    path.push(cur);
+    // frames[0] is the entry function (== root).
+    for frame in frames.into_iter().skip(1) {
+        match sp.child_map.get(&(cur, frame)) {
+            Some(&v) => {
+                cur = v;
+                path.push(cur);
+            }
+            None => {
+                match frame {
+                    CtxFrame::Func(fid) => {
+                        // Runtime-resolved call target (indirect call,
+                        // or recursion past the static cut — only
+                        // expand under call vertices with no static
+                        // child for this function).
+                        if sp.pag.vertex(cur).label
+                            == pag::VertexLabel::Call(pag::CallKind::Indirect)
+                        {
+                            cur = expand_dynamic_call(sp, prog, cur, fid);
+                            path.push(cur);
+                        } else {
+                            // Recursive call beyond the cut: clamp.
                             break;
                         }
+                    }
+                    CtxFrame::Stmt(_) => {
+                        // Statement under a clamped recursion: stop.
+                        break;
                     }
                 }
             }
         }
-        self.cache.insert(ctx, path.clone());
-        path
     }
-
-    /// Resolve to the deepest vertex only.
-    pub fn resolve_leaf(&mut self, sp: &mut StaticPag, cct: &Cct, ctx: CtxId) -> VertexId {
-        // Infallible: `resolve` unconditionally pushes the root vertex
-        // before walking the context, so the returned path is never empty
-        // even for a truncated or unresolvable context.
-        *self
-            .resolve(sp, cct, ctx)
-            .last()
-            .expect("path always contains the root")
-    }
+    path
 }
 
 #[cfg(test)]
@@ -133,14 +98,13 @@ mod tests {
         });
         let c1 = cct.child(cct.root(), CtxFrame::Stmt(loop_id.unwrap()));
         let c2 = cct.child(c1, CtxFrame::Stmt(k_id.unwrap()));
-        let mut r = ContextResolver::new(&p);
-        let path = r.resolve(&mut sp, &cct, c2);
+        let path = resolve(&p, &mut sp, &cct, c2);
         assert_eq!(path.len(), 3);
         assert_eq!(sp.pag.vertex_name(path[0]), "main");
         assert_eq!(sp.pag.vertex_name(path[1]), "l");
         assert_eq!(sp.pag.vertex_name(path[2]), "k");
-        // Memoization returns the same path.
-        assert_eq!(r.resolve(&mut sp, &cct, c2), path);
+        // Resolving again returns the same path.
+        assert_eq!(resolve(&p, &mut sp, &cct, c2), path);
     }
 
     #[test]
@@ -160,8 +124,7 @@ mod tests {
         };
         let c1 = cct.child(cct.root(), CtxFrame::Stmt(call_stmt));
         let c2 = cct.child(c1, CtxFrame::Func(FuncId(2))); // fb
-        let mut r = ContextResolver::new(&p);
-        let path = r.resolve(&mut sp, &cct, c2);
+        let path = resolve(&p, &mut sp, &cct, c2);
         assert_eq!(sp.pag.vertex_name(*path.last().unwrap()), "fb");
         assert!(sp.pag.num_vertices() > before);
         assert_eq!(sp.pag.find_by_name("kb").len(), 1);
@@ -202,9 +165,8 @@ mod tests {
             ctx = cct.child(ctx, CtxFrame::Stmt(rec_call.unwrap()));
             ctx = cct.child(ctx, CtxFrame::Func(FuncId(1)));
         }
-        let mut r = ContextResolver::new(&p);
-        let deep = r.resolve(&mut sp, &cct, ctx);
-        let shallow = r.resolve(&mut sp, &cct, first_f);
+        let deep = resolve(&p, &mut sp, &cct, ctx);
+        let shallow = resolve(&p, &mut sp, &cct, first_f);
         // The deep context clamps at the recursive call vertex, one level
         // below the first f expansion.
         assert_eq!(deep.len(), shallow.len() + 1);

@@ -6,22 +6,19 @@
 //! call `Recursive`). This mirrors the structure the paper reports in
 //! Table 2, where the top-down view of every program has `|E| = |V| - 1`.
 //!
-//! Construction is sharded per function, following the near-linear
-//! function-level parallelism of parallel binary analysis: a *template*
-//! (the function's own statement tree, with static calls left as
-//! placeholders) is built for every function concurrently on scoped
-//! threads, since templates depend only on the immutable [`Program`]. A
-//! serial *stitch* then instantiates templates along the expansion tree —
-//! callees inline at their call sites, recursion cut against the live
-//! expansion stack — allocating vertices in exactly the depth-first order
-//! a direct recursive expansion would, so vertex ids (and everything
-//! keyed on them) are independent of how many threads built templates.
+//! Construction is one serial depth-first expansion that allocates
+//! vertices in pre-order: a vertex, then its loop/branch/region children,
+//! then the callee of a non-recursive static call. Vertex ids (and
+//! everything keyed on them) are therefore a pure function of the
+//! program. The runtime fill-in of indirect call targets
+//! ([`expand_dynamic_call`]) reuses the same expansion. The program
+//! models have tens of functions, so sharding this walk across threads
+//! only adds spawn cost (EXPERIMENTS.md, "collect parallelism audit").
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use pag::{keys, CallKind, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
-use progmodel::{CallTarget, CommOp, FuncId, Function, Program, Stmt, StmtId, StmtKind};
+use progmodel::{CallTarget, FuncId, Function, Program, Stmt, StmtKind};
 use simrt::CtxFrame;
 
 /// The static skeleton plus the structure index used to resolve calling
@@ -41,27 +38,16 @@ pub struct StaticPag {
 
 /// Run static analysis on a program model.
 pub fn static_analysis(prog: &Program) -> StaticPag {
-    static_analysis_on(prog, crate::par::host_workers())
-}
-
-/// [`static_analysis`] with the template-building worker count pinned, so
-/// tests can vary it.
-pub(crate) fn static_analysis_on(prog: &Program, workers: usize) -> StaticPag {
     let t0 = std::time::Instant::now();
-    let templates = build_templates(prog, workers);
-    let mut s = Stitcher {
-        prog,
-        templates,
-        pag: Pag::new(ViewKind::TopDown, prog.name.clone()),
-        child_map: HashMap::new(),
-    };
-    let root = s.instantiate_function(None, prog.entry, &mut Vec::new());
-    s.pag.set_root(root);
-    // Stitching must always produce a well-formed top-down tree; the
+    let mut pag = Pag::new(ViewKind::TopDown, prog.name.clone());
+    let mut child_map = HashMap::new();
+    let root = Expander::new(prog, &mut pag, &mut child_map).function(None, prog.entry);
+    pag.set_root(root);
+    // The expansion must always produce a well-formed top-down tree; the
     // invariant checker is the authority on what that means.
     #[cfg(debug_assertions)]
     {
-        let diags = verify::check_pag(&s.pag);
+        let diags = verify::check_pag(&pag);
         debug_assert!(
             !diags.has_errors(),
             "static_analysis built an invalid PAG:\n{}",
@@ -69,198 +55,10 @@ pub(crate) fn static_analysis_on(prog: &Program, workers: usize) -> StaticPag {
         );
     }
     StaticPag {
-        pag: s.pag,
-        child_map: s.child_map,
+        pag,
+        child_map,
         root,
         static_seconds: t0.elapsed().as_secs_f64(),
-    }
-}
-
-// ------------------------------------------------------------ templates
-
-/// A template vertex's label: fixed, or a static call whose `User` vs
-/// `Recursive` kind can only be decided against the stitch-time stack.
-#[derive(Debug, Clone)]
-enum TLabel {
-    Plain(VertexLabel),
-    StaticCall(FuncId),
-}
-
-/// One statement vertex of a function template.
-#[derive(Debug)]
-struct TNode {
-    tlabel: TLabel,
-    name: Arc<str>,
-    debug: String,
-    stmt: StmtId,
-    children: Vec<TNode>,
-}
-
-/// One function's statement tree, independent of where it gets expanded.
-#[derive(Debug)]
-struct FuncTemplate {
-    name: Arc<str>,
-    debug: String,
-    body: Vec<TNode>,
-}
-
-/// Build the template of one function (pure: reads only the program).
-fn build_template(prog: &Program, fid: FuncId) -> FuncTemplate {
-    let func = prog.function(fid);
-    FuncTemplate {
-        name: func.name.clone(),
-        debug: format!("{}:{}", func.file, func.line),
-        body: template_stmts(prog, func, &func.body),
-    }
-}
-
-fn template_stmts(prog: &Program, func: &Function, stmts: &[Stmt]) -> Vec<TNode> {
-    stmts
-        .iter()
-        .map(|stmt| {
-            let (tlabel, name): (TLabel, Arc<str>) = match &stmt.kind {
-                StmtKind::Compute { name, .. } => {
-                    (TLabel::Plain(VertexLabel::Compute), name.clone())
-                }
-                StmtKind::Loop { name, .. } => (TLabel::Plain(VertexLabel::Loop), name.clone()),
-                StmtKind::Branch { name, .. } => (TLabel::Plain(VertexLabel::Branch), name.clone()),
-                StmtKind::Call { target } => match target {
-                    CallTarget::Static(callee) => (
-                        TLabel::StaticCall(*callee),
-                        prog.function(*callee).name.clone(),
-                    ),
-                    CallTarget::Indirect { .. } => (
-                        TLabel::Plain(VertexLabel::Call(CallKind::Indirect)),
-                        "indirect_call".into(),
-                    ),
-                },
-                StmtKind::Comm(op) => (
-                    TLabel::Plain(VertexLabel::Call(CallKind::Comm)),
-                    comm_name(op).into(),
-                ),
-                StmtKind::ThreadRegion { .. } => (
-                    TLabel::Plain(VertexLabel::Call(CallKind::ThreadSpawn)),
-                    "parallel_region".into(),
-                ),
-                StmtKind::Lock { name, .. } => (
-                    TLabel::Plain(VertexLabel::Call(CallKind::Lock)),
-                    name.clone(),
-                ),
-            };
-            let children = match &stmt.kind {
-                StmtKind::Loop { body, .. } | StmtKind::ThreadRegion { body, .. } => {
-                    template_stmts(prog, func, body)
-                }
-                StmtKind::Branch {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    let mut kids = template_stmts(prog, func, then_body);
-                    kids.extend(template_stmts(prog, func, else_body));
-                    kids
-                }
-                _ => Vec::new(),
-            };
-            TNode {
-                tlabel,
-                name,
-                debug: format!("{}:{}", func.file, stmt.line),
-                stmt: stmt.id,
-                children,
-            }
-        })
-        .collect()
-}
-
-/// Build every function's template, sharded across worker threads. The
-/// result is keyed by function id, so it is identical no matter how the
-/// functions were partitioned. Programs with fewer than 8 functions are
-/// not worth a thread spawn.
-fn build_templates(prog: &Program, workers: usize) -> HashMap<FuncId, Arc<FuncTemplate>> {
-    let nfuncs = prog.functions.len();
-    let workers = if nfuncs < 8 { 1 } else { workers };
-    crate::par::map_shards(nfuncs, workers, |i| {
-        let fid = FuncId(i as u32);
-        (fid, Arc::new(build_template(prog, fid)))
-    })
-    .into_iter()
-    .collect()
-}
-
-// --------------------------------------------------------------- stitch
-
-/// Serial instantiation of templates along the expansion tree. Allocates
-/// vertices in the same depth-first order as a direct recursive
-/// expansion, so ids are deterministic.
-struct Stitcher<'p> {
-    prog: &'p Program,
-    templates: HashMap<FuncId, Arc<FuncTemplate>>,
-    pag: Pag,
-    child_map: HashMap<(VertexId, CtxFrame), VertexId>,
-}
-
-impl<'p> Stitcher<'p> {
-    /// Fetch (building on demand — the dynamic fill-in path starts with
-    /// an empty template cache) the template of `fid`.
-    fn template(&mut self, fid: FuncId) -> Arc<FuncTemplate> {
-        if let Some(t) = self.templates.get(&fid) {
-            return t.clone();
-        }
-        let t = Arc::new(build_template(self.prog, fid));
-        self.templates.insert(fid, t.clone());
-        t
-    }
-
-    /// Instantiate a function as a child of `parent` (a call vertex), or
-    /// as the root when `parent` is `None`.
-    fn instantiate_function(
-        &mut self,
-        parent: Option<VertexId>,
-        fid: FuncId,
-        stack: &mut Vec<FuncId>,
-    ) -> VertexId {
-        let t = self.template(fid);
-        let v = self.pag.add_vertex(VertexLabel::Function, t.name.clone());
-        self.pag.set_vstr(v, keys::DEBUG_INFO, t.debug.clone());
-        if let Some(p) = parent {
-            self.pag.add_edge(p, v, EdgeLabel::InterProc);
-            self.child_map.insert((p, CtxFrame::Func(fid)), v);
-        }
-        stack.push(fid);
-        self.instantiate_nodes(v, &t.body, stack);
-        stack.pop();
-        v
-    }
-
-    fn instantiate_nodes(&mut self, parent: VertexId, nodes: &[TNode], stack: &mut Vec<FuncId>) {
-        for n in nodes {
-            let label = match &n.tlabel {
-                TLabel::Plain(l) => *l,
-                TLabel::StaticCall(callee) => {
-                    let kind = if stack.contains(callee) {
-                        CallKind::Recursive
-                    } else {
-                        CallKind::User
-                    };
-                    VertexLabel::Call(kind)
-                }
-            };
-            let v = self.pag.add_vertex(label, n.name.clone());
-            self.pag.set_vstr(v, keys::DEBUG_INFO, n.debug.clone());
-            self.pag.add_edge(parent, v, EdgeLabel::IntraProc);
-            self.child_map.insert((parent, CtxFrame::Stmt(n.stmt)), v);
-            self.instantiate_nodes(v, &n.children, stack);
-            if let TLabel::StaticCall(callee) = &n.tlabel {
-                if !stack.contains(callee) {
-                    self.instantiate_function(Some(v), *callee, stack);
-                }
-                // Recursive calls are cut here, like the direct expansion.
-            }
-            // Indirect call targets are filled in from runtime data
-            // during embedding (§3.2: "marks the function calls whose
-            // information cannot be obtained at the static phase").
-        }
     }
 }
 
@@ -272,20 +70,113 @@ pub fn expand_dynamic_call(
     call_vertex: VertexId,
     fid: FuncId,
 ) -> VertexId {
-    let mut s = Stitcher {
-        prog,
-        templates: HashMap::new(),
-        pag: std::mem::replace(&mut sp.pag, Pag::new(ViewKind::TopDown, "")),
-        child_map: std::mem::take(&mut sp.child_map),
-    };
-    let v = s.instantiate_function(Some(call_vertex), fid, &mut Vec::new());
-    sp.pag = s.pag;
-    sp.child_map = s.child_map;
-    v
+    Expander::new(prog, &mut sp.pag, &mut sp.child_map).function(Some(call_vertex), fid)
 }
 
-fn comm_name(op: &CommOp) -> &'static str {
-    op.mpi_name()
+/// Depth-first expansion of function bodies into a top-down PAG, with
+/// the stack of functions being expanded for the recursion cut.
+struct Expander<'a> {
+    prog: &'a Program,
+    pag: &'a mut Pag,
+    child_map: &'a mut HashMap<(VertexId, CtxFrame), VertexId>,
+    stack: Vec<FuncId>,
+}
+
+impl<'a> Expander<'a> {
+    fn new(
+        prog: &'a Program,
+        pag: &'a mut Pag,
+        child_map: &'a mut HashMap<(VertexId, CtxFrame), VertexId>,
+    ) -> Self {
+        Expander {
+            prog,
+            pag,
+            child_map,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Expand a function as a child of `parent` (a call vertex), or as
+    /// the root when `parent` is `None`.
+    fn function(&mut self, parent: Option<VertexId>, fid: FuncId) -> VertexId {
+        let func = self.prog.function(fid);
+        let v = self
+            .pag
+            .add_vertex(VertexLabel::Function, func.name.clone());
+        self.pag
+            .set_vstr(v, keys::DEBUG_INFO, format!("{}:{}", func.file, func.line));
+        if let Some(p) = parent {
+            self.pag.add_edge(p, v, EdgeLabel::InterProc);
+            self.child_map.insert((p, CtxFrame::Func(fid)), v);
+        }
+        self.stack.push(fid);
+        self.stmts(v, func, &func.body);
+        self.stack.pop();
+        v
+    }
+
+    fn stmts(&mut self, parent: VertexId, func: &Function, stmts: &[Stmt]) {
+        for stmt in stmts {
+            let (label, name) = match &stmt.kind {
+                StmtKind::Compute { name, .. } => (VertexLabel::Compute, name.clone()),
+                StmtKind::Loop { name, .. } => (VertexLabel::Loop, name.clone()),
+                StmtKind::Branch { name, .. } => (VertexLabel::Branch, name.clone()),
+                StmtKind::Call {
+                    target: CallTarget::Static(callee),
+                } => {
+                    let kind = if self.stack.contains(callee) {
+                        CallKind::Recursive
+                    } else {
+                        CallKind::User
+                    };
+                    (
+                        VertexLabel::Call(kind),
+                        self.prog.function(*callee).name.clone(),
+                    )
+                }
+                StmtKind::Call {
+                    target: CallTarget::Indirect { .. },
+                } => (
+                    VertexLabel::Call(CallKind::Indirect),
+                    "indirect_call".into(),
+                ),
+                StmtKind::Comm(op) => (VertexLabel::Call(CallKind::Comm), op.mpi_name().into()),
+                StmtKind::ThreadRegion { .. } => (
+                    VertexLabel::Call(CallKind::ThreadSpawn),
+                    "parallel_region".into(),
+                ),
+                StmtKind::Lock { name, .. } => (VertexLabel::Call(CallKind::Lock), name.clone()),
+            };
+            let v = self.pag.add_vertex(label, name);
+            self.pag
+                .set_vstr(v, keys::DEBUG_INFO, format!("{}:{}", func.file, stmt.line));
+            self.pag.add_edge(parent, v, EdgeLabel::IntraProc);
+            self.child_map.insert((parent, CtxFrame::Stmt(stmt.id)), v);
+            match &stmt.kind {
+                StmtKind::Loop { body, .. } | StmtKind::ThreadRegion { body, .. } => {
+                    self.stmts(v, func, body)
+                }
+                StmtKind::Branch {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    self.stmts(v, func, then_body);
+                    self.stmts(v, func, else_body);
+                }
+                // Recursive calls are cut here.
+                StmtKind::Call {
+                    target: CallTarget::Static(callee),
+                } if label == VertexLabel::Call(CallKind::User) => {
+                    self.function(Some(v), *callee);
+                }
+                // Indirect call targets are filled in from runtime data
+                // during embedding (§3.2: "marks the function calls whose
+                // information cannot be obtained at the static phase").
+                _ => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -421,8 +312,10 @@ mod tests {
 
     #[test]
     fn many_function_program_shards_across_template_workers() {
-        // Enough functions to take the parallel template path; the stitch
-        // must still produce the exact expansion-tree shape.
+        // The name predates the serial expansion: past 8 functions,
+        // templates used to be built on worker threads and stitched. A
+        // wide fan-out of calls must still produce the exact
+        // expansion-tree shape.
         let mut pb = ProgramBuilder::new("wide");
         let main = pb.declare("main", "w.c");
         let fns: Vec<_> = (0..32)

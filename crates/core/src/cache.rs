@@ -21,8 +21,8 @@
 //!   hit clones a pointer while holding the lock — never a deep
 //!   `Vec<Value>` — and concurrent workers don't serialize on large
 //!   cached PAG values.
-//! * **Single-flight fills.** A lookup is a [`PassCache::probe`]: the
-//!   first prober of an absent key gets a [`FillGuard`] (counted as the
+//! * **Single-flight fills.** A lookup is a `PassCache::probe`: the
+//!   first prober of an absent key gets a `FillGuard` (counted as the
 //!   one miss); concurrent probes of the same key block until the fill
 //!   lands and are counted as hits (and [`CacheStats::coalesced`]), so a
 //!   thundering herd neither double-counts misses nor runs the pass

@@ -9,7 +9,7 @@
 //! ## Keying
 //!
 //! Snapshot entries are keyed by a *stable* content hash
-//! ([`stable_key`]): the pass's content
+//! (`stable_key`): the pass's content
 //! [`fingerprint`](crate::pass::Pass::fingerprint) combined with the
 //! [`Value::stable_fingerprint`] of every input. Unlike the in-memory
 //! [`crate::cache::PassCache`] keys, no process-local address ever

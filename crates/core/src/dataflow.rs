@@ -272,55 +272,6 @@ impl PerFlowGraph {
         lint_graph(&self.shape())
     }
 
-    /// Validate wiring: contiguous input ports starting at 0, and at
-    /// least `arity()` of them. Pure structure check, independent of
-    /// scheduling; returns per-node sorted input wires. Defense-in-depth
-    /// behind the pre-flight lint, which reports the same conditions as
-    /// `PF0002`/`PF0003`/`PF0004` diagnostics with full context.
-    fn validate_wiring(&self) -> Result<Vec<Vec<Wire>>, PerFlowError> {
-        let n = self.nodes.len();
-        let mut wires_in: Vec<Vec<Wire>> = vec![Vec::new(); n];
-        for w in &self.wires {
-            wires_in[w.to.0].push(*w);
-        }
-        for (i, ws) in wires_in.iter_mut().enumerate() {
-            ws.sort_by_key(|w| w.in_port);
-            for (expect, w) in ws.iter().enumerate() {
-                if w.in_port != expect {
-                    // Sorted ports: below the rank means a duplicate,
-                    // above it means a gap.
-                    let (port, problem) = if w.in_port < expect {
-                        (w.in_port, "has more than one producer".to_string())
-                    } else {
-                        (
-                            expect,
-                            format!("has no producer (next wired port is {})", w.in_port),
-                        )
-                    };
-                    return Err(PerFlowError::BadWiring {
-                        pass: self.nodes[i].pass.name().to_string(),
-                        node: i,
-                        port,
-                        problem,
-                    });
-                }
-            }
-            let arity = self.nodes[i].pass.arity();
-            if ws.len() < arity {
-                return Err(PerFlowError::BadWiring {
-                    pass: self.nodes[i].pass.name().to_string(),
-                    node: i,
-                    port: ws.len(),
-                    problem: format!(
-                        "has no producer (pass declares arity {arity}, only {} wired)",
-                        ws.len()
-                    ),
-                });
-            }
-        }
-        Ok(wires_in)
-    }
-
     /// Canonical topological order (smallest node id first among ready
     /// nodes) — the order the trail is reported in, independent of the
     /// order nodes actually completed in.
@@ -372,7 +323,16 @@ impl PerFlowGraph {
         if diagnostics.has_errors() {
             return Err(PerFlowError::Rejected { diagnostics });
         }
-        let wires_in = self.validate_wiring()?;
+        // The lint has ruled out missing, gapped and duplicated ports
+        // (PF0002–PF0004), so sorting a node's wires by port gives its
+        // inputs in order.
+        let mut wires_in: Vec<Vec<Wire>> = vec![Vec::new(); n];
+        for w in &self.wires {
+            wires_in[w.to.0].push(*w);
+        }
+        for ws in &mut wires_in {
+            ws.sort_by_key(|w| w.in_port);
+        }
         let mut out_wires: Vec<Vec<Wire>> = vec![Vec::new(); n];
         let mut deps_left: Vec<usize> = vec![0; n];
         for w in &self.wires {
@@ -1194,25 +1154,27 @@ mod tests {
 
     #[test]
     fn validate_wiring_reports_node_and_port() {
-        // Exercise the defense-in-depth wiring check directly (the
-        // pre-flight lint normally rejects such graphs first).
+        // The pre-flight lint is the only wiring gate: a missing port is
+        // reported against the node and the exact port.
         let mut g = PerFlowGraph::new();
         let a = g.add_source(1.0);
         let sum = g.add_pass(add_pass());
         g.connect(a, 0, sum, 1).unwrap();
-        match g.validate_wiring() {
-            Err(PerFlowError::BadWiring {
-                pass,
-                node,
-                port,
-                problem,
-            }) => {
-                assert_eq!(pass, "add");
-                assert_eq!(node, sum.0);
-                assert_eq!(port, 0);
-                assert!(problem.contains("no producer"), "{problem}");
+        match g.execute() {
+            Err(PerFlowError::Rejected { diagnostics }) => {
+                let m = diagnostics.first_error().unwrap();
+                assert_eq!(m.code, verify::codes::MISSING_INPUT);
+                assert_eq!(
+                    m.anchor,
+                    verify::Anchor::Node {
+                        id: sum.0,
+                        name: "add".into()
+                    }
+                );
+                assert!(m.message.contains("port 0"), "{}", m.message);
+                assert!(m.message.contains("no producer"), "{}", m.message);
             }
-            other => panic!("expected BadWiring, got {other:?}"),
+            other => panic!("expected Rejected, got {other:?}"),
         }
     }
 

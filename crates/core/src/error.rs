@@ -33,18 +33,6 @@ pub enum PerFlowError {
         /// Lint findings; [`verify::Diagnostics::has_errors`] is true.
         diagnostics: verify::Diagnostics,
     },
-    /// A node's input wiring is structurally invalid (missing, gapped,
-    /// or duplicated port). Defense-in-depth behind the pre-flight lint.
-    BadWiring {
-        /// Display name of the affected pass.
-        pass: String,
-        /// Node index within the graph.
-        node: usize,
-        /// The exact offending port index.
-        port: usize,
-        /// What is wrong with that port.
-        problem: String,
-    },
     /// An input port received more than one incoming edge.
     PortConflict {
         /// Node whose port is multiply connected.
@@ -130,12 +118,6 @@ impl std::fmt::Display for PerFlowError {
                 }
                 Ok(())
             }
-            PerFlowError::BadWiring {
-                pass,
-                node,
-                port,
-                problem,
-            } => write!(f, "pass {pass} (node {node}): input port {port} {problem}"),
             PerFlowError::PortConflict { node, port } => {
                 write!(f, "node {node} port {port} has multiple producers")
             }
@@ -212,15 +194,6 @@ mod tests {
                     }
                 },
                 &["pre-flight lint", "1 error", "PF0001", "id1"],
-            ),
-            (
-                PerFlowError::BadWiring {
-                    pass: "differential_analysis".into(),
-                    node: 5,
-                    port: 1,
-                    problem: "has no producer".into(),
-                },
-                &["differential_analysis", "node 5", "port 1", "no producer"],
             ),
             (
                 PerFlowError::PortConflict { node: 3, port: 0 },

@@ -2,7 +2,7 @@
 //!
 //! Both are keyed on content fingerprints (see
 //! [`driver::sim_fingerprint`] and [`driver::report_fingerprint`]): the
-//! run cache maps a simulation fingerprint to its [`RunHandle`] so an
+//! run cache maps a simulation fingerprint to its [`perflow::RunHandle`] so an
 //! identical submission skips the simulator, and the report cache maps
 //! a report fingerprint to the rendered text + digest so it skips the
 //! analysis too. Pass-level reuse inside `comm` jobs additionally goes

@@ -6,7 +6,7 @@
 //! virtual clock. A *segment* runs one rank until it blocks — on a
 //! blocking receive, a rendezvous send, an `MPI_Wait(all)` whose request
 //! is unmatched, or a collective. Segments touch only rank-local state:
-//! the rank's [`RankState`], its own [`Collector`] shard (with its own
+//! the rank's `RankState`, its own [`Collector`] shard (with its own
 //! CCT), and a buffer of *effects* (channel posts, collective arrivals)
 //! to be published later. Between phases the scheduler — always a single
 //! thread — applies the buffered effects in rank order, pairs
