@@ -12,7 +12,7 @@
 //!   call vertex, attributing deeper frames there (standard profiler
 //!   truncation).
 
-use pag::VertexId;
+use pag::{CallKind, VertexId, VertexLabel};
 use progmodel::Program;
 use simrt::{Cct, CtxFrame, CtxId};
 
@@ -27,35 +27,20 @@ pub(crate) fn resolve(prog: &Program, sp: &mut StaticPag, cct: &Cct, ctx: CtxId)
     path.push(cur);
     // frames[0] is the entry function (== root).
     for frame in frames.into_iter().skip(1) {
-        match sp.child_map.get(&(cur, frame)) {
-            Some(&v) => {
-                cur = v;
-                path.push(cur);
+        cur = match (sp.child_map.get(&(cur, frame)).copied(), frame) {
+            (Some(v), _) => v,
+            // A call target observed only at runtime: expand it under the
+            // indirect call vertex.
+            (None, CtxFrame::Func(fid))
+                if sp.pag.vertex(cur).label == VertexLabel::Call(CallKind::Indirect) =>
+            {
+                expand_dynamic_call(sp, prog, cur, fid)
             }
-            None => {
-                match frame {
-                    CtxFrame::Func(fid) => {
-                        // Runtime-resolved call target (indirect call,
-                        // or recursion past the static cut — only
-                        // expand under call vertices with no static
-                        // child for this function).
-                        if sp.pag.vertex(cur).label
-                            == pag::VertexLabel::Call(pag::CallKind::Indirect)
-                        {
-                            cur = expand_dynamic_call(sp, prog, cur, fid);
-                            path.push(cur);
-                        } else {
-                            // Recursive call beyond the cut: clamp.
-                            break;
-                        }
-                    }
-                    CtxFrame::Stmt(_) => {
-                        // Statement under a clamped recursion: stop.
-                        break;
-                    }
-                }
-            }
-        }
+            // Recursion beyond the static cut, or a statement under it:
+            // clamp at the recursive call vertex.
+            (None, _) => break,
+        };
+        path.push(cur);
     }
     path
 }
