@@ -59,11 +59,6 @@ impl RunBundle {
         self.parallel.get_or_init(|| build_parallel_view(&self.run))
     }
 
-    /// True if the parallel view has been materialized.
-    pub fn parallel_built(&self) -> bool {
-        self.parallel.get().is_some()
-    }
-
     /// Raw run data.
     pub fn data(&self) -> &RunData {
         &self.run.data

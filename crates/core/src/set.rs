@@ -66,12 +66,6 @@ impl VertexSet {
         }
     }
 
-    /// Read a metric for a member by its resolved column id — the hot-path
-    /// variant of [`metric`](Self::metric) that skips key lookup entirely.
-    pub fn metric_by_key(&self, v: VertexId, key: KeyId) -> f64 {
-        self.graph.pag().metric_f64(v, key)
-    }
-
     /// Sort members descending by a metric (ties by id, deterministic).
     /// NaN metrics — possible on degraded runs with corrupted or missing
     /// performance data — sort last instead of panicking. The metric name

@@ -20,16 +20,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Short type name for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Vertices(_) => "Vertices",
-            Value::Edges(_) => "Edges",
-            Value::Report(_) => "Report",
-            Value::Num(_) => "Num",
-        }
-    }
-
     /// Extract a vertex set.
     pub fn as_vertices(&self) -> Option<&VertexSet> {
         match self {

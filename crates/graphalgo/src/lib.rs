@@ -2,29 +2,24 @@
 //!
 //! PerFlow builds its performance-analysis passes out of "graph algorithms,
 //! such as breadth-first search, subgraph matching, etc., on the PAGs"
-//! (§2.1) plus "lowest common ancestor" for causal analysis (§4.3.2-C) and
-//! "community detection" (§4.3.1). This crate provides those algorithms —
-//! plus critical-path extraction, connected components and the graph
-//! difference used by differential analysis — as standalone functions over
-//! [`pag::Pag`] so both the built-in pass library and user-defined passes
-//! can reuse them.
+//! (§2.1) plus "lowest common ancestor" for causal analysis (§4.3.2-C).
+//! This crate provides those algorithms — plus critical-path extraction,
+//! Tarjan strongly connected components and the graph difference used by
+//! differential analysis — as standalone functions over [`pag::Pag`] so
+//! both the built-in pass library and user-defined passes can reuse them.
 
-pub mod coarsen;
 pub mod components;
 pub mod diff;
 pub mod kpaths;
 pub mod lca;
 pub mod longest_path;
-pub mod louvain;
 pub mod subgraph;
 pub mod traverse;
 
-pub use coarsen::{coarsen, coarsen_parallel_by_topdown};
-pub use components::{strongly_connected_components, tarjan_sccs, weakly_connected_components};
+pub use components::tarjan_sccs;
 pub use diff::{graph_difference, graph_difference_scaled, hottest_differences};
 pub use kpaths::k_heaviest_paths;
 pub use lca::{lca_bfs, lowest_common_ancestor, LcaIndex};
 pub use longest_path::{critical_path, CriticalPath};
-pub use louvain::{louvain, Communities};
 pub use subgraph::{match_subgraph, Embedding, Pattern, PatternEdge, PatternVertex};
 pub use traverse::{bfs_order, dfs_preorder, topo_sort, CycleError};

@@ -295,13 +295,6 @@ impl Pag {
             .collect()
     }
 
-    /// Sum of inclusive `time` over vertices that carry it (a single
-    /// columnar scan). On the top-down view this over-counts nested
-    /// snippets; use the root time for total program time instead.
-    pub fn sum_time(&self) -> f64 {
-        self.vmetrics.sum(metric::keys::TIME)
-    }
-
     /// Total program time: the root vertex's inclusive time.
     pub fn total_time(&self) -> f64 {
         self.root.map(|r| self.vertex_time(r)).unwrap_or(0.0)
@@ -467,25 +460,6 @@ impl Pag {
     pub fn set_emetric_i64(&mut self, e: EdgeId, k: KeyId, value: i64) {
         self.emetrics
             .set(k, e.index(), value as f64, Self::int_kinded(k, true));
-    }
-
-    /// Add `delta` to a scalar edge metric (absent counts as zero).
-    #[inline]
-    pub fn add_emetric(&mut self, e: EdgeId, k: KeyId, delta: f64) {
-        self.emetrics
-            .add(k, e.index(), delta, Self::int_kinded(k, false));
-    }
-
-    /// Vector edge metric.
-    #[inline]
-    pub fn emetric_vec(&self, e: EdgeId, k: KeyId) -> Option<&[f64]> {
-        self.emetrics.get_vec(k, e.index()).map(|a| a.as_ref())
-    }
-
-    /// Set a vector edge metric.
-    #[inline]
-    pub fn set_emetric_vec(&mut self, e: EdgeId, k: KeyId, value: impl Into<Arc<[f64]>>) {
-        self.emetrics.set_vec(k, e.index(), value.into());
     }
 
     // ----- string properties -----

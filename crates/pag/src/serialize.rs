@@ -303,6 +303,12 @@ impl<'a> Decoder<'a> {
         self.pos += n;
         Ok(s)
     }
+    /// Input bytes not yet read: an upper bound on what a length field
+    /// read from the input may reserve, so a forged count fails as
+    /// `Truncated` instead of asking the allocator for it.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
@@ -321,7 +327,7 @@ impl<'a> Decoder<'a> {
     }
     fn f64s(&mut self) -> Result<Arc<[f64]>, DecodeError> {
         let len = self.u32()? as usize;
-        let mut xs = Vec::with_capacity(len);
+        let mut xs = Vec::with_capacity(len.min(self.remaining() / 8));
         for _ in 0..len {
             xs.push(self.f64()?);
         }
@@ -456,7 +462,8 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
     };
 
     let nv = dec.u32()? as usize;
-    let mut pag = Pag::with_capacity(view, name.as_ref(), nv, 0);
+    // A vertex record takes at least 9 bytes: label, name, property count.
+    let mut pag = Pag::with_capacity(view, name.as_ref(), nv.min(dec.remaining() / 9), 0);
     pag.set_num_procs(num_procs);
     pag.set_threads_per_proc(threads);
     for _ in 0..nv {
@@ -763,6 +770,38 @@ mod tests {
                 assert_eq!(decode(&bytes[..cut]).unwrap_err(), want, "cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn forged_vertex_count_is_rejected_without_reserving_it() {
+        // 31 bytes: one 1-byte string, a rootless one-process top-down
+        // header, and a vertex count of u32::MAX.
+        let mut b = b"PAG2".to_vec();
+        for word in [1, 1] {
+            b.extend_from_slice(&u32::to_le_bytes(word)); // one string, 1 byte
+        }
+        b.push(b'g');
+        b.push(0); // top-down
+        for word in [0, 1, 1] {
+            b.extend_from_slice(&u32::to_le_bytes(word)); // name, procs, threads
+        }
+        b.push(0); // no root
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(b.len(), 31);
+        assert_eq!(decode(&b).unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn forged_vector_metric_length_is_rejected_without_reserving_it() {
+        let mut bytes = encode(&sample());
+        // The length field sits right before the vector's first element.
+        let first = 1.0f64.to_le_bytes();
+        let at = (4..bytes.len())
+            .find(|&i| bytes[i..].starts_with(&first) && bytes[i - 4..i] == 4u32.to_le_bytes())
+            .expect("vector metric payload")
+            - 4;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::Truncated);
     }
 
     #[test]

@@ -551,20 +551,6 @@ impl RunData {
             && self.pmu_corrupted == 0
     }
 
-    /// Total sampled time attributed to a context (all ranks/threads), in
-    /// µs. Zero if sampling was off.
-    pub fn sampled_time(&self, ctx: CtxId) -> f64 {
-        let period = match self.sample_period_us {
-            Some(p) => p,
-            None => return 0.0,
-        };
-        self.samples
-            .iter()
-            .filter(|((c, _, _), _)| *c == ctx)
-            .map(|(_, &n)| n as f64 * period)
-            .sum()
-    }
-
     /// Aggregate communication time (sum of `complete - post` over all
     /// comm records).
     pub fn total_comm_time(&self) -> f64 {
