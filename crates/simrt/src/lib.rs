@@ -29,7 +29,8 @@ pub mod faults;
 mod hash;
 pub mod net;
 pub mod record;
-pub mod threads;
+mod threads;
+mod walker;
 
 pub use cct::{Cct, CtxFrame, CtxId};
 pub use config::{CollectionConfig, NetworkModel, RunConfig};

@@ -2,7 +2,8 @@
 //!
 //! An OpenMP-like region forks `T` threads that execute the body
 //! concurrently in virtual time. Each thread's execution is a sequence of
-//! *segments*: compute intervals and lock acquisitions. Threads interact
+//! *segments*: compute intervals and lock acquisitions, built by walking
+//! the body with the same [`Walker`] that steps ranks. Threads interact
 //! only through locks (per-process objects, including the designated
 //! allocator lock): a FIFO mutex grants requests in request-time order, so
 //! a holder delays every later requester — precisely the serialization the
@@ -13,17 +14,14 @@
 //! lock grants, the earliest pending request is always final, making the
 //! simulation exact for this model.
 
-use std::collections::HashMap;
+use progmodel::{EvalCtx, PmuSpec, Program, Stmt, StmtId, StmtKind};
 
-use progmodel::{CallTarget, EvalCtx, PmuSpec, Program, Stmt, StmtId, StmtKind};
-
-use crate::cct::{Cct, CtxFrame, CtxId};
+use crate::cct::CtxId;
 use crate::collector::Collector;
 use crate::error::SimError;
 use crate::hash::IntMap;
 use crate::record::LockRecord;
-
-const MAX_CALL_DEPTH: usize = 256;
+use crate::walker::{Next, Walker};
 
 /// One executed segment of a thread.
 enum Seg {
@@ -41,47 +39,52 @@ enum Seg {
     },
 }
 
-/// Execute a thread region. Returns the region end time (join point).
-#[allow(clippy::too_many_arguments)]
-pub fn run_thread_region(
-    prog: &Program,
-    body: &[Stmt],
+/// Execute a thread region of `ev.nthreads` threads, each evaluating in
+/// `ev` with its own thread index. Returns the region end time (join
+/// point).
+pub(crate) fn run_thread_region<'p>(
+    prog: &'p Program,
+    body: &'p [Stmt],
     region_ctx: CtxId,
     region_start: f64,
-    rank: u32,
-    nranks: u32,
-    region_threads: u32,
-    params: &HashMap<String, f64>,
-    seed: u64,
-    outer_iters: &[u64],
+    ev: &EvalCtx<'_>,
     compute_slowdown: f64,
     col: &mut Collector,
 ) -> Result<f64, SimError> {
-    let t_count = region_threads.max(1);
+    let t_count = ev.nthreads;
     // Phase 1: build per-thread segment lists.
     let mut all_segs: Vec<Vec<Seg>> = Vec::with_capacity(t_count as usize);
+    let mut walker = Walker::new(body, region_ctx, ev.iters);
     for thread in 0..t_count {
-        let mut segs = Vec::new();
-        let mut iters = outer_iters.to_vec();
-        let mut env = ThreadEnv {
-            prog,
-            rank,
-            nranks,
-            thread,
-            nthreads: t_count,
-            params,
-            seed,
-            depth: 0,
-            slowdown: compute_slowdown,
-        };
-        build_segs(
-            &mut env,
-            body,
-            region_ctx,
-            &mut iters,
-            &mut col.data.cct,
-            &mut segs,
-        )?;
+        let base = EvalCtx { thread, ..*ev };
+        walker.restart(body, region_ctx, ev.iters);
+        // Threads of a region mostly run alike: size for the last one.
+        let mut segs = Vec::with_capacity(all_segs.last().map_or(0, Vec::len));
+        loop {
+            let (stmt, ctx) = match walker.next(prog, &base, col)? {
+                Next::Done => break,
+                Next::Entered => continue,
+                Next::Leaf(stmt, ctx) => (stmt, ctx),
+            };
+            let ev = walker.ectx(&base);
+            segs.push(match &stmt.kind {
+                StmtKind::Compute { cost_us, pmu, .. } => Seg::Compute {
+                    dur: cost_us.eval(&ev).max(0.0) * compute_slowdown,
+                    ctx,
+                    pmu: *pmu,
+                    stmt: stmt.id,
+                },
+                StmtKind::Lock { lock, hold_us, .. } => Seg::Lock {
+                    lock: lock.0,
+                    hold: hold_us.eval(&ev).max(0.0),
+                    ctx,
+                    stmt: stmt.id,
+                },
+                StmtKind::Comm(_) => return Err(SimError::CommInThreadRegion { stmt: stmt.id }),
+                // The walker yields no other control flow.
+                _ => return Err(SimError::NestedThreadRegion { stmt: stmt.id }),
+            });
+        }
         all_segs.push(segs);
     }
 
@@ -152,7 +155,7 @@ pub fn run_thread_region(
         col.trace(stmt, req, release);
         let probe = fired as f64 * col.sample_cost_us() + col.trace_probe_cost_us();
         col.lock(LockRecord {
-            rank,
+            rank: ev.rank,
             thread: t,
             ctx,
             stmt,
@@ -184,111 +187,4 @@ impl Ord for TotalF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
-}
-
-struct ThreadEnv<'p> {
-    prog: &'p Program,
-    rank: u32,
-    nranks: u32,
-    thread: u32,
-    nthreads: u32,
-    params: &'p HashMap<String, f64>,
-    seed: u64,
-    depth: usize,
-    slowdown: f64,
-}
-
-impl<'p> ThreadEnv<'p> {
-    fn eval_ctx<'a>(&'a self, iters: &'a [u64]) -> EvalCtx<'a> {
-        EvalCtx {
-            rank: self.rank,
-            nranks: self.nranks,
-            thread: self.thread,
-            nthreads: self.nthreads,
-            iters,
-            params: self.params,
-            seed: self.seed,
-        }
-    }
-}
-
-/// Recursively execute a statement list for one thread, emitting segments.
-fn build_segs(
-    env: &mut ThreadEnv<'_>,
-    stmts: &[Stmt],
-    parent_ctx: CtxId,
-    iters: &mut Vec<u64>,
-    cct: &mut Cct,
-    segs: &mut Vec<Seg>,
-) -> Result<(), SimError> {
-    for stmt in stmts {
-        let ctx = cct.child(parent_ctx, CtxFrame::Stmt(stmt.id));
-        match &stmt.kind {
-            StmtKind::Compute { cost_us, pmu, .. } => {
-                let dur = cost_us.eval(&env.eval_ctx(iters)).max(0.0) * env.slowdown;
-                segs.push(Seg::Compute {
-                    dur,
-                    ctx,
-                    pmu: *pmu,
-                    stmt: stmt.id,
-                });
-            }
-            StmtKind::Loop { trips, body, .. } => {
-                let n = trips.eval_u64(&env.eval_ctx(iters));
-                iters.push(0);
-                for i in 0..n {
-                    *iters.last_mut().unwrap() = i;
-                    build_segs(env, body, ctx, iters, cct, segs)?;
-                }
-                iters.pop();
-            }
-            StmtKind::Branch {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                let taken = cond.eval(&env.eval_ctx(iters)) != 0.0;
-                let body = if taken { then_body } else { else_body };
-                build_segs(env, body, ctx, iters, cct, segs)?;
-            }
-            StmtKind::Call { target } => {
-                if env.depth >= MAX_CALL_DEPTH {
-                    return Err(SimError::StackOverflow { stmt: stmt.id });
-                }
-                let fid = match target {
-                    CallTarget::Static(f) => *f,
-                    CallTarget::Indirect {
-                        candidates,
-                        selector,
-                    } => {
-                        let idx =
-                            selector.eval_u64(&env.eval_ctx(iters)) as usize % candidates.len();
-                        candidates[idx]
-                    }
-                };
-                let fctx = cct.child(ctx, CtxFrame::Func(fid));
-                env.depth += 1;
-                let prog = env.prog;
-                build_segs(env, &prog.function(fid).body, fctx, iters, cct, segs)?;
-                env.depth -= 1;
-            }
-            StmtKind::Lock { lock, hold_us, .. } => {
-                let hold = hold_us.eval(&env.eval_ctx(iters)).max(0.0);
-                segs.push(Seg::Lock {
-                    lock: lock.0,
-                    hold,
-                    ctx,
-                    stmt: stmt.id,
-                });
-            }
-            StmtKind::Comm(_) => {
-                return Err(SimError::CommInThreadRegion { stmt: stmt.id });
-            }
-            StmtKind::ThreadRegion { .. } => {
-                return Err(SimError::NestedThreadRegion { stmt: stmt.id });
-            }
-        }
-    }
-    Ok(())
 }

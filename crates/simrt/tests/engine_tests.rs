@@ -464,6 +464,73 @@ fn recursion_guard_trips() {
     ));
 }
 
+/// A branch body ending inside a recursive function does not unwind the
+/// call depth: recursion through a branch still trips the guard.
+#[test]
+fn recursion_guard_counts_calls_not_branches() {
+    let mut pb = ProgramBuilder::new("rec");
+    let main = pb.declare("main", "r.c");
+    pb.define(main, |f| {
+        f.branch("base", c(1.0), |b| b.compute("k", c(1.0)), |_| {});
+        f.call(main);
+    });
+    let prog = pb.build(main);
+    assert!(matches!(
+        simulate(&prog, &RunConfig::new(1)),
+        Err(SimError::StackOverflow { .. })
+    ));
+}
+
+/// The thread-region counterpart of `recursion_guard_trips`.
+#[test]
+fn recursion_in_thread_region_overflows() {
+    let mut pb = ProgramBuilder::new("rec");
+    let main = pb.declare("main", "r.c");
+    let f = pb.declare("f", "r.c");
+    pb.define(f, |b| b.call(f));
+    pb.define(main, |m| m.thread_region(c(2.0), |b| b.call(f)));
+    let prog = pb.build(main);
+    assert!(matches!(
+        simulate(&prog, &RunConfig::new(1)),
+        Err(SimError::StackOverflow { .. })
+    ));
+}
+
+#[test]
+fn nested_thread_region_rejected() {
+    let mut pb = ProgramBuilder::new("nest");
+    let main = pb.declare("main", "n.c");
+    pb.define(main, |f| {
+        f.thread_region(c(2.0), |b| {
+            b.thread_region(c(2.0), |i| i.compute("k", c(1.0)));
+        });
+    });
+    let prog = pb.build(main);
+    assert!(matches!(
+        simulate(&prog, &RunConfig::new(1)),
+        Err(SimError::NestedThreadRegion { .. })
+    ));
+}
+
+/// Thread regions walk the program like ranks do, so an indirect call
+/// inside one is tallied as observed, once per distinct target.
+#[test]
+fn indirect_calls_in_thread_regions_are_observed() {
+    let mut pb = ProgramBuilder::new("ind");
+    let main = pb.declare("main", "i.c");
+    let fa = pb.declare("fa", "i.c");
+    let fb = pb.declare("fb", "i.c");
+    pb.define(fa, |f| f.compute("ka", c(1.0)));
+    pb.define(fb, |f| f.compute("kb", c(2.0)));
+    pb.define(main, |f| {
+        f.thread_region(c(4.0), |b| b.call_indirect(vec![fa, fb], thread()));
+    });
+    let prog = pb.build(main);
+    let data = simulate(&prog, &RunConfig::new(1)).unwrap();
+    let targets: Vec<_> = data.indirect_targets.values().collect();
+    assert_eq!(targets, [&vec![fa, fb]], "both candidates observed");
+}
+
 #[test]
 fn barrier_synchronizes_clocks() {
     let mut pb = ProgramBuilder::new("bar");
