@@ -2,8 +2,6 @@
 //! Schmitt et al.): extract the heaviest dependence chain through the
 //! parallel view and attribute it to code snippets.
 
-use pag::keys;
-
 use crate::error::PerFlowError;
 use crate::graphref::{RunHandle, RunHandleExt};
 use crate::passes::critical_path_analysis;
@@ -70,7 +68,6 @@ pub fn path_breakdown(result: &CriticalPathResult) -> Vec<(String, f64)> {
     }
     let mut rows: Vec<(String, f64)> = by_name.into_iter().collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let _ = keys::TIME;
     rows
 }
 

@@ -36,11 +36,7 @@ pub fn mpi_profiler(run: &RunHandle) -> Report {
             format!("{:.2}", 100.0 * time / total),
             count.to_string(),
             bytes.to_string(),
-            if count > 0 {
-                format!("{}", bytes / count.max(1))
-            } else {
-                "0".into()
-            },
+            (bytes / count).to_string(),
             format!("{:.1}", 100.0 * wait / time.max(1e-12)),
         ]);
     }

@@ -399,20 +399,6 @@ impl MetricColumns {
         removed
     }
 
-    /// Sum of a scalar column over present rows (columnar fast path).
-    pub fn sum(&self, key: KeyId) -> f64 {
-        match self.scalar(key) {
-            Some(col) => col
-                .data
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| col.present[i >> 6] & (1u64 << (i & 63)) != 0)
-                .map(|(_, &x)| x)
-                .sum(),
-            None => 0.0,
-        }
-    }
-
     /// Direct access to a scalar column, if it exists.
     pub fn scalar_col(&self, key: KeyId) -> Option<&ScalarCol> {
         self.scalar(key)
@@ -632,18 +618,6 @@ mod tests {
         assert!(c.remove(keys::TIME, 0));
         assert!(!c.remove(keys::TIME, 0));
         assert_eq!(c.get(keys::TIME, 0), None);
-    }
-
-    #[test]
-    fn sum_skips_absent_rows() {
-        let mut c = MetricColumns::new();
-        for _ in 0..100 {
-            c.push_row();
-        }
-        c.set(keys::TIME, 3, 1.0, false);
-        c.set(keys::TIME, 97, 2.5, false);
-        assert_eq!(c.sum(keys::TIME), 3.5);
-        assert_eq!(c.sum(keys::WAIT_TIME), 0.0);
     }
 
     #[test]

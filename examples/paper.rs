@@ -1072,9 +1072,9 @@ fn artifact_evaluation(_: Scale) {
     );
 }
 
-/// **Figures 2, 8, 11, 14** — the paper's PerFlowGraph diagrams, emitted
-/// as Graphviz DOT from the actual executable dataflow graphs (pipe any
-/// block to `dot -Tsvg` to regenerate the figure).
+/// **Figures 2, 8, 11, 14** — the paper's PerFlowGraph diagrams as DOT
+/// (pipe a block to `dot -Tsvg`), each then executed once. Only Fig. 2 is
+/// what a paradigm runs; the other paradigms call their passes directly.
 fn fig_perflowgraphs(_: Scale) {
     let pflow = PerFlow::new();
     let prog = workloads::cg();
