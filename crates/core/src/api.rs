@@ -74,29 +74,12 @@ impl PerFlow {
         passes::causal(set, &passes::CausalConfig::default())
     }
 
-    /// Contention detection via anchored subgraph matching.
-    pub fn contention_detection(&self, set: &VertexSet) -> (VertexSet, EdgeSet) {
-        let (v, e, _) = passes::contention(set, None, 16);
-        (v, e)
-    }
-
     /// Critical path over the graph the set lives on.
     pub fn critical_path(
         &self,
         set: &VertexSet,
     ) -> Result<(VertexSet, EdgeSet, f64), PerFlowError> {
         passes::critical_path_analysis(set)
-    }
-
-    /// Backtracking analysis (the Listing-7 user-defined pass, provided
-    /// built-in here).
-    pub fn backtracking_analysis(&self, set: &VertexSet) -> (VertexSet, EdgeSet) {
-        passes::backtracking(set, 10_000)
-    }
-
-    /// Set union.
-    pub fn union(&self, a: &VertexSet, b: &VertexSet) -> Result<VertexSet, PerFlowError> {
-        a.union(b)
     }
 
     /// Build a report over sets with the requested attribute columns.
@@ -173,7 +156,7 @@ mod tests {
         let ar = pv.filter_name("MPI_Allreduce");
         let imb = pflow.imbalance_analysis(&ar, 0.1);
         if !imb.is_empty() {
-            let (vs, _es) = pflow.backtracking_analysis(&imb);
+            let (vs, _es) = passes::backtracking(&imb, 100_000);
             assert!(!vs.is_empty());
         }
     }

@@ -117,11 +117,6 @@ impl Outputs {
         self.of(node).first().and_then(Value::as_vertices)
     }
 
-    /// Convenience: the first output of a node as an edge set.
-    pub fn edges(&self, node: NodeId) -> Option<&crate::set::EdgeSet> {
-        self.of(node).first().and_then(Value::as_edges)
-    }
-
     /// Convenience: the first output of a node as a report.
     pub fn report(&self, node: NodeId) -> Option<&crate::report::Report> {
         self.of(node).first().and_then(Value::as_report)
@@ -189,6 +184,13 @@ impl PerFlowGraph {
     /// Shorthand: connect first output of `from` to port 0 of `to`.
     pub fn pipe(&mut self, from: NodeId, to: NodeId) -> Result<(), PerFlowError> {
         self.connect(from, 0, to, 0)
+    }
+
+    /// The node shown as `name`: unique in a graph that lints without
+    /// PF0008 (duplicate names).
+    pub fn find(&self, name: &str) -> Option<NodeId> {
+        let i = self.nodes.iter().position(|n| n.pass.name() == name)?;
+        Some(NodeId(i))
     }
 
     /// Number of nodes.

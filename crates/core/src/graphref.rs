@@ -91,14 +91,6 @@ impl GraphRef {
         }
     }
 
-    /// The run bundle, if this graph belongs to one.
-    pub fn bundle(&self) -> Option<&RunHandle> {
-        match self {
-            GraphRef::TopDown(b) | GraphRef::Parallel(b) => Some(b),
-            GraphRef::Detached(_) => None,
-        }
-    }
-
     /// A (view-tag, handle-address) pair identifying this graph instance
     /// — the identity `same_graph` compares, in hashable form. Used by
     /// value fingerprints: sets on the same handle get the same token.
@@ -140,15 +132,24 @@ impl GraphRef {
         VertexSet::new(self.clone(), ids)
     }
 
-    /// Project a top-down set onto this parallel view: every flow replica
-    /// (across processes and threads) of a member of `topdown`.
-    pub(crate) fn replicas_of(&self, topdown: &VertexSet) -> VertexSet {
+    /// Project `set` — a set on the top-down view of this graph's run or
+    /// on a difference graph of its skeleton — onto this graph: onto a
+    /// parallel view, every flow replica (across processes and threads)
+    /// of a member; onto any other view, the members themselves with
+    /// their scores, as the views share the skeleton's vertex ids.
+    pub(crate) fn project(&self, set: &VertexSet) -> VertexSet {
         let pag = self.pag();
-        let ids: HashSet<i64> = topdown.ids.iter().map(|v| v.0 as i64).collect();
-        self.all_vertices().retain(|v| {
-            pag.metric_i64(v, mkeys::TOPDOWN_VERTEX)
-                .is_some_and(|td| ids.contains(&td))
-        })
+        let mut out = if pag.view() == pag::ViewKind::Parallel {
+            let ids: HashSet<i64> = set.ids.iter().map(|v| v.0 as i64).collect();
+            self.all_vertices().retain(|v| {
+                pag.metric_i64(v, mkeys::TOPDOWN_VERTEX)
+                    .is_some_and(|td| ids.contains(&td))
+            })
+        } else {
+            set.retain(|v| v.index() < pag.num_vertices())
+        };
+        out.graph = self.clone();
+        out
     }
 }
 

@@ -152,7 +152,7 @@ impl InteractiveSession {
     /// Project the current set onto the parallel view (all flow replicas
     /// of the current top-down vertices).
     pub fn to_parallel(&mut self) -> &VertexSet {
-        let next = GraphRef::Parallel(std::sync::Arc::clone(&self.run)).replicas_of(&self.current);
+        let next = GraphRef::Parallel(std::sync::Arc::clone(&self.run)).project(&self.current);
         self.step("to_parallel_view".to_string(), next);
         &self.current
     }

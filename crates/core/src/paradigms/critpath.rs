@@ -2,12 +2,16 @@
 //! Schmitt et al.): extract the heaviest dependence chain through the
 //! parallel view and attribute it to code snippets.
 
+use super::{execute, output};
+use crate::builder::GraphBuilder;
+use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
 use crate::graphref::{RunHandle, RunHandleExt};
-use crate::passes::critical_path_analysis;
-use crate::passes::report_pass::{format_time_us, report_sets};
+use crate::passes::report_pass::format_time_us;
+use crate::passes::{CriticalPathPass, ReportPass, TopPass};
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
+use crate::value::Value;
 
 /// Result of the critical-path paradigm.
 #[derive(Debug)]
@@ -22,6 +26,20 @@ pub struct CriticalPathResult {
     pub coverage: f64,
     /// Top contributors along the path.
     pub report: Report,
+    /// The passes the graph ran, in canonical order.
+    pub trail: Vec<String>,
+}
+
+/// The PerFlowGraph [`critical_path_paradigm`] executes: `parallel view
+/// → critical_path → top(score) → report`.
+pub fn critical_path_graph(run: &RunHandle, top_n: usize) -> Result<PerFlowGraph, PerFlowError> {
+    let b = GraphBuilder::new();
+    let columns = ["name", "debug-info", "proc", "score"];
+    b.source(run.parallel_vertices())
+        .then(CriticalPathPass)
+        .then(TopPass("score", top_n))
+        .then(ReportPass::new("critical path", &columns, 1));
+    b.finish()
 }
 
 /// Run the critical-path paradigm on a profiled run.
@@ -29,17 +47,15 @@ pub fn critical_path_paradigm(
     run: &RunHandle,
     top_n: usize,
 ) -> Result<CriticalPathResult, PerFlowError> {
-    let pv = run.parallel_vertices();
-    let (path, edges, weight) = critical_path_analysis(&pv)?;
+    let graph = critical_path_graph(run, top_n)?;
+    let out = execute(&graph)?;
+    let weight = output(&graph, &out, "critical_path", 2, |v| match v {
+        Value::Num(w) => Some(w),
+        _ => None,
+    })?;
     let makespan = run.data().total_time.max(1e-12);
     let coverage = weight / makespan;
-
-    let contributors = path.sort_by("score").top(top_n);
-    let mut report = report_sets(
-        "critical path",
-        &[&contributors],
-        &["name", "debug-info", "proc", "score"],
-    );
+    let mut report = output(&graph, &out, "report", 0, Value::as_report)?;
     report.note(format!(
         "critical path weight {} = {:.0}% of makespan {}",
         format_time_us(weight),
@@ -47,11 +63,12 @@ pub fn critical_path_paradigm(
         format_time_us(makespan)
     ));
     Ok(CriticalPathResult {
-        path,
-        edges,
+        path: output(&graph, &out, "critical_path", 0, Value::as_vertices)?,
+        edges: output(&graph, &out, "critical_path", 1, Value::as_edges)?,
         weight,
         coverage,
         report,
+        trail: out.trail,
     })
 }
 

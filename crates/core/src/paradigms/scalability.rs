@@ -1,10 +1,4 @@
-//! The scalability-analysis paradigm (Fig. 8, Listing 7; ScalAna-style):
-//!
-//! ```text
-//! PAG(small) ─┐
-//!             ├─ differential ─┬─ hotspot ──┐
-//! PAG(large) ─┘                └─ imbalance ┴─ union → backtracking → report
-//! ```
+//! The scalability-analysis paradigm (Fig. 8, Listing 7; ScalAna-style).
 //!
 //! The differential pass compares aggregate (CPU-second) time, which is
 //! scale-invariant under ideal strong scaling, so growth *is* scaling
@@ -15,13 +9,19 @@
 
 use pag::{keys, mkeys};
 
+use super::{by_score, execute, output};
+use crate::builder::GraphBuilder;
+use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
-use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
-use crate::passes::differential::map_to_run;
-use crate::passes::report_pass::{format_time_us, report_sets};
-use crate::passes::{backtracking, differential, hotspot, imbalance};
+use crate::graphref::{RunHandle, RunHandleExt};
+use crate::pass::{config_fingerprint, expect_vertices, named, Pass, PassCx};
+use crate::passes::report_pass::format_time_us;
+use crate::passes::{
+    BacktrackingPass, DifferentialPass, FilterPass, ImbalancePass, ReportPass, UnionPass,
+};
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
+use crate::value::Value;
 
 /// Everything the scalability paradigm produces.
 #[derive(Debug)]
@@ -43,19 +43,102 @@ pub struct ScalabilityResult {
     pub root_causes: VertexSet,
     /// Human-readable report.
     pub report: Report,
+    /// The passes the graph ran, in canonical order.
+    pub trail: Vec<String>,
+}
+
+/// Fig. 8 — the PerFlowGraph [`scalability_analysis`] executes:
+/// differential → hotspot → projection, ∪ imbalance → projection onto
+/// the parallel view → lagging replicas → backtracking → root causes.
+pub fn scalability_graph(
+    small: &RunHandle,
+    large: &RunHandle,
+    top_n: usize,
+    imbalance_threshold: f64,
+) -> Result<PerFlowGraph, PerFlowError> {
+    let b = GraphBuilder::new();
+    let imbalance = |name, threshold| named(name, ImbalancePass { threshold });
+    let (large_td, small_td) = (b.source(large.vertices()), b.source(small.vertices()));
+    let diff = b.join(DifferentialPass::default(), &[large_td, small_td]);
+    // The worst scaling vertices, mapped back onto the large run.
+    let loss = diff
+        .then(by_score(top_n))
+        .then(FilterPass::metric_at_least("score", 1e-9));
+    let to_td = named("projection:top-down", UnionPass::project());
+    let hotspots = b.join(to_td, &[loss, large_td]);
+    let imbalanced = large_td.then(imbalance("imbalance_analysis", imbalance_threshold));
+    let union = b.join(UnionPass::union(), &[hotspots, imbalanced]);
+    // Their flow replicas: the lagging ones start the backtracking, or
+    // the slowest per vertex when the loss is uniform.
+    let to_pv = named("projection:parallel", UnionPass::project());
+    let flows = b.join(to_pv, &[union, b.source(large.parallel_vertices())]);
+    let lagging = flows.then(imbalance("imbalance_analysis:lagging", imbalance_threshold));
+    let slowest = flows.then(imbalance("imbalance_analysis:slowest", 0.0));
+    let columns = ["name", "debug-info", "proc", "time"];
+    b.join(UnionPass::first_non_empty(), &[lagging, slowest])
+        .then(BacktrackingPass { max_steps: 100_000 })
+        .then(RootCausePass(top_n))
+        .then(ReportPass::new(
+            "scalability analysis (root causes)",
+            &columns,
+            1,
+        ));
+    b.finish()
+}
+
+/// The root causes among backtracked vertices: *work* vertices (compute
+/// kernels, loops and lock sites — never structural function vertices
+/// or the communication calls themselves) with recorded time, slowest
+/// first, one per code snippet, at most `.0`, scored by their time.
+struct RootCausePass(usize);
+
+impl Pass for RootCausePass {
+    fn name(&self) -> &str {
+        "root_causes"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn run(&self, inputs: &[Value], _cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
+        let set = expect_vertices(self, inputs, 0)?;
+        let pag = set.graph.pag();
+        let work = set
+            .retain(|v| {
+                matches!(
+                    pag.vertex(v).label,
+                    pag::VertexLabel::Compute
+                        | pag::VertexLabel::Loop
+                        | pag::VertexLabel::Call(pag::CallKind::Lock)
+                ) && pag.metric_f64(v, mkeys::TIME) > 0.0
+            })
+            .sort_by(keys::TIME);
+        let mut names = std::collections::HashSet::new();
+        let mut causes = VertexSet::new(work.graph.clone(), Vec::new());
+        for &v in &work.ids {
+            if causes.len() < self.0 && names.insert(pag.vertex_name(v)) {
+                causes.scores.insert(v, pag.vertex_time(v));
+                causes.ids.push(v);
+            }
+        }
+        Ok(vec![causes.into()])
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        config_fingerprint(&[self.name()], &[self.0 as u64])
+    }
 }
 
 /// Run the scalability-analysis paradigm over a small-scale and a
-/// large-scale run of the same program.
+/// large-scale run of the same program: execute [`scalability_graph`],
+/// then note the run shapes, the stage sizes and the data quality.
 pub fn scalability_analysis(
     small: &RunHandle,
     large: &RunHandle,
     top_n: usize,
     imbalance_threshold: f64,
 ) -> Result<ScalabilityResult, PerFlowError> {
-    // 0. Data-quality gate: degraded runs are analyzed from whatever the
-    //    surviving ranks recorded, but a run where *no* rank completed
-    //    has nothing trustworthy to attribute.
+    // Data-quality gate: degraded runs are analyzed from whatever the
+    // surviving ranks recorded, but a run where *no* rank completed has
+    // nothing trustworthy to attribute.
     for (tag, run) in [("small", small), ("large", large)] {
         let data = run.data();
         if !data.rank_status.is_empty() && data.rank_status.iter().all(|s| !s.is_completed()) {
@@ -68,69 +151,14 @@ pub fn scalability_analysis(
         }
     }
 
-    // 1. Differential: aggregate-time growth = scaling loss.
-    let diff = differential(large, small, 1.0)?;
-
-    // 2. Hotspot on the difference → worst scaling vertices.
-    let hot_diff = hotspot(&diff, "score", top_n).filter_metric("score", 1e-9);
-    let scaling_hotspots = map_to_run(&hot_diff, large);
-
-    // 3. Imbalance on the large run.
-    let imbalanced = imbalance(&large.vertices(), imbalance_threshold);
-
-    // 4. Union.
-    let union = scaling_hotspots.union(&imbalanced)?;
-
-    // 5. Project onto the parallel view: the lagging flow replicas of the
-    //    union vertices.
-    let pv = GraphRef::Parallel(std::sync::Arc::clone(large));
-    let flows = pv.replicas_of(&union);
-    let mut lagging = imbalance(&flows, imbalance_threshold);
-    if lagging.is_empty() {
-        // Uniformly lost time: take the slowest replica per vertex.
-        lagging = imbalance(&flows, 0.0);
-    }
-
-    // 6. Backtracking from the lagging flow vertices.
-    let (backtrack_vertices, backtrack_edges) = backtracking(&lagging, 100_000);
-
-    // 7. Root causes: backtracked *work* vertices (compute kernels and
-    //    loops — never structural function vertices or the comm calls
-    //    themselves), deduplicated per code snippet keeping the slowest
-    //    process replica.
-    let work = backtrack_vertices
-        .retain(|v| {
-            let data = pv.pag().vertex(v);
-            matches!(
-                data.label,
-                pag::VertexLabel::Compute
-                    | pag::VertexLabel::Loop
-                    | pag::VertexLabel::Call(pag::CallKind::Lock)
-            ) && pv.pag().metric_f64(v, mkeys::TIME) > 0.0
-        })
-        .sort_by(keys::TIME);
-    let mut seen_names: std::collections::HashSet<&str> = Default::default();
-    let mut dedup_ids = Vec::new();
-    for &v in &work.ids {
-        let name = pv.pag().vertex_name(v);
-        if seen_names.insert(name) {
-            dedup_ids.push(v);
-        }
-        if dedup_ids.len() >= top_n {
-            break;
-        }
-    }
-    let mut root_causes = crate::set::VertexSet::new(work.graph.clone(), dedup_ids);
-    for &v in &root_causes.ids.clone() {
-        root_causes.scores.insert(v, pv.pag().vertex_time(v));
-    }
-
-    // 8. Report.
-    let mut report = report_sets(
-        "scalability analysis (root causes)",
-        &[&root_causes],
-        &["name", "debug-info", "proc", "time"],
-    );
+    let graph = scalability_graph(small, large, top_n, imbalance_threshold)?;
+    let out = execute(&graph)?;
+    let set = |name| output(&graph, &out, name, 0, Value::as_vertices);
+    let scaling_hotspots = set("projection:top-down")?;
+    let imbalanced = set("imbalance_analysis")?;
+    let backtrack_vertices = set("backtracking_analysis")?;
+    let backtrack_edges = output(&graph, &out, "backtracking_analysis", 1, Value::as_edges)?;
+    let mut report = output(&graph, &out, "report", 0, Value::as_report)?;
     report.note(format!(
         "run A: {} ranks, {} | run B: {} ranks, {}",
         small.data().nranks,
@@ -175,14 +203,15 @@ pub fn scalability_analysis(
     }
 
     Ok(ScalabilityResult {
-        diff,
+        diff: set("differential_analysis")?,
         scaling_hotspots,
         imbalanced,
-        lagging_flows: lagging,
+        lagging_flows: set("first_non_empty")?,
         backtrack_vertices,
         backtrack_edges,
-        root_causes,
+        root_causes: set("root_causes")?,
         report,
+        trail: out.trail,
     })
 }
 
@@ -247,6 +276,31 @@ mod tests {
         );
         let text = result.report.render();
         assert!(text.contains("scalability analysis"));
+    }
+
+    #[test]
+    fn scalability_graph_matches_listing7_shape() {
+        let pflow = PerFlow::new();
+        let prog = mini_zeusmp();
+        let small = pflow.run(&prog, &RunConfig::new(4)).unwrap();
+        let large = pflow.run(&prog, &RunConfig::new(16)).unwrap();
+        let g = scalability_graph(&small, &large, 10, 0.2).unwrap();
+        assert!(g.lint().is_clean(), "{}", g.lint().render_text());
+        let out = g.execute().unwrap();
+        assert!(out.report(g.find("report").unwrap()).is_some());
+        let dot = g.to_dot("fig8");
+        for pass in [
+            "differential_analysis",
+            "hotspot_detection",
+            "imbalance_analysis",
+            "union",
+            "projection:parallel",
+            "backtracking_analysis",
+            "root_causes",
+            "report",
+        ] {
+            assert!(dot.contains(pass), "missing {pass} in DOT");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use obs::Obs;
 use pag::{keys, mkeys, Pag, VertexId};
 
 use crate::builder::GraphBuilder;
-use crate::dataflow::{NodeId, PerFlowGraph};
+use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
 use crate::graphref::GraphRef;
 use crate::passes::{HotspotPass, ImbalancePass, ReportPass};
@@ -30,46 +30,26 @@ use crate::report::Report;
 use crate::set::VertexSet;
 use verify::{check_pag, Diagnostics};
 
-/// Key nodes of the self-analysis graph.
-#[derive(Debug, Clone, Copy)]
-pub struct SelfAnalysisNodes {
-    /// Hotspot detection over the top-down self view.
-    pub hotspot: NodeId,
-    /// Imbalance analysis over the lane flows.
-    pub imbalance: NodeId,
-    /// The terminal report node.
-    pub report: NodeId,
-}
-
 /// The built-in self-analysis PerFlowGraph:
 /// `topdown → hotspot(self-time)`, `parallel → imbalance`, joined into
 /// one report.
 pub fn self_analysis_graph(
     topdown: VertexSet,
     parallel: VertexSet,
-) -> Result<(PerFlowGraph, SelfAnalysisNodes), PerFlowError> {
+) -> Result<PerFlowGraph, PerFlowError> {
     let b = GraphBuilder::new();
     let hot = b.source(topdown).then(HotspotPass {
         metric: keys::SELF_TIME.to_string(),
         n: 10,
     });
     let imb = b.source(parallel).then(ImbalancePass { threshold: 0.1 });
-    let report = b
-        .node(ReportPass::new(
-            "self analysis (PerFlow on PerFlow)",
-            &["name", "label", "time", "score", "proc"],
-            2,
-        ))
-        .input(0, hot.out(0))
-        .input(1, imb.out(0));
-    Ok((
-        b.finish()?,
-        SelfAnalysisNodes {
-            hotspot: hot.id(),
-            imbalance: imb.id(),
-            report: report.id(),
-        },
-    ))
+    let report = ReportPass::new(
+        "self analysis (PerFlow on PerFlow)",
+        &["name", "label", "time", "score", "proc"],
+        2,
+    );
+    b.join(report, &[hot, imb]);
+    b.finish()
 }
 
 /// Everything the self-analysis produces.
@@ -179,11 +159,14 @@ pub fn self_analysis(trace: &Obs) -> Result<SelfAnalysisResult, PerFlowError> {
     let pv_ref = GraphRef::Detached(Arc::clone(&pv));
     // ImbalancePass dispatches on the PAG's view kind, so the detached
     // parallel view still gets the flow-replica grouping.
-    let (graph, nodes) = self_analysis_graph(td_ref.all_vertices(), pv_ref.all_vertices())?;
+    let graph = self_analysis_graph(td_ref.all_vertices(), pv_ref.all_vertices())?;
     let out = graph.execute()?;
 
     let mut hotspots: Vec<(String, String, f64)> = Vec::new();
-    if let Some(set) = out.of(nodes.hotspot).first().and_then(|v| v.as_vertices()) {
+    if let Some(set) = graph
+        .find("hotspot_detection")
+        .and_then(|n| out.vertices(n))
+    {
         for &v in &set.ids {
             let self_us = set.graph.pag().metric(v, mkeys::SELF_TIME).unwrap_or(0.0);
             // The root and layer vertices carry zero self time; a span
@@ -196,10 +179,9 @@ pub fn self_analysis(trace: &Obs) -> Result<SelfAnalysisResult, PerFlowError> {
     }
 
     let mut lagging_lanes: Vec<(String, f64)> = Vec::new();
-    if let Some(set) = out
-        .of(nodes.imbalance)
-        .first()
-        .and_then(|v| v.as_vertices())
+    if let Some(set) = graph
+        .find("imbalance_analysis")
+        .and_then(|n| out.vertices(n))
     {
         for &v in &set.ids {
             let name = set.graph.pag().vertex_name(v).to_string();
@@ -222,8 +204,7 @@ pub fn self_analysis(trace: &Obs) -> Result<SelfAnalysisResult, PerFlowError> {
         lagging_lanes.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
-    let report = out
-        .report(nodes.report)
+    let report = (graph.find("report").and_then(|n| out.report(n)))
         .cloned()
         .unwrap_or_else(|| Report::new("self analysis (PerFlow on PerFlow)"));
 
@@ -294,12 +275,12 @@ mod tests {
         let sp = build_self_pag(&obs);
         let td = GraphRef::Detached(Arc::new(sp.topdown));
         let pv = GraphRef::Detached(Arc::new(sp.parallel));
-        let (g, nodes) = self_analysis_graph(td.all_vertices(), pv.all_vertices()).unwrap();
+        let g = self_analysis_graph(td.all_vertices(), pv.all_vertices()).unwrap();
         assert_eq!(g.len(), 5);
         let dot = g.to_dot("self");
         assert!(dot.contains("hotspot_detection"));
         assert!(dot.contains("imbalance_analysis"));
         let out = g.execute().unwrap();
-        assert!(out.report(nodes.report).is_some());
+        assert!(out.report(g.find("report").unwrap()).is_some());
     }
 }

@@ -56,6 +56,43 @@ pub trait Pass: Send + Sync {
     }
 }
 
+/// A pass shown as a stage name of its own, so that trails, drawings and
+/// the linter's duplicate-name check (PF0008) tell apart the stages of a
+/// graph that runs one kind of pass several times.
+pub(crate) struct Named<P>(&'static str, P);
+
+/// `pass`, shown as `name`.
+pub(crate) fn named<P: Pass>(name: &'static str, pass: P) -> Named<P> {
+    Named(name, pass)
+}
+
+impl<P: Pass> Pass for Named<P> {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn arity(&self) -> usize {
+        self.1.arity()
+    }
+    fn run(&self, inputs: &[Value], cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
+        self.1.run(inputs, cx)
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        self.1.fingerprint()
+    }
+    fn retry_policy(&self) -> Option<crate::exec::RetryPolicy> {
+        self.1.retry_policy()
+    }
+}
+
+/// A pass configuration's content fingerprint: FNV over `strs` (the
+/// pass name first), then `words` (counts, flags, thresholds as bits).
+pub(crate) fn config_fingerprint(strs: &[&str], words: &[u64]) -> Option<u64> {
+    let mut h = obs::Fnv::new();
+    strs.iter().for_each(|s| h.str(s));
+    words.iter().for_each(|&w| h.u64(w));
+    Some(h.finish())
+}
+
 /// Helper: extract the vertex-set input on `port` or fail with a typed
 /// error.
 pub fn expect_vertices<'a>(
@@ -100,17 +137,14 @@ impl Pass for SourcePass {
         Ok(vec![self.value.clone()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str("source");
         // Prefer the content-addressed fingerprint: the pointer-based one
         // is unstable across processes, which would make source nodes
         // silently unresumable from a checkpoint snapshot.
-        h.u64(
-            self.value
-                .stable_fingerprint()
-                .unwrap_or_else(|| self.value.fingerprint()),
-        );
-        Some(h.finish())
+        let value = self.value.stable_fingerprint();
+        config_fingerprint(
+            &["source"],
+            &[value.unwrap_or_else(|| self.value.fingerprint())],
+        )
     }
 }
 

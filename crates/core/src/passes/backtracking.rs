@@ -6,7 +6,7 @@
 use pag::{mkeys, EdgeId, EdgeLabel, VertexId};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
 
@@ -99,12 +99,6 @@ pub struct BacktrackingPass {
     pub max_steps: usize,
 }
 
-impl Default for BacktrackingPass {
-    fn default() -> Self {
-        BacktrackingPass { max_steps: 10_000 }
-    }
-}
-
 impl Pass for BacktrackingPass {
     fn name(&self) -> &str {
         "backtracking_analysis"
@@ -118,10 +112,7 @@ impl Pass for BacktrackingPass {
         Ok(vec![v.into(), e.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.max_steps as u64);
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.max_steps as u64])
     }
 }
 

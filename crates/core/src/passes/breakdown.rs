@@ -5,7 +5,7 @@
 use pag::{keys, mkeys, VertexId, VertexStats};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::report::Report;
 use crate::set::VertexSet;
 use crate::value::Value;
@@ -170,10 +170,7 @@ impl Pass for BreakdownPass {
         Ok(vec![causes.into(), report.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.threshold.to_bits());
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.threshold.to_bits()])
     }
 }
 

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use pag::{CallKind, EdgeId, VertexId, VertexLabel};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
 
@@ -159,12 +159,14 @@ impl Pass for CausalPass {
         Ok(vec![causes.into(), edges.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.cfg.restrict_to_input as u64);
-        h.u64(self.cfg.resolve_to_compute as u64);
-        h.u64(self.cfg.max_pairs as u64);
-        Some(h.finish())
+        config_fingerprint(
+            &[self.name()],
+            &[
+                self.cfg.restrict_to_input as u64,
+                self.cfg.resolve_to_compute as u64,
+                self.cfg.max_pairs as u64,
+            ],
+        )
     }
 }
 

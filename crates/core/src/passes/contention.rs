@@ -6,7 +6,7 @@ use graphalgo::subgraph::{match_subgraph, Embedding, Pattern, PatternVertex};
 use pag::{EdgeId, EdgeLabel, VertexId};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
 
@@ -83,15 +83,6 @@ pub struct ContentionPass {
     pub max_per_anchor: usize,
 }
 
-impl Default for ContentionPass {
-    fn default() -> Self {
-        ContentionPass {
-            pattern: None,
-            max_per_anchor: 16,
-        }
-    }
-}
-
 impl Pass for ContentionPass {
     fn name(&self) -> &str {
         "contention_detection"
@@ -110,10 +101,7 @@ impl Pass for ContentionPass {
         if self.pattern.is_some() {
             return None;
         }
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.max_per_anchor as u64);
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.max_per_anchor as u64])
     }
 }
 

@@ -4,7 +4,7 @@
 use pag::{mkeys, CallKind, EdgeLabel, VertexLabel};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
 
@@ -34,21 +34,24 @@ fn forward_only(pag: &pag::Pag) -> impl Fn(pag::EdgeId) -> bool + Copy + '_ {
     }
 }
 
-/// Compute the critical path over the graph a set lives on. Vertex weight
-/// is the recorded `time` of *leaf* activities (compute kernels,
-/// communication calls, lock sites); structural vertices weigh nothing so
-/// inclusive times are not double-counted along a flow.
+/// The recorded `time` of a *leaf* activity (compute kernel,
+/// communication call, lock site, external call); structural vertices
+/// weigh nothing so inclusive times are not double-counted along a flow.
+fn leaf_weight(pag: &pag::Pag, v: pag::VertexId) -> f64 {
+    match pag.vertex(v).label {
+        VertexLabel::Compute
+        | VertexLabel::Call(CallKind::Comm)
+        | VertexLabel::Call(CallKind::Lock)
+        | VertexLabel::Call(CallKind::External) => pag.vertex_time(v),
+        _ => 0.0,
+    }
+}
+
+/// Compute the critical path over the graph a set lives on, weighing
+/// each vertex by `leaf_weight`.
 pub fn critical_path_analysis(set: &VertexSet) -> Result<(VertexSet, EdgeSet, f64), PerFlowError> {
     let pag = set.graph.pag();
-    let weight = |v: pag::VertexId| -> f64 {
-        match pag.vertex(v).label {
-            VertexLabel::Compute
-            | VertexLabel::Call(CallKind::Comm)
-            | VertexLabel::Call(CallKind::Lock)
-            | VertexLabel::Call(CallKind::External) => pag.vertex_time(v),
-            _ => 0.0,
-        }
-    };
+    let weight = |v| leaf_weight(pag, v);
     let cp = graphalgo::critical_path(pag, |_| true, weight)
         .or_else(|| graphalgo::critical_path(pag, forward_only(pag), weight))
         .ok_or_else(|| {
@@ -69,15 +72,7 @@ pub fn k_critical_paths(
     k: usize,
 ) -> Result<Vec<(VertexSet, EdgeSet, f64)>, PerFlowError> {
     let pag = set.graph.pag();
-    let weight = |v: pag::VertexId| -> f64 {
-        match pag.vertex(v).label {
-            VertexLabel::Compute
-            | VertexLabel::Call(CallKind::Comm)
-            | VertexLabel::Call(CallKind::Lock)
-            | VertexLabel::Call(CallKind::External) => pag.vertex_time(v),
-            _ => 0.0,
-        }
-    };
+    let weight = |v| leaf_weight(pag, v);
     let paths = graphalgo::k_heaviest_paths(pag, k, |_| true, weight)
         .or_else(|| graphalgo::k_heaviest_paths(pag, k, forward_only(pag), weight))
         .ok_or_else(|| {
@@ -113,9 +108,7 @@ impl Pass for CriticalPathPass {
         Ok(vec![v.into(), e.into(), Value::Num(w)])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[])
     }
 }
 

@@ -8,7 +8,7 @@ use pag::{keys, mkeys};
 
 use crate::error::PerFlowError;
 use crate::graphref::{GraphRef, RunHandle};
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::VertexSet;
 use crate::value::Value;
 
@@ -26,16 +26,6 @@ pub fn differential(
     scale: f64,
 ) -> Result<VertexSet, PerFlowError> {
     diff_pags(left.topdown(), right.topdown(), scale)
-}
-
-/// Set-based variant (the Listing-4 signature): inputs are full vertex
-/// sets of two runs; their graphs are differenced.
-pub fn differential_sets(
-    left: &VertexSet,
-    right: &VertexSet,
-    scale: f64,
-) -> Result<VertexSet, PerFlowError> {
-    diff_pags(left.graph.pag(), right.graph.pag(), scale)
 }
 
 fn diff_pags(left: &pag::Pag, right: &pag::Pag, scale: f64) -> Result<VertexSet, PerFlowError> {
@@ -60,20 +50,11 @@ fn diff_pags(left: &pag::Pag, right: &pag::Pag, scale: f64) -> Result<VertexSet,
 /// view. Valid because the difference preserves vertex ids of the shared
 /// skeleton.
 pub fn map_to_run(set: &VertexSet, run: &RunHandle) -> VertexSet {
-    let graph = GraphRef::TopDown(Arc::clone(run));
-    let n = graph.pag().num_vertices();
-    let ids: Vec<pag::VertexId> = set.ids.iter().copied().filter(|v| v.index() < n).collect();
-    let mut out = VertexSet::new(graph, ids);
-    out.scores = set
-        .scores
-        .iter()
-        .filter(|(k, _)| k.index() < n)
-        .map(|(k, v)| (*k, *v))
-        .collect();
-    out
+    GraphRef::TopDown(Arc::clone(run)).project(set)
 }
 
-/// Pass wrapper: two vertex-set inputs → difference set.
+/// Pass wrapper (the Listing-4 signature): two vertex-set inputs, the
+/// full sets of two runs, whose graphs are differenced.
 pub struct DifferentialPass {
     /// Ideal-scaling factor applied to the right input.
     pub scale: f64,
@@ -95,13 +76,15 @@ impl Pass for DifferentialPass {
     fn run(&self, inputs: &[Value], _cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
         let left = expect_vertices(self, inputs, 0)?;
         let right = expect_vertices(self, inputs, 1)?;
-        Ok(vec![differential_sets(left, right, self.scale)?.into()])
+        Ok(vec![diff_pags(
+            left.graph.pag(),
+            right.graph.pag(),
+            self.scale,
+        )?
+        .into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.scale.to_bits());
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.scale.to_bits()])
     }
 }
 

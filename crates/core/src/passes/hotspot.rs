@@ -6,7 +6,7 @@
 //! it so low-confidence vertices cannot displace well-measured ones.
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::VertexSet;
 use crate::value::Value;
 
@@ -61,11 +61,7 @@ impl Pass for HotspotPass {
         Ok(vec![hotspot(set, &self.metric, self.n).into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.str(&self.metric);
-        h.u64(self.n as u64);
-        Some(h.finish())
+        config_fingerprint(&[self.name(), &self.metric], &[self.n as u64])
     }
 }
 

@@ -6,7 +6,7 @@
 use pag::{mkeys, VertexStats};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::passes::hotspot::completeness;
 use crate::set::VertexSet;
 use crate::value::Value;
@@ -108,10 +108,7 @@ impl Pass for ImbalancePass {
         Ok(vec![imbalance(set, self.threshold).into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.threshold.to_bits());
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.threshold.to_bits()])
     }
 }
 

@@ -23,10 +23,11 @@ pub use breakdown::{breakdown, BreakdownPass};
 pub use causal::{causal, CausalConfig, CausalPass};
 pub use contention::{contention, default_contention_pattern, ContentionPass};
 pub use critical_path::{critical_path_analysis, k_critical_paths, CriticalPathPass};
-pub use differential::{differential, differential_sets, DifferentialPass};
+pub use differential::{differential, DifferentialPass};
 pub use filter::FilterPass;
 pub use hotspot::{hotspot, HotspotPass};
 pub use imbalance::{imbalance, ImbalancePass};
 pub use report_pass::{report_sets, ReportPass};
+pub(crate) use setops::TopPass;
 pub use setops::UnionPass;
 pub use wait_state::{wait_states, WaitClass, WaitStatePass};

@@ -9,7 +9,7 @@
 use pag::{keys, mkeys, VertexId, VertexStats};
 
 use crate::error::PerFlowError;
-use crate::pass::{expect_vertices, Pass, PassCx};
+use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::report::Report;
 use crate::set::VertexSet;
 use crate::value::Value;
@@ -152,10 +152,7 @@ impl Pass for WaitStatePass {
         Ok(vec![subset.into(), report.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        let mut h = obs::Fnv::new();
-        h.str(self.name());
-        h.u64(self.threshold.to_bits());
-        Some(h.finish())
+        config_fingerprint(&[self.name()], &[self.threshold.to_bits()])
     }
 }
 

@@ -10,14 +10,16 @@ pub mod bench_diff;
 
 use obs::json::{obj, Json};
 use perflow::paradigms::{
-    causal_loop_graph, comm_analysis_graph, contention_diagnosis, critical_path_paradigm,
-    diagnosis_graph, iterative_causal, mpi_profiler, scalability_analysis, scalability_graph,
+    causal_seed_graph, causal_step_graph, comm_analysis_graph, contention_diagnosis,
+    contention_graph, critical_path_graph, critical_path_paradigm, iterative_causal, mpi_profiler,
+    scalability_analysis, scalability_graph,
 };
 use perflow::pass::FnPass;
+use perflow::passes::{HotspotPass, ReportPass};
 use perflow::verify::{check_pag, lint_program, lint_query_text, Diagnostics, Severity};
 use perflow::{
-    execute_query, CheckpointFile, CheckpointWriter, ExecOptions, ExecPolicy, Obs, PassCache,
-    PerFlow, Report, RetryPolicy, RunHandle, RunHandleExt,
+    execute_query, CheckpointFile, CheckpointWriter, ExecOptions, ExecPolicy, GraphBuilder, Obs,
+    PassCache, PerFlow, PerFlowError, PerFlowGraph, Report, RetryPolicy, RunHandle, RunHandleExt,
 };
 use progmodel::Program;
 use simrt::RunConfig;
@@ -155,9 +157,14 @@ pub fn run_summary(prog: &Program, run: &RunHandle, cfg: &AnalysisConfig) -> Str
     )
 }
 
-/// Assemble and execute `paradigm` against an existing main `run`,
-/// launching any reference runs it needs (scalability, contention), and
-/// return the rendered-ready report.
+/// Paradigm settings shared by `analyze` and `lint`.
+const TOP_N: usize = 10;
+const IMBALANCE: f64 = 0.2;
+const CAUSAL_COMM: &str = "MPI_*";
+const CAUSAL_TOP_N: usize = 8;
+
+/// Execute `paradigm` against an existing main `run`, launching any
+/// reference runs it needs (scalability, contention); return its report.
 pub fn analyze(
     pflow: &PerFlow,
     prog: &Program,
@@ -165,44 +172,69 @@ pub fn analyze(
     paradigm: Paradigm,
     cfg: &AnalysisConfig,
 ) -> Result<Report, DriverError> {
+    let failed = |what: &str, e: PerFlowError| DriverError(format!("{what} failed: {e}"));
+    let reference = |n, t| pflow.run(prog, &RunConfig::new(n).with_threads(t).with_seed(cfg.seed));
     Ok(match paradigm {
         Paradigm::MpiProfiler => mpi_profiler(run),
         Paradigm::Hotspot => {
-            let hot = pflow.hotspot_detection(&run.vertices(), 15);
-            pflow.report(&[&hot], &["name", "label", "debug-info", "time"])
+            let graph = hotspot_graph(run).map_err(|e| failed("hotspot analysis", e))?;
+            let out = graph.execute_with(&ExecOptions::new().with_workers(1));
+            let out = out.map_err(|e| failed("hotspot analysis", e))?;
+            let report = graph.find("report").and_then(|n| out.report(n));
+            report
+                .cloned()
+                .expect("a fail-fast run leaves every node's outputs")
         }
         Paradigm::Scalability => {
-            let small = pflow
-                .run(prog, &RunConfig::new(cfg.small_ranks).with_seed(cfg.seed))
-                .map_err(|e| DriverError(format!("small run failed: {e}")))?;
-            scalability_analysis(&small, run, 10, 0.2)
-                .map_err(|e| DriverError(format!("scalability analysis failed: {e}")))?
+            let small = reference(cfg.small_ranks, 1).map_err(|e| failed("small run", e))?;
+            scalability_analysis(&small, run, TOP_N, IMBALANCE)
+                .map_err(|e| failed("scalability analysis", e))?
                 .report
         }
         Paradigm::CriticalPath => {
-            critical_path_paradigm(run, 10)
-                .map_err(|e| DriverError(format!("critical-path analysis failed: {e}")))?
+            critical_path_paradigm(run, TOP_N)
+                .map_err(|e| failed("critical-path analysis", e))?
                 .report
         }
         Paradigm::Causal => {
-            iterative_causal(run, "MPI_*", 8, 5)
-                .map_err(|e| DriverError(format!("causal analysis failed: {e}")))?
+            iterative_causal(run, CAUSAL_COMM, CAUSAL_TOP_N, 5)
+                .map_err(|e| failed("causal analysis", e))?
                 .1
         }
         Paradigm::Contention => {
-            let fast = pflow
-                .run(
-                    prog,
-                    &RunConfig::new(cfg.ranks)
-                        .with_threads(2)
-                        .with_seed(cfg.seed),
-                )
-                .map_err(|e| DriverError(format!("reference run failed: {e}")))?;
-            contention_diagnosis(&fast, run, 10)
-                .map_err(|e| DriverError(format!("contention analysis failed: {e}")))?
+            let fast = reference(cfg.ranks, 2).map_err(|e| failed("reference run", e))?;
+            contention_diagnosis(&fast, run, TOP_N)
+                .map_err(|e| failed("contention analysis", e))?
                 .report
         }
     })
+}
+
+/// The hotspot paradigm's PerFlowGraph: `run → hotspot(15) → report`.
+fn hotspot_graph(run: &RunHandle) -> Result<PerFlowGraph, PerFlowError> {
+    let b = GraphBuilder::new();
+    let columns = ["name", "label", "debug-info", "time"];
+    b.source(run.vertices())
+        .then(HotspotPass::by_time(15))
+        .then(ReportPass::new("perflow report", &columns, 1));
+    b.finish()
+}
+
+/// Every graph the paradigms and the comm session run, built on `run`.
+fn paradigm_graphs(run: &RunHandle) -> Result<Vec<(&'static str, PerFlowGraph)>, PerFlowError> {
+    let comm = comm_analysis_graph(run.vertices())?.0;
+    let scalability = scalability_graph(run, run, TOP_N, IMBALANCE)?;
+    let seed = causal_seed_graph(run, CAUSAL_COMM, CAUSAL_TOP_N)?;
+    let step = causal_step_graph(run.parallel_vertices())?;
+    Ok(vec![
+        ("graph:comm-analysis", comm),
+        ("graph:hotspot", hotspot_graph(run)?),
+        ("graph:scalability", scalability),
+        ("graph:critical-path", critical_path_graph(run, TOP_N)?),
+        ("graph:causal-seed", seed),
+        ("graph:causal-step", step),
+        ("graph:contention", contention_graph(run, run, TOP_N)?),
+    ])
 }
 
 /// Graphviz rendering of the top-25 hotspot set (the CLI's `--dot`).
@@ -215,9 +247,8 @@ pub fn hotspot_dot(pflow: &PerFlow, run: &RunHandle) -> String {
 // Lint
 // ---------------------------------------------------------------------------
 
-/// Diagnostics from linting the program model, every built-in paradigm
-/// PerFlowGraph (instantiated against the run's vertex sets, never
-/// executed), and both PAG views.
+/// Diagnostics from linting the program model, every PerFlowGraph a
+/// paradigm executes (built, never executed) and both PAG views.
 pub struct LintOutcome {
     /// `(target name, diagnostics)` in a stable order.
     pub targets: Vec<(&'static str, Diagnostics)>,
@@ -286,27 +317,8 @@ impl LintOutcome {
 /// Run the static analyzers over everything lintable for this run.
 pub fn lint(prog: &Program, run: &RunHandle) -> Result<LintOutcome, DriverError> {
     let mut targets: Vec<(&'static str, Diagnostics)> = vec![("program", lint_program(prog))];
-    let mut graph = |name: &'static str,
-                     built: Result<
-        (perflow::PerFlowGraph, perflow::paradigms::ParadigmGraph),
-        perflow::PerFlowError,
-    >|
-     -> Result<(), DriverError> {
-        let (g, _) =
-            built.map_err(|e| DriverError(format!("{name} graph construction failed: {e}")))?;
-        targets.push((name, g.lint()));
-        Ok(())
-    };
-    graph("graph:comm-analysis", comm_analysis_graph(run.vertices()))?;
-    graph(
-        "graph:scalability",
-        scalability_graph(run.vertices(), run.vertices()),
-    )?;
-    graph("graph:causal-loop", causal_loop_graph(run.vertices()))?;
-    graph(
-        "graph:diagnosis",
-        diagnosis_graph(run.vertices(), run.vertices(), run.parallel_vertices()),
-    )?;
+    let graphs = paradigm_graphs(run).map_err(|e| DriverError(e.to_string()))?;
+    targets.extend(graphs.iter().map(|(name, g)| (*name, g.lint())));
     targets.push(("pag:top-down", check_pag(run.topdown())));
     targets.push(("pag:parallel", check_pag(run.parallel())));
     Ok(LintOutcome { targets })
@@ -495,11 +507,6 @@ pub struct ResilienceConfig {
     pub resume_in: Option<String>,
     /// Inject a panicking pass (fault-tolerance demo/testing).
     pub inject_pass_panic: bool,
-    /// Bound the session's pass-result cache to this many entries (LRU
-    /// eviction). `None` keeps the cache unbounded — the right default
-    /// for a one-shot CLI run, while long-lived daemons set a cap so the
-    /// cache cannot grow without bound across jobs.
-    pub cache_capacity: Option<usize>,
 }
 
 impl ResilienceConfig {
@@ -511,7 +518,6 @@ impl ResilienceConfig {
             || self.checkpoint_out.is_some()
             || self.resume_in.is_some()
             || self.inject_pass_panic
-            || self.cache_capacity.is_some()
     }
 }
 
@@ -541,21 +547,15 @@ pub struct CommAnalysisOutcome {
 
 /// Run the standard communication-analysis PerFlowGraph under the
 /// observed (and, when requested, resilient) scheduler so the trace
-/// covers the core layer too. Uses a private cache sized by
-/// [`ResilienceConfig::cache_capacity`]; daemons that want pass-result
-/// reuse *across* sessions call
-/// [`comm_analysis_session_with_cache`] with a shared cache instead.
+/// covers the core layer too, with a fresh cache; daemons reuse results
+/// *across* sessions via [`comm_analysis_session_with_cache`].
 pub fn comm_analysis_session(
     run: &RunHandle,
     obs: &Obs,
     res: &ResilienceConfig,
     context: u64,
 ) -> Result<CommAnalysisOutcome, DriverError> {
-    let cache = match res.cache_capacity {
-        Some(cap) => PassCache::with_capacity(cap),
-        None => PassCache::new(),
-    };
-    comm_analysis_session_with_cache(run, obs, res, context, &cache)
+    comm_analysis_session_with_cache(run, obs, res, context, &PassCache::new())
 }
 
 /// [`comm_analysis_session`] against a caller-owned [`PassCache`]: the
@@ -570,7 +570,7 @@ pub fn comm_analysis_session_with_cache(
     cache: &PassCache,
 ) -> Result<CommAnalysisOutcome, DriverError> {
     let _app = obs.span(perflow::Layer::App, "comm-analysis-graph", 0);
-    let (mut g, nodes) = comm_analysis_graph(run.vertices())
+    let (mut g, report_node) = comm_analysis_graph(run.vertices())
         .map_err(|e| DriverError(format!("comm-analysis graph construction failed: {e}")))?;
     if res.inject_pass_panic {
         g.add_pass(FnPass::new(
@@ -623,7 +623,7 @@ pub fn comm_analysis_session_with_cache(
     drop(_app);
 
     let report = outputs
-        .of(nodes.report)
+        .of(report_node)
         .first()
         .and_then(|v| v.as_report())
         .map(Report::render)
@@ -778,6 +778,160 @@ mod tests {
             .to_json("cg")
             .render()
             .starts_with("{\"workload\":\"cg\""));
+    }
+
+    /// The run `analyze` gets from the CLI at its default scales.
+    fn default_run(name: &str, cfg: &AnalysisConfig) -> (Program, RunHandle) {
+        let prog = workload(name).unwrap();
+        let run_cfg = RunConfig::new(cfg.ranks)
+            .with_threads(cfg.threads)
+            .with_seed(cfg.seed);
+        let run = PerFlow::new().run(&prog, &run_cfg).unwrap();
+        (prog, run)
+    }
+
+    /// Only the graphs paradigms execute are linted: none has an
+    /// unconsumed output or a pass without a fingerprint, and every node
+    /// of each shows up in the trail of the paradigm (or comm-analysis
+    /// session) that runs it.
+    #[test]
+    fn lint_covers_exactly_the_executed_graphs() {
+        let cfg = AnalysisConfig::default();
+        for name in ["zeusmp", "lammps", "vite"] {
+            let (prog, run) = default_run(name, &cfg);
+            let outcome = lint(&prog, &run).unwrap();
+            for (target, d) in &outcome.targets {
+                if target.starts_with("graph:") {
+                    let codes: Vec<&str> = d.items().iter().map(|x| x.code).collect();
+                    assert!(
+                        !codes.contains(&"PF0009") && !codes.contains(&"PF0010"),
+                        "{name} {target}: {codes:?}"
+                    );
+                }
+            }
+            // The trails of the runs `analyze` and the CLI session make,
+            // with the same reference runs and settings.
+            let reference = |ranks, threads| {
+                let ref_cfg = AnalysisConfig {
+                    ranks,
+                    threads,
+                    ..cfg.clone()
+                };
+                default_run(name, &ref_cfg).1
+            };
+            let session = comm_analysis_session(&run, &Obs::disabled(), &Default::default(), 0);
+            let hotspot = hotspot_graph(&run).unwrap().execute().unwrap();
+            let small = reference(cfg.small_ranks, 1);
+            let scalability = scalability_analysis(&small, &run, TOP_N, IMBALANCE).unwrap();
+            let critical_path = critical_path_paradigm(&run, TOP_N).unwrap();
+            let causal = iterative_causal(&run, CAUSAL_COMM, CAUSAL_TOP_N, 5).unwrap();
+            let fast = reference(cfg.ranks, 2);
+            let contention = contention_diagnosis(&fast, &run, TOP_N).unwrap();
+            for (target, graph) in paradigm_graphs(&run).unwrap() {
+                let ran = match target {
+                    "graph:comm-analysis" => &session.as_ref().unwrap().outputs.trail,
+                    "graph:hotspot" => &hotspot.trail,
+                    "graph:scalability" => &scalability.trail,
+                    "graph:critical-path" => &critical_path.trail,
+                    "graph:causal-seed" | "graph:causal-step" => &causal.2,
+                    "graph:contention" => &contention.trail,
+                    other => panic!("no paradigm runs {other}"),
+                };
+                let linted: Vec<&str> = outcome
+                    .targets
+                    .iter()
+                    .map(|(t, _)| *t)
+                    .filter(|t| t.starts_with("graph:"))
+                    .collect();
+                assert!(linted.contains(&target), "{target} is not linted");
+                for node in graph.shape().nodes {
+                    assert!(
+                        ran.contains(&node.name),
+                        "{name} {target}: `{}` not in {ran:?}",
+                        node.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every node's outputs (sets by members and scores, reports
+    /// rendered) and the trail of one execution at `workers` workers.
+    fn execution(graph: &PerFlowGraph, workers: usize) -> (Vec<String>, Vec<String>) {
+        let out = graph
+            .execute_with(&ExecOptions::new().with_workers(workers))
+            .unwrap();
+        let values = (0..graph.len())
+            .flat_map(|i| out.of(perflow::NodeId(i)))
+            .map(|v| match v {
+                perflow::Value::Vertices(s) => format!("{:?} {:?}", s.ids, s.scores),
+                perflow::Value::Edges(e) => format!("{:?}", e.ids),
+                perflow::Value::Report(r) => r.render(),
+                perflow::Value::Num(x) => format!("{:016x}", x.to_bits()),
+            })
+            .collect();
+        (out.trail, values)
+    }
+
+    /// The scheduler contract for paradigms: each paradigm graph yields
+    /// the same outputs, report included, and the same trail at 1, 2
+    /// and 4 workers.
+    #[test]
+    fn paradigm_graphs_are_worker_count_invariant() {
+        let cfg = AnalysisConfig::default();
+        let (_, zeusmp) = default_run("zeusmp", &cfg);
+        let (_, small) = default_run(
+            "zeusmp",
+            &AnalysisConfig {
+                ranks: cfg.small_ranks,
+                ..cfg.clone()
+            },
+        );
+        let (_, lammps) = default_run("lammps", &cfg);
+        let threads = |threads| AnalysisConfig {
+            threads,
+            ..cfg.clone()
+        };
+        let (_, vite) = default_run("vite", &threads(4));
+        let (_, vite_fast) = default_run("vite", &threads(2));
+
+        let seed = causal_seed_graph(&lammps, CAUSAL_COMM, CAUSAL_TOP_N).unwrap();
+        let out = seed.execute().unwrap();
+        let bugs = out.vertices(seed.find("first_non_empty").unwrap());
+        let graphs = [
+            (
+                "comm-analysis",
+                comm_analysis_graph(zeusmp.vertices()).unwrap().0,
+            ),
+            ("hotspot", hotspot_graph(&zeusmp).unwrap()),
+            (
+                "scalability",
+                scalability_graph(&small, &zeusmp, TOP_N, IMBALANCE).unwrap(),
+            ),
+            (
+                "critical-path",
+                critical_path_graph(&lammps, TOP_N).unwrap(),
+            ),
+            (
+                "causal-step",
+                causal_step_graph(bugs.unwrap().clone()).unwrap(),
+            ),
+            ("causal-seed", seed),
+            (
+                "contention",
+                contention_graph(&vite_fast, &vite, TOP_N).unwrap(),
+            ),
+        ];
+        for (name, graph) in &graphs {
+            let one = execution(graph, 1);
+            assert!(!one.0.is_empty(), "{name} ran nothing");
+            for workers in [2, 4] {
+                assert!(
+                    execution(graph, workers) == one,
+                    "{name} differs at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,11 +21,11 @@ use std::time::Instant;
 
 use pag::{EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 use perflow::paradigms::{
-    causal_loop_graph, comm_analysis_graph, contention_diagnosis, critical_path_paradigm,
-    diagnosis_graph, iterative_causal, mpi_profiler, path_breakdown, scalability_analysis,
-    scalability_graph,
+    causal_seed_graph, causal_step_graph, comm_analysis_graph, contention_diagnosis,
+    contention_graph, critical_path_paradigm, iterative_causal, mpi_profiler, path_breakdown,
+    scalability_analysis, scalability_graph,
 };
-use perflow::{GraphRef, PerFlow, RunHandleExt};
+use perflow::{PerFlow, RunHandleExt};
 use progmodel::{c, nthreads, thread, Program, ProgramBuilder};
 use simrt::{simulate, CollectionConfig, CommKindTag, RunConfig};
 
@@ -571,7 +571,7 @@ fn fig12_lammps_causal(_: Scale) {
     println!("(paper: MPI_Send 7.70%, MPI_Wait 7.42% of total time)");
 
     // The Fig.-11 iterated causal loop.
-    let (causes, report) = iterative_causal(&run, "MPI_*", 8, 5).unwrap();
+    let (causes, report, _) = iterative_causal(&run, "MPI_*", 8, 5).unwrap();
     println!("\n{}", report.render());
 
     let pag = causes.graph.pag();
@@ -1072,9 +1072,9 @@ fn artifact_evaluation(_: Scale) {
     );
 }
 
-/// **Figures 2, 8, 11, 14** — the paper's PerFlowGraph diagrams as DOT
-/// (pipe a block to `dot -Tsvg`), each then executed once. Only Fig. 2 is
-/// what a paradigm runs; the other paradigms call their passes directly.
+/// **Figures 2, 8, 11, 14** — the PerFlowGraphs the paradigms execute, as
+/// DOT (pipe a block to `dot -Tsvg`), each then executed once. Fig. 11 is
+/// the causal loop's seed graph and the step it re-executes.
 fn fig_perflowgraphs(_: Scale) {
     let pflow = PerFlow::new();
     let prog = workloads::cg();
@@ -1085,22 +1085,22 @@ fn fig_perflowgraphs(_: Scale) {
     println!("// Fig. 2: communication-analysis PerFlowGraph");
     println!("{}", g2.to_dot("fig2_comm_analysis"));
 
-    let (g8, _) = scalability_graph(large.vertices(), small.vertices()).unwrap();
+    let g8 = scalability_graph(&small, &large, 10, 0.2).unwrap();
     println!("// Fig. 8: scalability-analysis paradigm");
     println!("{}", g8.to_dot("fig8_scalability"));
 
-    let (g11, _) = causal_loop_graph(large.parallel_vertices()).unwrap();
-    println!("// Fig. 11: LAMMPS causal-analysis loop body");
-    println!("{}", g11.to_dot("fig11_causal_loop"));
+    let g11 = causal_seed_graph(&large, "MPI_*", 8).unwrap();
+    let g11_step = causal_step_graph(large.parallel_vertices()).unwrap();
+    println!("// Fig. 11: LAMMPS causal-analysis loop, seed and step");
+    println!("{}", g11.to_dot("fig11_causal_seed"));
+    println!("{}", g11_step.to_dot("fig11_causal_step"));
 
-    let pv = GraphRef::Parallel(std::sync::Arc::clone(&large));
-    let suspects = pv.all_vertices().filter_name("MPI_*");
-    let (g14, _) = diagnosis_graph(large.vertices(), small.vertices(), suspects).unwrap();
+    let g14 = contention_graph(&small, &large, 10).unwrap();
     println!("// Fig. 14: Vite comprehensive-diagnosis PerFlowGraph");
     println!("{}", g14.to_dot("fig14_diagnosis"));
 
-    // All four graphs are executable, not just drawings:
-    for (name, g) in [("fig2", g2), ("fig8", g8), ("fig11", g11), ("fig14", g14)] {
+    let names = ["fig2", "fig8", "fig11", "fig11", "fig14"];
+    for (name, g) in names.iter().zip([g2, g8, g11, g11_step, g14]) {
         let out = g.execute().expect("paradigm graph execution failed");
         println!("// {name}: executed {} passes: {:?}", g.len(), out.trail);
     }

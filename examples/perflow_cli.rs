@@ -33,7 +33,6 @@ fn usage() -> ! {
          \x20                [--bench-diff OLD NEW [--bench-threshold F] [--bench-noise-floor US] [--bench-json]]\n\
          \x20                [--self-analyze] [--prom-out FILE] [--folded-out FILE] [--app-folded-out FILE]\n\
          \x20                [--fail-policy failfast|isolate] [--pass-timeout-ms N] [--retries N]\n\
-         \x20                [--cache-capacity N]\n\
          \x20                [--checkpoint FILE] [--resume FILE] [--inject-pass-panic]\n\
          \x20                [--crash RANK@US] [--hang RANK@US] [--sample-loss RATE]\n\
          \x20                [--msg-drop RATE@DELAY_US] [--pmu-corrupt RATE] [--truncate-stacks DEPTH]"
@@ -215,10 +214,6 @@ fn main() {
                     Some(val("--pass-timeout-ms").parse().unwrap_or_else(|_| usage()))
             }
             "--retries" => res.retries = Some(val("--retries").parse().unwrap_or_else(|_| usage())),
-            "--cache-capacity" => {
-                res.cache_capacity =
-                    Some(val("--cache-capacity").parse().unwrap_or_else(|_| usage()))
-            }
             "--checkpoint" => res.checkpoint_out = Some(val("--checkpoint")),
             "--resume" => res.resume_in = Some(val("--resume")),
             "--inject-pass-panic" => res.inject_pass_panic = true,

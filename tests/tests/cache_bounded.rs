@@ -140,13 +140,12 @@ fn comm_session_reports_are_identical_across_cache_capacities() {
     let plain = session(Default::default());
     let baseline = plain.report_digest;
     for cap in [1, 2, 8] {
-        let res = driver::ResilienceConfig {
-            cache_capacity: Some(cap),
-            ..Default::default()
-        };
+        let cache = perflow::PassCache::with_capacity(cap);
+        let bounded =
+            driver::comm_analysis_session_with_cache(&run, &obs, &Default::default(), ctx, &cache)
+                .unwrap();
         assert_eq!(
-            session(res).report_digest,
-            baseline,
+            bounded.report_digest, baseline,
             "cache capacity {cap} changed the comm report"
         );
     }

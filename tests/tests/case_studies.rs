@@ -120,7 +120,7 @@ fn lammps_iterated_causal_blames_pair_force_loop() {
     let run = pflow
         .run(&workloads::lammps(), &RunConfig::new(16))
         .unwrap();
-    let (causes, _) = iterative_causal(&run, "MPI_*", 8, 5).unwrap();
+    let (causes, _, _) = iterative_causal(&run, "MPI_*", 8, 5).unwrap();
     let pag = causes.graph.pag();
     let names: Vec<&str> = causes.ids.iter().map(|&v| pag.vertex_name(v)).collect();
     assert!(

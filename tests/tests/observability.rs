@@ -59,11 +59,11 @@ fn trace_covers_all_three_layers() {
     let run = pflow
         .run(&prog, &RunConfig::new(4).with_obs(obs.clone()))
         .unwrap();
-    let (g, nodes) = comm_analysis_graph(run.vertices()).unwrap();
+    let (g, report) = comm_analysis_graph(run.vertices()).unwrap();
     let out = g
         .execute_with(&ExecOptions::new().with_obs(obs.clone()))
         .unwrap();
-    assert!(!out.of(nodes.report).is_empty());
+    assert!(!out.of(report).is_empty());
 
     assert!(obs.has_layer(Layer::Simrt), "simrt phase/segment spans");
     assert!(obs.has_layer(Layer::Collect), "collect static/embed spans");
@@ -209,14 +209,14 @@ fn scheduler_outputs_identical_observed_or_not() {
     let prog = workload();
     let pflow = PerFlow::new();
     let run = pflow.run(&prog, &RunConfig::new(4)).unwrap();
-    let (g, nodes) = comm_analysis_graph(run.vertices()).unwrap();
+    let (g, report) = comm_analysis_graph(run.vertices()).unwrap();
     let plain = g.execute().unwrap();
     let observed = g
         .execute_with(&ExecOptions::new().with_obs(Obs::enabled()))
         .unwrap();
     assert_eq!(plain.trail, observed.trail);
-    let a = plain.of(nodes.report)[0].as_report().unwrap().render();
-    let b = observed.of(nodes.report)[0].as_report().unwrap().render();
+    let a = plain.of(report)[0].as_report().unwrap().render();
+    let b = observed.of(report)[0].as_report().unwrap().render();
     assert_eq!(a, b, "report must not depend on observation");
 }
 

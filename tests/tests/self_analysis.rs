@@ -35,12 +35,12 @@ fn observed_trace() -> Obs {
     let run = pflow
         .run(&workload(), &RunConfig::new(4).with_obs(obs.clone()))
         .expect("observed run failed");
-    let (g, nodes) = comm_analysis_graph(run.vertices()).expect("graph wiring failed");
+    let (g, report) = comm_analysis_graph(run.vertices()).expect("graph wiring failed");
     let cache = PassCache::new();
     let out = g
         .execute_with(&ExecOptions::new().with_obs(obs.clone()).with_cache(&cache))
         .expect("observed execution failed");
-    assert!(!out.of(nodes.report).is_empty());
+    assert!(!out.of(report).is_empty());
     obs
 }
 

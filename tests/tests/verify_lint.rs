@@ -5,7 +5,8 @@
 //! deterministic regardless of input order.
 
 use perflow::paradigms::{
-    causal_loop_graph, comm_analysis_graph, diagnosis_graph, scalability_graph,
+    causal_seed_graph, causal_step_graph, comm_analysis_graph, contention_graph,
+    critical_path_graph, scalability_graph,
 };
 use perflow::pass::FnPass;
 use perflow::{PerFlow, PerFlowError, PerFlowGraph, RunHandleExt, Value};
@@ -18,28 +19,35 @@ fn run(prog: &progmodel::Program, ranks: u32) -> perflow::RunHandle {
 }
 
 /// Every built-in paradigm PerFlowGraph lints clean (no errors, no
-/// warnings — infos such as deliberately-unconsumed branch outputs are
-/// allowed), and the program model itself has no dead functions.
+/// warnings, no unconsumed outputs), and the program model itself has
+/// no dead functions.
 #[test]
 fn builtin_paradigm_graphs_lint_clean() {
     let prog = workloads::cg();
     let r = run(&prog, 4);
     let clean = |name: &str, d: Diagnostics| {
         assert!(d.is_clean(), "{name} not clean:\n{}", d.render_text());
+        assert_eq!(d.count(Severity::Info), 0, "{name}:\n{}", d.render_text());
     };
     clean("program", lint_program(&prog));
-    let (g, _) = comm_analysis_graph(r.vertices()).unwrap();
-    clean("comm-analysis", g.lint());
-    let (g, _) = scalability_graph(r.vertices(), r.vertices()).unwrap();
-    clean("scalability", g.lint());
-    let (g, _) = causal_loop_graph(r.vertices()).unwrap();
-    clean("causal-loop", g.lint());
-    let (g, _) = diagnosis_graph(r.vertices(), r.vertices(), r.parallel_vertices()).unwrap();
-    // The diagnosis graph keeps two un-consumed analysis branches by
-    // design: infos fire, warnings and errors must not.
-    let d = g.lint();
-    assert!(!d.has_errors(), "{}", d.render_text());
-    assert_eq!(d.count(Severity::Warn), 0, "{}", d.render_text());
+    clean(
+        "comm-analysis",
+        comm_analysis_graph(r.vertices()).unwrap().0.lint(),
+    );
+    clean(
+        "scalability",
+        scalability_graph(&r, &r, 10, 0.2).unwrap().lint(),
+    );
+    clean("critical-path", critical_path_graph(&r, 10).unwrap().lint());
+    clean(
+        "causal-seed",
+        causal_seed_graph(&r, "MPI_*", 8).unwrap().lint(),
+    );
+    clean(
+        "causal-step",
+        causal_step_graph(r.parallel_vertices()).unwrap().lint(),
+    );
+    clean("contention", contention_graph(&r, &r, 10).unwrap().lint());
 }
 
 /// Every example workload produces PAGs that satisfy the structural
