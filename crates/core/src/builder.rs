@@ -30,8 +30,8 @@
 //! Wiring errors (port conflicts, bad nodes) are recorded as they happen
 //! and surfaced once by [`GraphBuilder::finish`], so chains stay fluent.
 //! The builder uses interior mutability (`RefCell`) and is single-thread
-//! by design; the built [`PerFlowGraph`] is `Sync` and executes on the
-//! scheduler's worker pool as usual.
+//! by design; the built [`PerFlowGraph`] is `Sync`, so several threads
+//! can execute it at once.
 
 use std::cell::RefCell;
 

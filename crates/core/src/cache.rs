@@ -19,7 +19,7 @@
 //!   preserving one-shot CLI behavior.
 //! * **Cheap hits.** Entries store their payload behind an `Arc`, so a
 //!   hit clones a pointer while holding the lock — never a deep
-//!   `Vec<Value>` — and concurrent workers don't serialize on large
+//!   `Vec<Value>` — and concurrent executions don't serialize on large
 //!   cached PAG values.
 //! * **Single-flight fills.** A lookup is a `PassCache::probe`: the
 //!   first prober of an absent key gets a `FillGuard` (counted as the
@@ -33,8 +33,8 @@
 //! so an address is never recycled while the cache can still return
 //! results for it; eviction drops both the payload and that pin
 //! together, after which the key can no longer hit. The cache is
-//! internally synchronized: scheduler workers probe and fill it
-//! concurrently.
+//! internally synchronized: executions on several threads (serve's
+//! executors) probe and fill one cache concurrently.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

@@ -305,8 +305,8 @@ struct WriterState {
 }
 
 /// Appends completed pass results to a snapshot file as the scheduler
-/// produces them, so a killed run leaves a loadable prefix. Thread-safe:
-/// scheduler workers record concurrently.
+/// produces them, so a killed run leaves a loadable prefix. Internally
+/// locked, so a writer can be shared across threads.
 pub struct CheckpointWriter {
     path: PathBuf,
     state: Mutex<WriterState>,

@@ -21,11 +21,6 @@ pub enum PerFlowError {
         /// Missing port index.
         port: usize,
     },
-    /// The PerFlowGraph contains a cycle. Defense-in-depth: the
-    /// pre-flight lint rejects cyclic graphs with named cycle members
-    /// ([`PerFlowError::Rejected`]) before the scheduler can stall, so
-    /// this is only reachable if the lint is bypassed.
-    CyclicGraph,
     /// The pre-flight static lint rejected the graph before execution:
     /// at least one diagnostic at error severity (cycle, missing input,
     /// non-contiguous ports, …). The full sorted findings ride along.
@@ -52,9 +47,8 @@ pub enum PerFlowError {
         node: usize,
     },
     /// A pass panicked during execution. The scheduler catches the
-    /// unwind, recovers its shared state, and converts the panic into
-    /// this structured error so one bad pass can neither poison the
-    /// work-queue mutex nor strand sibling workers.
+    /// unwind and converts it into this structured error, so one bad
+    /// pass cannot take the whole run down with it.
     PassPanicked {
         /// Display name of the panicking pass.
         pass: String,
@@ -106,7 +100,6 @@ impl std::fmt::Display for PerFlowError {
             PerFlowError::MissingInput { pass, port } => {
                 write!(f, "pass {pass}: missing input on port {port}")
             }
-            PerFlowError::CyclicGraph => write!(f, "PerFlowGraph contains a cycle"),
             PerFlowError::Rejected { diagnostics } => {
                 write!(
                     f,
@@ -176,7 +169,6 @@ mod tests {
                 },
                 &["imbalance_analysis", "port 1"],
             ),
-            (PerFlowError::CyclicGraph, &["cycle"]),
             (
                 {
                     let mut d = verify::Diagnostics::new();

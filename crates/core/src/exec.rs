@@ -1,21 +1,19 @@
 //! Execution policies for the resilient scheduler.
 //!
-//! The work-queue scheduler in [`crate::dataflow`] is a shared engine:
-//! one stalled or panicking pass must not take the whole analysis down
-//! with it. This module defines the knobs that govern how the scheduler
-//! reacts to failing passes:
+//! The scheduler in [`crate::dataflow`] is a shared engine: one stalled
+//! or panicking pass must not take the whole analysis down with it. This
+//! module defines the knobs that govern how the scheduler reacts to
+//! failing passes:
 //!
 //! * [`ExecPolicy`] — what happens to the *rest of the graph* when one
 //!   node fails: abort everything ([`ExecPolicy::FailFast`]) or skip the
 //!   transitive downstream of the failed node and return a partial,
 //!   degraded result ([`ExecPolicy::Isolate`]).
-//! * [`RetryPolicy`] — bounded deterministic re-execution with capped
-//!   exponential backoff for passes that declare themselves retryable
-//!   (via [`crate::pass::Pass::retry_policy`]) or via a per-run
-//!   override.
+//! * [`RetryPolicy`] — bounded deterministic re-execution of every
+//!   failing pass of a run, with capped exponential backoff.
 //! * [`ExecOptions`] — the full per-execution configuration: policy,
-//!   per-pass wall-clock deadline, retry override, cache, worker count,
-//!   observability handle, and checkpoint/resume handles.
+//!   per-pass wall-clock deadline, retries, cache, observability handle,
+//!   and checkpoint/resume handles.
 //! * [`PassFailure`] — the post-mortem record of one failed node that a
 //!   degraded run carries in [`crate::dataflow::Outputs`].
 
@@ -28,9 +26,8 @@ use obs::Obs;
 /// (returns an error, panics, or exceeds its deadline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPolicy {
-    /// Abort the run on the first failure and return the error — the
-    /// pre-existing behavior. In-flight passes finish, queued passes are
-    /// not dispatched.
+    /// Abort the run on the first failure and return the error; no
+    /// further pass runs.
     #[default]
     FailFast,
     /// Contain the failure: record it, skip every pass transitively
@@ -144,14 +141,10 @@ pub struct ExecOptions<'a> {
     /// fails with [`PerFlowError::PassTimeout`] (and is abandoned — its
     /// eventual result, if any, is discarded).
     pub pass_timeout_ms: Option<u64>,
-    /// Retry policy applied to *every* pass, overriding per-pass
-    /// [`crate::pass::Pass::retry_policy`] declarations.
+    /// Retry policy applied to every pass (`None`: one attempt each).
     pub retry_override: Option<RetryPolicy>,
     /// Pass-result cache to probe and fill.
     pub cache: Option<&'a PassCache>,
-    /// Pinned worker-pool size (`None` = available parallelism; `0` runs
-    /// as `1`).
-    pub workers: Option<usize>,
     /// Observability handle (disabled by default).
     pub obs: Obs,
     /// Checkpoint writer: every completed pass with a stable content key
@@ -163,8 +156,8 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Defaults: fail-fast, no deadline, no retries, no cache, automatic
-    /// workers, disabled observability, no checkpointing.
+    /// Defaults: fail-fast, no deadline, no retries, no cache, disabled
+    /// observability, no checkpointing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -191,24 +184,6 @@ impl<'a> ExecOptions<'a> {
     pub fn with_cache(mut self, cache: &'a PassCache) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Pin the worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// The worker-pool size to run with: the pinned count (`0` counts as
-    /// `1`), else the host's available parallelism.
-    pub(crate) fn pool_size(&self) -> usize {
-        self.workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1)
-            })
-            .max(1)
     }
 
     /// Attach an observability handle.

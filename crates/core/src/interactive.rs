@@ -16,6 +16,7 @@ use pag::{keys, CallKind, VertexLabel};
 
 use crate::graphref::{GraphRef, RunHandle, RunHandleExt};
 use crate::passes;
+use crate::passes::contention::EMBEDDINGS_PER_ANCHOR;
 use crate::report::Report;
 use crate::set::VertexSet;
 
@@ -166,7 +167,7 @@ impl InteractiveSession {
 
     /// Contention detection around the current (parallel-view) set.
     pub fn contention(&mut self) -> &VertexSet {
-        let (v, _, _) = passes::contention(&self.current, None, 16);
+        let (v, _, _) = passes::contention(&self.current, None, EMBEDDINGS_PER_ANCHOR);
         self.step("contention_detection".to_string(), v);
         &self.current
     }
@@ -229,7 +230,7 @@ impl InteractiveSession {
 mod tests {
     use super::*;
     use crate::api::PerFlow;
-    use progmodel::{c, nranks, rank, ProgramBuilder};
+    use progmodel::{c, nranks, nthreads, rank, ProgramBuilder};
     use simrt::RunConfig;
 
     fn run() -> RunHandle {
@@ -310,6 +311,42 @@ mod tests {
         s.filter("does_not_exist_*");
         assert_eq!(s.suggest(), Suggestion::Widen);
         assert!(!s.suggest().rationale().is_empty());
+    }
+
+    /// The session's contention step finds what the Fig. 14 paradigm's
+    /// contention pass finds around the same anchors, on a run whose
+    /// threads serialize on the allocator lock.
+    #[test]
+    fn contention_step_matches_the_paradigm() {
+        let mut pb = ProgramBuilder::new("locks");
+        let main = pb.declare("main", "l.cpp");
+        pb.define(main, |f| {
+            f.loop_("iter", c(20.0), |b| {
+                b.thread_region(nthreads(), |t| {
+                    t.loop_("vertex_loop", c(30.0), |l| {
+                        l.compute("scan", c(40.0) * progmodel::noise(0.1, 21));
+                        l.alloc("_M_realloc_insert", c(25.0));
+                    });
+                });
+                b.allreduce(c(64.0));
+            });
+        });
+        let prog = pb.build(main);
+        let pflow = PerFlow::new();
+        let fast = pflow.run(&prog, &RunConfig::new(2).with_threads(2));
+        let slow = pflow.run(&prog, &RunConfig::new(2).with_threads(8));
+        let (fast, slow) = (fast.unwrap(), slow.unwrap());
+        let g = crate::paradigms::contention_graph(&fast, &slow, 10).unwrap();
+        let out = g.execute().unwrap();
+        let anchors = out.vertices(g.find("union").unwrap()).unwrap();
+        let found = out.vertices(g.find("contention_detection").unwrap());
+        let found = found.unwrap();
+        assert!(!found.is_empty(), "the run has no contention to find");
+        let mut s = InteractiveSession::new(&slow);
+        s.current = anchors.clone();
+        let step = s.contention();
+        assert_eq!(step.ids, found.ids);
+        assert_eq!(step.scores, found.scores);
     }
 
     #[test]

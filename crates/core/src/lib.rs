@@ -40,7 +40,8 @@
 //! ```
 //!
 //! **Dataflow (PerFlowGraph)** — assemble passes into an executable graph
-//! with [`dataflow::PerFlowGraph`]; independent passes run concurrently.
+//! with [`dataflow::PerFlowGraph`]; its passes run one at a time on the
+//! calling thread, in topological order.
 
 pub mod api;
 pub mod builder;

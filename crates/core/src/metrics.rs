@@ -2,11 +2,11 @@
 //!
 //! When a PerFlowGraph is executed with an enabled [`obs::Obs`] handle
 //! (see [`crate::exec::ExecOptions::with_obs`]), the
-//! scheduler measures every pass dispatch and attaches a [`RunMetrics`]
+//! scheduler measures every executed pass and attaches a [`RunMetrics`]
 //! to the returned [`crate::dataflow::Outputs`]: per-pass wall time,
-//! queue wait (ready → dispatched), the worker that ran it, the dispatch
-//! order, whether the pass-result cache answered, plus pool occupancy
-//! and the run's cache hit/miss delta. With a disabled handle the
+//! queue wait (ready → started), the execution order, whether the
+//! pass-result cache answered, plus occupancy and the run's cache
+//! hit/miss delta. With a disabled handle the
 //! scheduler takes no timestamps and the metrics stay empty — the
 //! outputs themselves are byte-identical either way.
 
@@ -23,13 +23,13 @@ pub struct PassMetric {
     pub name: String,
     /// Wall time of the pass body (or the cache replay), µs.
     pub wall_us: f64,
-    /// Time between becoming ready and being dispatched, µs.
+    /// Time between becoming ready and starting, µs.
     pub queue_wait_us: f64,
     /// Whether the result was replayed from the pass cache.
     pub cache_hit: bool,
-    /// Index of the scheduler worker that ran the node.
+    /// Lane the node ran on: 0, since passes run on the calling thread.
     pub worker: usize,
-    /// Position in the actual dispatch order (0 = dispatched first).
+    /// Position in the execution order (0 = ran first).
     pub dispatch_seq: usize,
 }
 
@@ -44,13 +44,13 @@ pub struct RunMetrics {
     pub cache: Option<CacheStats>,
     /// Scheduler wall time start-to-finish, µs.
     pub total_wall_us: f64,
-    /// Worker-pool size used.
+    /// Lanes the passes ran on: 1 for an observed run.
     pub workers: usize,
-    /// Busy time per worker, µs (length = `workers`).
+    /// Busy time per lane, µs (length = `workers`).
     pub worker_busy_us: Vec<f64>,
     /// Distribution of per-pass wall times, µs.
     pub wall_hist: Histogram,
-    /// Distribution of per-pass queue waits (ready → dispatched), µs.
+    /// Distribution of per-pass queue waits (ready → started), µs.
     pub queue_hist: Histogram,
 }
 
@@ -65,8 +65,8 @@ impl RunMetrics {
         self.passes.iter().map(|p| p.wall_us).sum()
     }
 
-    /// Pool occupancy in `[0, 1]`: busy worker-time over available
-    /// worker-time (0.0 when unobserved).
+    /// Occupancy in `[0, 1]`: busy lane-time over available lane-time
+    /// (0.0 when unobserved).
     fn occupancy(&self) -> f64 {
         let avail = self.workers as f64 * self.total_wall_us;
         if avail > 0.0 {

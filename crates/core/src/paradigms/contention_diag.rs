@@ -5,12 +5,13 @@ use std::collections::BTreeSet;
 
 use pag::{keys, CallKind, VertexLabel};
 
-use super::{by_score, execute, output};
+use super::{by_score, output};
 use crate::builder::GraphBuilder;
 use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
 use crate::graphref::{RunHandle, RunHandleExt};
 use crate::pass::{config_fingerprint, expect_vertices, named, Pass, PassCx};
+use crate::passes::contention::EMBEDDINGS_PER_ANCHOR;
 use crate::passes::report_pass::report_sets;
 use crate::passes::{
     CausalPass, ContentionPass, DifferentialPass, FilterPass, HotspotPass, ImbalancePass,
@@ -79,7 +80,7 @@ pub fn contention_graph(
     );
     let contention = anchors.then(ContentionPass {
         pattern: None,
-        max_per_anchor: 8,
+        max_per_anchor: EMBEDDINGS_PER_ANCHOR,
     });
     let sets = [causes, hotspots, degraded, contention];
     b.join(DiagnosisReportPass, &sets);
@@ -134,7 +135,7 @@ pub fn contention_diagnosis(
     top_n: usize,
 ) -> Result<ContentionDiagnosis, PerFlowError> {
     let graph = contention_graph(fast, slow, top_n)?;
-    let out = execute(&graph)?;
+    let out = graph.execute()?;
     let set = |name, port| output(&graph, &out, name, port, Value::as_vertices);
     Ok(ContentionDiagnosis {
         hotspots: set("hotspot_detection", 0)?,
@@ -202,7 +203,7 @@ pub fn iterative_causal(
     max_iter: usize,
 ) -> Result<(VertexSet, Report, Vec<String>), PerFlowError> {
     let seed = causal_seed_graph(run, comm_pattern, top_n)?;
-    let out = execute(&seed)?;
+    let out = seed.execute()?;
     let mut current = output(&seed, &out, "first_non_empty", 0, Value::as_vertices)?;
     let mut report = output(&seed, &out, "report", 0, Value::as_report)?;
     let mut trail = out.trail;
@@ -215,7 +216,7 @@ pub fn iterative_causal(
             break;
         }
         let step = causal_step_graph(current.clone())?;
-        let mut out = execute(&step)?;
+        let mut out = step.execute()?;
         let next = output(&step, &out, "causal_analysis", 0, Value::as_vertices)?;
         trail.append(&mut out.trail);
         if next.is_empty() {

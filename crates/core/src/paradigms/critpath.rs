@@ -2,7 +2,7 @@
 //! Schmitt et al.): extract the heaviest dependence chain through the
 //! parallel view and attribute it to code snippets.
 
-use super::{execute, output};
+use super::output;
 use crate::builder::GraphBuilder;
 use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
@@ -48,7 +48,7 @@ pub fn critical_path_paradigm(
     top_n: usize,
 ) -> Result<CriticalPathResult, PerFlowError> {
     let graph = critical_path_graph(run, top_n)?;
-    let out = execute(&graph)?;
+    let out = graph.execute()?;
     let weight = output(&graph, &out, "critical_path", 2, |v| match v {
         Value::Num(w) => Some(w),
         _ => None,

@@ -37,7 +37,6 @@ pub use self_analysis::{self_analysis, self_analysis_graph, SelfAnalysisResult};
 use crate::builder::GraphBuilder;
 use crate::dataflow::{NodeId, Outputs, PerFlowGraph};
 use crate::error::PerFlowError;
-use crate::exec::ExecOptions;
 use crate::passes::{BreakdownPass, FilterPass, HotspotPass, ImbalancePass, ReportPass};
 use crate::set::VertexSet;
 use crate::value::Value;
@@ -67,13 +66,6 @@ pub fn comm_analysis_graph(input: VertexSet) -> Result<(PerFlowGraph, NodeId), P
 fn by_score(n: usize) -> HotspotPass {
     let metric = "score".into();
     HotspotPass { metric, n }
-}
-
-/// Execute a paradigm graph on the calling thread: its branches are short
-/// next to its longest stage, and pool workers would allocate in malloc
-/// arenas of their own, which raised peak RSS by up to a fifth.
-fn execute(graph: &PerFlowGraph) -> Result<Outputs, PerFlowError> {
-    graph.execute_with(&ExecOptions::new().with_workers(1))
 }
 
 /// Output `port` of the node of `graph` shown as `name`, read by `as_t`

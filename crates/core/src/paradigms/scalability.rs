@@ -9,7 +9,7 @@
 
 use pag::{keys, mkeys};
 
-use super::{by_score, execute, output};
+use super::{by_score, output};
 use crate::builder::GraphBuilder;
 use crate::dataflow::PerFlowGraph;
 use crate::error::PerFlowError;
@@ -152,7 +152,7 @@ pub fn scalability_analysis(
     }
 
     let graph = scalability_graph(small, large, top_n, imbalance_threshold)?;
-    let out = execute(&graph)?;
+    let out = graph.execute()?;
     let set = |name| output(&graph, &out, name, 0, Value::as_vertices);
     let scaling_hotspots = set("projection:top-down")?;
     let imbalanced = set("imbalance_analysis")?;

@@ -43,17 +43,6 @@ pub trait Pass: Send + Sync {
     fn fingerprint(&self) -> Option<u64> {
         None
     }
-
-    /// Retry policy this pass opts into: `Some(policy)` makes the
-    /// resilient executor re-run a failing (erroring, panicking, or
-    /// timed-out) execution up to `policy.max_retries` times with
-    /// deterministic capped backoff. `None` (the default) means one
-    /// attempt only. A per-run
-    /// [`crate::exec::ExecOptions::retry_override`] takes precedence
-    /// over this declaration.
-    fn retry_policy(&self) -> Option<crate::exec::RetryPolicy> {
-        None
-    }
 }
 
 /// A pass shown as a stage name of its own, so that trails, drawings and
@@ -78,9 +67,6 @@ impl<P: Pass> Pass for Named<P> {
     }
     fn fingerprint(&self) -> Option<u64> {
         self.1.fingerprint()
-    }
-    fn retry_policy(&self) -> Option<crate::exec::RetryPolicy> {
-        self.1.retry_policy()
     }
 }
 

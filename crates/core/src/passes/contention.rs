@@ -10,6 +10,10 @@ use crate::pass::{config_fingerprint, expect_vertices, Pass, PassCx};
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
 
+/// Embeddings kept per anchor vertex by the Fig. 14 contention step, in
+/// the paradigm graph and the interactive session alike.
+pub(crate) const EMBEDDINGS_PER_ANCHOR: usize = 8;
+
 /// The default contention pattern, in the spirit of Listing 6's candidate
 /// subgraph (`A,B → C → D,E` over dependence edges): a pivot vertex that
 /// *waited on* a holder and then *blocked* two later requesters — the

@@ -64,32 +64,6 @@ pub fn critical_path_analysis(set: &VertexSet) -> Result<(VertexSet, EdgeSet, f6
     Ok((vs, EdgeSet::new(set.graph.clone(), cp.edges), cp.weight))
 }
 
-/// Compute the `k` heaviest (near-critical) paths — optimizing only the
-/// single heaviest chain usually just moves the bottleneck, so tools
-/// report the runners-up too.
-pub fn k_critical_paths(
-    set: &VertexSet,
-    k: usize,
-) -> Result<Vec<(VertexSet, EdgeSet, f64)>, PerFlowError> {
-    let pag = set.graph.pag();
-    let weight = |v| leaf_weight(pag, v);
-    let paths = graphalgo::k_heaviest_paths(pag, k, |_| true, weight)
-        .or_else(|| graphalgo::k_heaviest_paths(pag, k, forward_only(pag), weight))
-        .ok_or_else(|| {
-            PerFlowError::Analysis("k-critical-paths requires an acyclic non-empty graph".into())
-        })?;
-    Ok(paths
-        .into_iter()
-        .map(|p| {
-            let mut vs = VertexSet::new(set.graph.clone(), p.vertices.clone());
-            for &v in &p.vertices {
-                vs.scores.insert(v, weight(v));
-            }
-            (vs, EdgeSet::new(set.graph.clone(), p.edges), p.weight)
-        })
-        .collect())
-}
-
 /// Pass wrapper: any set on the target graph → (path vertices, path
 /// edges, total weight).
 #[derive(Default)]
@@ -157,27 +131,6 @@ mod tests {
         let g = flows();
         let (vs, _, w) = critical_path_analysis(&g.all_vertices()).unwrap();
         assert!(!vs.ids.contains(&VertexId(0)) || w < 1000.0);
-    }
-
-    #[test]
-    fn k_paths_ranked_and_first_matches_critical() {
-        let g = flows();
-        let all = g.all_vertices();
-        let (cp_v, _, cp_w) = critical_path_analysis(&all).unwrap();
-        let paths = k_critical_paths(&all, 3).unwrap();
-        assert!(!paths.is_empty());
-        // Same weight; the k-path may include zero-weight structural
-        // vertices at the source end, so compare as a contained sequence.
-        assert!((paths[0].2 - cp_w).abs() < 1e-9);
-        assert!(
-            cp_v.ids.iter().all(|v| paths[0].0.ids.contains(v)),
-            "critical path {:?} not within k-path {:?}",
-            cp_v.ids,
-            paths[0].0.ids
-        );
-        for w in paths.windows(2) {
-            assert!(w[0].2 >= w[1].2, "paths must be ranked by weight");
-        }
     }
 
     #[test]

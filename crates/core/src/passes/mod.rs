@@ -13,7 +13,6 @@ pub mod differential;
 pub mod filter;
 pub mod hotspot;
 pub mod imbalance;
-pub mod patterns;
 pub mod report_pass;
 pub mod setops;
 pub mod wait_state;
@@ -22,7 +21,7 @@ pub use backtracking::{backtracking, BacktrackingPass};
 pub use breakdown::{breakdown, BreakdownPass};
 pub use causal::{causal, CausalConfig, CausalPass};
 pub use contention::{contention, default_contention_pattern, ContentionPass};
-pub use critical_path::{critical_path_analysis, k_critical_paths, CriticalPathPass};
+pub use critical_path::{critical_path_analysis, CriticalPathPass};
 pub use differential::{differential, DifferentialPass};
 pub use filter::FilterPass;
 pub use hotspot::{hotspot, HotspotPass};

@@ -47,13 +47,6 @@ impl Report {
         self.notes.push(note.into());
     }
 
-    /// Merge another report's rows and notes (columns must match; the
-    /// other's rows are appended).
-    pub fn extend(&mut self, other: &Report) {
-        self.rows.extend(other.rows.iter().cloned());
-        self.notes.extend(other.notes.iter().cloned());
-    }
-
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -130,18 +123,6 @@ mod tests {
         let h = lines[1].find("time").unwrap();
         assert_eq!(lines[3].find("1.5").unwrap(), h);
         assert_eq!(lines[4].find("10.25").unwrap(), h);
-    }
-
-    #[test]
-    fn extend_merges_rows_and_notes() {
-        let mut a = Report::new("a").with_columns(&["x"]);
-        a.push_row(vec!["1".into()]);
-        let mut b = Report::new("b").with_columns(&["x"]);
-        b.push_row(vec!["2".into()]);
-        b.note("from b");
-        a.extend(&b);
-        assert_eq!(a.rows.len(), 2);
-        assert_eq!(a.notes, vec!["from b"]);
     }
 
     #[test]
