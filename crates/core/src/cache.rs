@@ -1,22 +1,24 @@
 //! Content-hash pass-result cache.
 //!
 //! A [`PassCache`] memoizes `(pass, inputs) → outputs` across
-//! [`crate::dataflow::PerFlowGraph::execute_with`] calls. The key
-//! combines the pass's identity — its content
-//! [`fingerprint`](crate::pass::Pass::fingerprint) when it has one, the
-//! node's pass-object address otherwise — with the content fingerprints
-//! of every input [`Value`]. Re-executing an unchanged PerFlowGraph
+//! [`crate::dataflow::PerFlowGraph::execute_with`] calls. Results are
+//! stored under one content key (`cache::key`), the same one checkpoint
+//! snapshots use: the pass's content
+//! [`fingerprint`](crate::pass::Pass::fingerprint) combined with the
+//! content [`Value::fingerprint`] of every input. Re-executing an
+//! unchanged PerFlowGraph — or an equal one built on a re-created run —
 //! against the same cache therefore hits on every node; editing a pass's
 //! configuration or feeding different data invalidates exactly the
-//! downstream slice whose inputs changed.
+//! downstream slice whose inputs changed. A node without a key (a pass
+//! with no fingerprint, or an input on a detached graph) is never probed:
+//! it runs on every execution and counts as neither hit nor miss.
 //!
 //! Three properties matter for long-lived processes (`perflow-serve`):
 //!
 //! * **Bounded.** [`PassCache::with_capacity`] caps the number of
 //!   entries; inserting past the cap evicts the least-recently-used
-//!   entry (and drops its pinned pass `Arc`), counted in
-//!   [`CacheStats::evictions`]. [`PassCache::new`] stays unbounded,
-//!   preserving one-shot CLI behavior.
+//!   entry, counted in [`CacheStats::evictions`]. [`PassCache::new`]
+//!   stays unbounded, preserving one-shot CLI behavior.
 //! * **Cheap hits.** Entries store their payload behind an `Arc`, so a
 //!   hit clones a pointer while holding the lock — never a deep
 //!   `Vec<Value>` — and concurrent executions don't serialize on large
@@ -29,12 +31,8 @@
 //!   twice. If the filler fails (guard dropped without filling), exactly
 //!   one waiter is promoted to the next filler.
 //!
-//! Identity-keyed entries keep a strong reference to their pass object,
-//! so an address is never recycled while the cache can still return
-//! results for it; eviction drops both the payload and that pin
-//! together, after which the key can no longer hit. The cache is
-//! internally synchronized: executions on several threads (serve's
-//! executors) probe and fill one cache concurrently.
+//! The cache is internally synchronized: executions on several threads
+//! (serve's executors) probe and fill one cache concurrently.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -42,6 +40,24 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::pass::Pass;
 use crate::value::Value;
 use obs::Fnv;
+
+/// The content key of running `pass` on `inputs`: the pass's
+/// [`fingerprint`](Pass::fingerprint) and every input's
+/// [`Value::fingerprint`]. `None` when the pass or any input has no
+/// fingerprint — such a node is neither cached nor checkpointed. The key
+/// is stable across processes, so checkpoint snapshots store results
+/// under it too.
+pub(crate) fn key(pass: &dyn Pass, inputs: &[Value]) -> Option<u64> {
+    let fp = pass.fingerprint()?;
+    let mut h = Fnv::new();
+    h.u64(0x5AB1E);
+    h.u64(fp);
+    h.u64(inputs.len() as u64);
+    for v in inputs {
+        h.u64(v.fingerprint()?);
+    }
+    Some(h.finish())
+}
 
 /// Hit/miss/eviction counters of a [`PassCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,8 +100,6 @@ struct Entry {
     payload: Arc<CachedResult>,
     /// Recency stamp; also the entry's key in the LRU index.
     tick: u64,
-    /// Keeps identity-keyed pass objects alive (see module docs).
-    _pass: Arc<dyn Pass>,
 }
 
 #[derive(Default)]
@@ -188,26 +202,6 @@ impl PassCache {
         inner.stats = CacheStats::default();
     }
 
-    /// The cache key of running `pass` on `inputs`.
-    pub(crate) fn key(pass: &Arc<dyn Pass>, inputs: &[Value]) -> u64 {
-        let mut h = Fnv::new();
-        match pass.fingerprint() {
-            Some(fp) => {
-                h.u64(1);
-                h.u64(fp);
-            }
-            None => {
-                h.u64(2);
-                h.u64(Arc::as_ptr(pass) as *const () as usize as u64);
-            }
-        }
-        h.u64(inputs.len() as u64);
-        for v in inputs {
-            h.u64(v.fingerprint());
-        }
-        h.finish()
-    }
-
     /// Look up `key`, counting exactly one hit or miss per probe.
     ///
     /// Blocks while another thread holds the key's [`FillGuard`]; when
@@ -244,12 +238,7 @@ impl PassCache {
 impl FillGuard<'_> {
     /// Publish the computed result under the guarded key, waking any
     /// coalesced probes, and return the shared payload.
-    pub(crate) fn fill(
-        mut self,
-        outputs: Vec<Value>,
-        trail: Vec<String>,
-        pass: Arc<dyn Pass>,
-    ) -> Arc<CachedResult> {
+    pub(crate) fn fill(mut self, outputs: Vec<Value>, trail: Vec<String>) -> Arc<CachedResult> {
         self.armed = false;
         let payload = Arc::new(CachedResult { outputs, trail });
         let mut inner = self.cache.lock();
@@ -261,7 +250,6 @@ impl FillGuard<'_> {
             Entry {
                 payload: Arc::clone(&payload),
                 tick,
-                _pass: pass,
             },
         ) {
             inner.lru.remove(&old.tick);
@@ -272,7 +260,6 @@ impl FillGuard<'_> {
                 let (&oldest_tick, &oldest_key) =
                     inner.lru.iter().next().expect("lru tracks every entry");
                 inner.lru.remove(&oldest_tick);
-                // Drops the payload and the pinned pass Arc together.
                 inner.entries.remove(&oldest_key);
                 inner.stats.evictions += 1;
             }
@@ -304,36 +291,40 @@ mod tests {
         }
     }
 
-    fn fill(cache: &Arc<PassCache>, key: u64, v: f64, pass: &Arc<dyn Pass>) {
+    fn fill(cache: &Arc<PassCache>, key: u64, v: f64) {
         match cache.probe(key) {
             Probe::Miss(g) => {
-                g.fill(vec![Value::Num(v)], vec![], Arc::clone(pass));
+                g.fill(vec![Value::Num(v)], vec![]);
             }
             Probe::Hit(_) => panic!("expected a miss for key {key}"),
         }
     }
 
+    /// The key of a source emitting `v`.
+    fn source_key(v: f64) -> u64 {
+        key(&SourcePass::new(v), &[]).expect("sources of numbers are keyed")
+    }
+
     #[test]
     fn keys_separate_passes_and_inputs() {
-        let a: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let b: Arc<dyn Pass> = Arc::new(SourcePass::new(2.0));
+        let a = SourcePass::new(1.0);
+        let b = SourcePass::new(2.0);
         let x = [Value::Num(1.0)];
         let y = [Value::Num(2.0)];
-        assert_ne!(PassCache::key(&a, &x), PassCache::key(&b, &x));
-        assert_ne!(PassCache::key(&a, &x), PassCache::key(&a, &y));
-        assert_eq!(PassCache::key(&a, &x), PassCache::key(&a, &x));
+        assert_ne!(key(&a, &x), key(&b, &x));
+        assert_ne!(key(&a, &x), key(&a, &y));
+        assert_eq!(key(&a, &x), key(&a, &x));
         // Content fingerprints alias equal configurations across objects.
-        let a2: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        assert_eq!(PassCache::key(&a, &x), PassCache::key(&a2, &x));
+        let a2 = SourcePass::new(1.0);
+        assert_eq!(key(&a, &x), key(&a2, &x));
     }
 
     #[test]
     fn counters_and_clear() {
         let c = Arc::new(PassCache::new());
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let key = PassCache::key(&p, &[]);
+        let key = source_key(1.0);
         assert!(probe_hit(&c, key).is_none());
-        fill(&c, key, 1.0, &p);
+        fill(&c, key, 1.0);
         assert!(probe_hit(&c, key).is_some());
         assert_eq!(
             c.stats(),
@@ -352,9 +343,8 @@ mod tests {
     #[test]
     fn hits_are_pointer_clones() {
         let c = Arc::new(PassCache::new());
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let key = PassCache::key(&p, &[]);
-        fill(&c, key, 7.0, &p);
+        let key = source_key(1.0);
+        fill(&c, key, 7.0);
         let a = probe_hit(&c, key).unwrap();
         let b = probe_hit(&c, key).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hits share one payload allocation");
@@ -365,15 +355,12 @@ mod tests {
     fn lru_eviction_is_bounded_and_counted() {
         let c = Arc::new(PassCache::with_capacity(2));
         assert_eq!(c.capacity(), Some(2));
-        let passes: Vec<Arc<dyn Pass>> = (0..3)
-            .map(|i| Arc::new(SourcePass::new(i as f64)) as Arc<dyn Pass>)
-            .collect();
-        let keys: Vec<u64> = passes.iter().map(|p| PassCache::key(p, &[])).collect();
-        fill(&c, keys[0], 0.0, &passes[0]);
-        fill(&c, keys[1], 1.0, &passes[1]);
+        let keys: Vec<u64> = (0..3).map(|i| source_key(i as f64)).collect();
+        fill(&c, keys[0], 0.0);
+        fill(&c, keys[1], 1.0);
         // Touch key 0 so key 1 is the LRU victim.
         assert!(probe_hit(&c, keys[0]).is_some());
-        fill(&c, keys[2], 2.0, &passes[2]);
+        fill(&c, keys[2], 2.0);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(probe_hit(&c, keys[0]).is_some(), "recently used survives");
@@ -382,24 +369,10 @@ mod tests {
     }
 
     #[test]
-    fn eviction_releases_the_pass_pin() {
-        let c = Arc::new(PassCache::with_capacity(1));
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let q: Arc<dyn Pass> = Arc::new(SourcePass::new(2.0));
-        let kp = PassCache::key(&p, &[]);
-        let kq = PassCache::key(&q, &[]);
-        fill(&c, kp, 1.0, &p);
-        assert_eq!(Arc::strong_count(&p), 2, "cached entry pins the pass");
-        fill(&c, kq, 2.0, &q);
-        assert_eq!(Arc::strong_count(&p), 1, "eviction drops the pin");
-    }
-
-    #[test]
     fn zero_capacity_stores_nothing() {
         let c = Arc::new(PassCache::with_capacity(0));
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let key = PassCache::key(&p, &[]);
-        fill(&c, key, 1.0, &p);
+        let key = source_key(1.0);
+        fill(&c, key, 1.0);
         assert!(c.is_empty());
         assert_eq!(c.stats().evictions, 1);
         assert!(probe_hit(&c, key).is_none());
@@ -408,8 +381,7 @@ mod tests {
     #[test]
     fn concurrent_probes_of_one_key_coalesce() {
         let c = Arc::new(PassCache::new());
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let key = PassCache::key(&p, &[]);
+        let key = source_key(1.0);
         let guard = match c.probe(key) {
             Probe::Miss(g) => g,
             Probe::Hit(_) => unreachable!(),
@@ -428,7 +400,7 @@ mod tests {
             .collect();
         // Give the waiters time to block on the in-flight key.
         std::thread::sleep(std::time::Duration::from_millis(30));
-        guard.fill(vec![Value::Num(9.0)], vec![], Arc::clone(&p));
+        guard.fill(vec![Value::Num(9.0)], vec![]);
         for w in waiters {
             assert_eq!(w.join().unwrap(), 9.0);
         }
@@ -441,18 +413,16 @@ mod tests {
     #[test]
     fn abandoned_fill_promotes_a_waiter() {
         let c = Arc::new(PassCache::new());
-        let p: Arc<dyn Pass> = Arc::new(SourcePass::new(1.0));
-        let key = PassCache::key(&p, &[]);
+        let key = source_key(1.0);
         let guard = match c.probe(key) {
             Probe::Miss(g) => g,
             Probe::Hit(_) => unreachable!(),
         };
         let waiter = {
             let c = Arc::clone(&c);
-            let p = Arc::clone(&p);
             std::thread::spawn(move || match c.probe(key) {
                 Probe::Miss(g) => {
-                    g.fill(vec![Value::Num(3.0)], vec![], p);
+                    g.fill(vec![Value::Num(3.0)], vec![]);
                     true
                 }
                 Probe::Hit(_) => false,

@@ -8,17 +8,16 @@
 //!
 //! ## Keying
 //!
-//! Snapshot entries are keyed by a *stable* content hash
-//! (`stable_key`): the pass's content
+//! Snapshot entries are keyed by the pass-result cache's content key
+//! ([`crate::cache`]): the pass's content
 //! [`fingerprint`](crate::pass::Pass::fingerprint) combined with the
-//! [`Value::stable_fingerprint`] of every input. Unlike the in-memory
-//! [`crate::cache::PassCache`] keys, no process-local address ever
-//! enters the hash — sets identify their graph by the run's content
-//! digest ([`simrt::RunData::digest`]), so the key survives process
-//! restarts. Passes without a content fingerprint, and values on
-//! detached graphs, have no stable key and are simply never recorded
-//! (the `verify` linter flags them as `PF0011` when checkpointing is
-//! requested).
+//! [`Value::fingerprint`] of every input. No process-local address enters
+//! the hash — sets identify their graph by the run's content digest
+//! ([`crate::graphref::RunBundle::content_digest`]), so the key survives
+//! process restarts. Passes without a content fingerprint, and values on
+//! detached graphs, have no key and are simply never recorded (the
+//! `verify` linter flags such passes as `PF0010`, and the engine repeats
+//! that warning when checkpointing or resuming is requested).
 //!
 //! ## File format (version 1)
 //!
@@ -45,7 +44,6 @@ use std::sync::Mutex;
 
 use crate::error::PerFlowError;
 use crate::graphref::{GraphRef, RunHandle};
-use crate::pass::Pass;
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
 use crate::value::Value;
@@ -55,22 +53,6 @@ use obs::Fnv;
 pub const MAGIC: [u8; 4] = *b"PFCK";
 /// Current snapshot format version.
 pub const VERSION: u32 = 1;
-
-/// Stable content key of running `pass` on `inputs`, or `None` when the
-/// pass has no content fingerprint or any input has no stable
-/// fingerprint. Only stable-keyed executions can be checkpointed and
-/// resumed.
-pub(crate) fn stable_key(pass: &dyn Pass, inputs: &[Value]) -> Option<u64> {
-    let fp = pass.fingerprint()?;
-    let mut h = Fnv::new();
-    h.u64(0x5AB1E);
-    h.u64(fp);
-    h.u64(inputs.len() as u64);
-    for v in inputs {
-        h.u64(v.stable_fingerprint()?);
-    }
-    Some(h.finish())
-}
 
 fn fnv_bytes(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
@@ -125,7 +107,7 @@ impl Enc {
 }
 
 /// Encode one value, or `None` when it lives on a graph without a
-/// stable content identity.
+/// content identity.
 fn encode_value(out: &mut Enc, v: &Value) -> Option<()> {
     match v {
         Value::Num(n) => {
@@ -343,7 +325,7 @@ impl CheckpointWriter {
     }
 
     /// Append one completed pass result. Returns `true` when the entry
-    /// was written; `false` when it was skipped (no stable encoding,
+    /// was written; `false` when it was skipped (no encoding,
     /// duplicate key, or the writer already failed). Write errors are
     /// sticky and surfaced by [`CheckpointWriter::error`] — they never
     /// abort the analysis itself.
@@ -602,7 +584,7 @@ impl ResumeSnapshot {
         self.entries.is_empty()
     }
 
-    /// Look up a stable key.
+    /// Look up a content key.
     pub(crate) fn get(&self, key: u64) -> Option<(Vec<Value>, Vec<String>)> {
         self.entries.get(&key).cloned()
     }

@@ -17,14 +17,13 @@ use std::sync::Arc;
 
 use obs::{names, Layer};
 
-use crate::cache::{CacheStats, PassCache, Probe};
-use crate::checkpoint;
+use crate::cache::{self, CacheStats, Probe};
 use crate::error::PerFlowError;
 use crate::exec::{ExecOptions, ExecPolicy, PassFailure};
 use crate::metrics::{PassMetric, RunMetrics};
 use crate::pass::{Pass, PassCx, SourcePass};
 use crate::value::Value;
-use verify::{lint_checkpoint, lint_graph, Diagnostics, GraphShape, NodeShape, WireShape};
+use verify::{codes, lint_graph, Diagnostics, GraphShape, NodeShape, WireShape};
 
 /// Identifier of a node within one [`PerFlowGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -367,6 +366,7 @@ impl PerFlowGraph {
                     .fold(sched_start, f64::max);
                 done_at[i] = end_us;
                 let dispatch_seq = passes.len();
+                let cache_hit = run.cache_hit == Some(true);
                 obs.record_span(
                     Layer::Core,
                     format!("pass:{}", pass.name()),
@@ -375,15 +375,15 @@ impl PerFlowGraph {
                     end_us,
                     &[
                         ("node", i as f64),
-                        ("cache_hit", if run.cache_hit { 1.0 } else { 0.0 }),
+                        ("cache_hit", if cache_hit { 1.0 } else { 0.0 }),
                         ("resume_hit", if run.resume_hit { 1.0 } else { 0.0 }),
                         ("attempts", run.attempts as f64),
                         ("dispatch_seq", dispatch_seq as f64),
                     ],
                 );
-                if opts.cache.is_some() {
+                if let Some(hit) = run.cache_hit {
                     obs.count(
-                        if run.cache_hit {
+                        if hit {
                             "core.cache.hit"
                         } else {
                             "core.cache.miss"
@@ -397,7 +397,7 @@ impl PerFlowGraph {
                     name: pass.name().to_string(),
                     wall_us: end_us - start_us,
                     queue_wait_us: (start_us - ready_us).max(0.0),
-                    cache_hit: run.cache_hit,
+                    cache_hit,
                     worker: 0,
                     dispatch_seq,
                 });
@@ -420,7 +420,7 @@ impl PerFlowGraph {
         }
         failures.sort_by_key(|f| f.node);
         skipped.sort();
-        let warnings = self.run_warnings(opts, &failures, &skipped);
+        let warnings = self.run_warnings(opts, &diagnostics, &failures, &skipped);
         let metrics = if observed {
             let cache = opts.cache.map(|c| {
                 let s1 = c.stats();
@@ -468,20 +468,24 @@ impl PerFlowGraph {
         })
     }
 
-    /// Assemble the deterministic warning list of a completed run:
-    /// checkpoint-readiness lint findings (when snapshotting was
-    /// requested), degraded-data records for failures and skips, and
-    /// best-effort checkpoint/resume anomalies.
+    /// Assemble the deterministic warning list of a completed run: the
+    /// pre-flight lint's PF0010 findings (when snapshotting was
+    /// requested, as those passes are never checkpointed), degraded-data
+    /// records for failures and skips, and best-effort checkpoint/resume
+    /// anomalies.
     fn run_warnings(
         &self,
         opts: &ExecOptions<'_>,
+        diagnostics: &Diagnostics,
         failures: &[PassFailure],
         skipped: &[NodeId],
     ) -> Vec<String> {
         let mut warnings = Vec::new();
         if opts.checkpoint.is_some() || opts.resume.is_some() {
-            for d in lint_checkpoint(&self.shape()).items() {
-                warnings.push(d.render_text());
+            for d in diagnostics.items() {
+                if d.code == codes::NO_FINGERPRINT {
+                    warnings.push(d.render_text());
+                }
             }
         }
         for f in failures {
@@ -543,7 +547,9 @@ struct NodeRun {
     result: NodeResult,
     /// Execution attempts made (1 when the result was replayed).
     attempts: u32,
-    cache_hit: bool,
+    /// Whether the cache answered the node's probe; `None` when it was
+    /// not probed (no cache attached, or the node has no content key).
+    cache_hit: Option<bool>,
     resume_hit: bool,
 }
 
@@ -552,10 +558,11 @@ struct NodeRun {
 /// the checkpoint from a success.
 fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> NodeRun {
     let obs = &opts.obs;
-    // Stable content keys are only needed (and only computed) when a
-    // snapshot is being written or replayed.
-    let stable_key = if opts.checkpoint.is_some() || opts.resume.is_some() {
-        checkpoint::stable_key(&**pass, inputs)
+    // One content key names the result in the cache and the snapshot,
+    // computed only when one is attached. An unkeyed node runs every
+    // time.
+    let key = if opts.cache.is_some() || opts.checkpoint.is_some() || opts.resume.is_some() {
+        cache::key(&**pass, inputs)
     } else {
         None
     };
@@ -565,7 +572,9 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
     // same key waits for our fill instead of re-running the pass or
     // double-counting the miss.
     let mut fill = None;
-    let cached = match opts.cache.map(|c| c.probe(PassCache::key(pass, inputs))) {
+    let probe = opts.cache.zip(key).map(|(c, k)| c.probe(k));
+    let cache_hit = probe.as_ref().map(|p| matches!(p, Probe::Hit(_)));
+    let cached = match probe {
         Some(Probe::Hit(r)) => Some(r),
         Some(Probe::Miss(g)) => {
             fill = Some(g);
@@ -574,11 +583,11 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
         None => None,
     };
     let mut attempts = 1;
-    let (result, cache_hit, resume_hit) = if let Some(r) = cached {
-        (Ok((r.outputs.clone(), r.trail.clone())), true, false)
-    } else if let Some(r) = stable_key.and_then(|k| opts.resume.and_then(|snap| snap.get(k))) {
+    let (result, resume_hit) = if let Some(r) = cached {
+        (Ok((r.outputs.clone(), r.trail.clone())), false)
+    } else if let Some(r) = key.and_then(|k| opts.resume.and_then(|snap| snap.get(k))) {
         obs.count(names::PASS_RESUME_HIT, 1);
-        (Ok(r), false, true)
+        (Ok(r), true)
     } else {
         let result = loop {
             let r = run_attempt(pass, inputs, opts.pass_timeout_ms);
@@ -587,7 +596,7 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
                 Err(PerFlowError::PassTimeout { .. }) => obs.count(names::PASS_TIMEOUT, 1),
                 _ => {}
             }
-            match (r, opts.retry_override) {
+            match (r, opts.retry) {
                 (Err(_), Some(retry)) if attempts <= retry.max_retries => {
                     // Deterministic capped exponential backoff.
                     let backoff = retry.backoff_ms(attempts);
@@ -599,16 +608,16 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
                 (r, _) => break r,
             }
         };
-        (result, false, false)
+        (result, false)
     };
     if let Ok((outs, trail)) = &result {
         // Fill the cache from executed *and* resumed results, and append
-        // every stable-keyed success to the snapshot — a resumed run
-        // rewrites a complete checkpoint file.
+        // every keyed success to the snapshot — a resumed run rewrites a
+        // complete checkpoint file.
         if let Some(g) = fill.take() {
-            g.fill(outs.clone(), trail.clone(), Arc::clone(pass));
+            g.fill(outs.clone(), trail.clone());
         }
-        if let (Some(w), Some(k)) = (opts.checkpoint, stable_key) {
+        if let (Some(w), Some(k)) = (opts.checkpoint, key) {
             w.record(k, outs, trail);
         }
     }
@@ -680,8 +689,10 @@ fn panic_payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint;
     use crate::pass::FnPass;
     use obs::Obs;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn add_pass() -> FnPass<impl Fn(&[Value]) -> Result<Vec<Value>, PerFlowError> + Send + Sync> {
         FnPass::new("add", 2, |inputs: &[Value]| {
@@ -847,16 +858,10 @@ mod tests {
 
     #[test]
     fn cache_hits_every_node_on_reexecution() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let runs = Arc::new(AtomicUsize::new(0));
+        let runs = Arc::new(AtomicU32::new(0));
         let mut g = PerFlowGraph::new();
         let s = g.add_source(3.0);
-        let runs2 = Arc::clone(&runs);
-        let sq = g.add_pass(FnPass::new("square", 1, move |i: &[Value]| {
-            runs2.fetch_add(1, Ordering::SeqCst);
-            let v = i[0].as_num().unwrap();
-            Ok(vec![Value::Num(v * v)])
-        }));
+        let sq = g.add_pass(FpPass::counted("square", |v| v * v, &runs));
         g.pipe(s, sq).unwrap();
         let cache = crate::cache::PassCache::new();
         let opts = ExecOptions::new().with_cache(&cache);
@@ -868,9 +873,37 @@ mod tests {
         assert_eq!(second.of(sq)[0].as_num(), Some(9.0));
         assert_eq!(cache.stats().hits, 2, "every node replays from cache");
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "closure ran exactly once");
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the pass ran exactly once");
         // Trails are identical between the live and the cached run.
         assert_eq!(first.trail, second.trail);
+    }
+
+    #[test]
+    fn unkeyed_pass_runs_every_time_and_is_never_counted() {
+        let runs = Arc::new(AtomicU32::new(0));
+        let mut g = PerFlowGraph::new();
+        let s = g.add_source(3.0);
+        let runs2 = Arc::clone(&runs);
+        let sq = g.add_pass(FnPass::new("square", 1, move |i: &[Value]| {
+            runs2.fetch_add(1, Ordering::SeqCst);
+            let v = i[0].as_num().unwrap();
+            Ok(vec![Value::Num(v * v)])
+        }));
+        g.pipe(s, sq).unwrap();
+        let cache = crate::cache::PassCache::new();
+        let obs = Obs::enabled();
+        let opts = ExecOptions::new().with_cache(&cache).with_obs(obs.clone());
+        for _ in 0..2 {
+            let out = g.execute_with(&opts).unwrap();
+            assert_eq!(out.of(sq)[0].as_num(), Some(9.0));
+        }
+        // Only the keyed source is probed: one miss, then one hit.
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "the closure runs each time");
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(obs.counter("core.cache.miss"), 1);
+        assert_eq!(obs.counter("core.cache.hit"), 1);
     }
 
     #[test]
@@ -900,10 +933,7 @@ mod tests {
         for (seed, want) in [(2.0, 4.0), (5.0, 25.0)] {
             let mut g = PerFlowGraph::new();
             let s = g.add_source(seed);
-            let sq = g.add_pass(FnPass::new("square", 1, |i: &[Value]| {
-                let v = i[0].as_num().unwrap();
-                Ok(vec![Value::Num(v * v)])
-            }));
+            let sq = g.add_pass(FpPass::new("square", |v| v * v));
             g.pipe(s, sq).unwrap();
             let out = g
                 .execute_with(&ExecOptions::new().with_cache(&cache))
@@ -1001,27 +1031,43 @@ mod tests {
 
     use crate::exec::RetryPolicy;
 
-    /// A fingerprinted unary pass for checkpoint tests: `f(x)` on Num
-    /// inputs, content-keyed on its name.
+    /// A fingerprinted unary pass: `f(x)` on Num inputs, content-keyed
+    /// on its name, counting its runs.
     struct FpPass {
-        name: String,
+        name: &'static str,
         f: fn(f64) -> f64,
+        runs: Arc<AtomicU32>,
+    }
+
+    impl FpPass {
+        fn new(name: &'static str, f: fn(f64) -> f64) -> Self {
+            Self::counted(name, f, &Arc::default())
+        }
+
+        fn counted(name: &'static str, f: fn(f64) -> f64, runs: &Arc<AtomicU32>) -> Self {
+            FpPass {
+                name,
+                f,
+                runs: Arc::clone(runs),
+            }
+        }
     }
 
     impl Pass for FpPass {
         fn name(&self) -> &str {
-            &self.name
+            self.name
         }
         fn arity(&self) -> usize {
             1
         }
         fn run(&self, inputs: &[Value], _cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
+            self.runs.fetch_add(1, Ordering::SeqCst);
             Ok(vec![Value::Num((self.f)(inputs[0].as_num().unwrap()))])
         }
         fn fingerprint(&self) -> Option<u64> {
             let mut h = obs::Fnv::new();
             h.str("fp-pass");
-            h.str(&self.name);
+            h.str(self.name);
             Some(h.finish())
         }
     }
@@ -1125,7 +1171,6 @@ mod tests {
 
     #[test]
     fn retry_recovers_transient_failures() {
-        use std::sync::atomic::{AtomicU32, Ordering};
         let tries = Arc::new(AtomicU32::new(0));
         let mut g = PerFlowGraph::new();
         let s = g.add_source(7.0);
@@ -1179,7 +1224,6 @@ mod tests {
 
     #[test]
     fn checkpoint_then_resume_replays_without_execution() {
-        use std::sync::atomic::{AtomicU32, Ordering};
         let path = {
             let mut p = std::env::temp_dir();
             p.push(format!("perflow-dataflow-ckpt-{}", std::process::id()));
@@ -1190,29 +1234,8 @@ mod tests {
         let build = |runs: Arc<AtomicU32>| {
             let mut g = PerFlowGraph::new();
             let s = g.add_source(3.0);
-            let double = g.add_pass(FpPass {
-                name: "double".into(),
-                f: |x| x * 2.0,
-            });
-            struct Counting(Arc<AtomicU32>);
-            impl Pass for Counting {
-                fn name(&self) -> &str {
-                    "counting_inc"
-                }
-                fn arity(&self) -> usize {
-                    1
-                }
-                fn run(&self, i: &[Value], _: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                    Ok(vec![Value::Num(i[0].as_num().unwrap() + 1.0)])
-                }
-                fn fingerprint(&self) -> Option<u64> {
-                    let mut h = obs::Fnv::new();
-                    h.str("counting_inc");
-                    Some(h.finish())
-                }
-            }
-            let inc = g.add_pass(Counting(runs));
+            let double = g.add_pass(FpPass::new("double", |x| x * 2.0));
+            let inc = g.add_pass(FpPass::counted("counting_inc", |x| x + 1.0, &runs));
             g.pipe(s, double).unwrap();
             g.pipe(double, inc).unwrap();
             (g, inc)
@@ -1224,7 +1247,7 @@ mod tests {
         let opts = ExecOptions::new().with_checkpoint(&writer);
         let first = g1.execute_with(&opts).unwrap();
         assert_eq!(first.of(inc1)[0].as_num(), Some(7.0));
-        assert_eq!(writer.recorded(), 3, "all three passes are stable-keyed");
+        assert_eq!(writer.recorded(), 3, "all three passes are keyed");
         assert!(writer.error().is_none());
         assert_eq!(runs.load(Ordering::SeqCst), 1);
 
@@ -1266,7 +1289,7 @@ mod tests {
         assert!(
             out.warnings
                 .iter()
-                .any(|w| w.contains("PF0011") && w.contains("opaque")),
+                .any(|w| w.contains("PF0010") && w.contains("opaque")),
             "{:?}",
             out.warnings
         );

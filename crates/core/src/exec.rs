@@ -142,16 +142,16 @@ pub struct ExecOptions<'a> {
     /// eventual result, if any, is discarded).
     pub pass_timeout_ms: Option<u64>,
     /// Retry policy applied to every pass (`None`: one attempt each).
-    pub retry_override: Option<RetryPolicy>,
+    pub retry: Option<RetryPolicy>,
     /// Pass-result cache to probe and fill.
     pub cache: Option<&'a PassCache>,
     /// Observability handle (disabled by default).
     pub obs: Obs,
-    /// Checkpoint writer: every completed pass with a stable content key
-    /// is appended to the snapshot file as it finishes.
+    /// Checkpoint writer: every completed pass with a content key is
+    /// appended to the snapshot file as it finishes.
     pub checkpoint: Option<&'a CheckpointWriter>,
-    /// Resume snapshot: passes whose stable content key is present
-    /// replay the recorded outputs instead of running.
+    /// Resume snapshot: passes whose content key is present replay the
+    /// recorded outputs instead of running.
     pub resume: Option<&'a ResumeSnapshot>,
 }
 
@@ -176,7 +176,7 @@ impl<'a> ExecOptions<'a> {
 
     /// Apply a retry policy to every pass.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry_override = Some(retry);
+        self.retry = Some(retry);
         self
     }
 

@@ -9,7 +9,8 @@ use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use collect::{build_parallel_view, ProfiledRun};
-use pag::{mkeys, Pag, VertexId};
+use obs::Fnv;
+use pag::{keys, mkeys, Pag, VertexId};
 use simrt::RunData;
 
 use crate::set::VertexSet;
@@ -36,12 +37,35 @@ impl RunBundle {
         })
     }
 
-    /// Content digest of the underlying run data
-    /// ([`simrt::RunData::digest`], cached). Stable across processes for
-    /// deterministic simulations — the identity checkpoint snapshots use
-    /// to re-associate serialized sets with a resumed run.
+    /// Content digest of the run (cached): the run data's
+    /// [`simrt::RunData::digest`] folded with the top-down view's
+    /// structure and strings — vertex labels, names and debug info, and
+    /// the edges — because the run data holds ids, not the names reports
+    /// print. Metrics are left out: they derive from the run data.
+    /// Stable across processes for deterministic simulations: it names
+    /// a run's sets in pass-cache and checkpoint keys, and report
+    /// fingerprints fold it.
     pub fn content_digest(&self) -> u64 {
-        *self.content_digest.get_or_init(|| self.run.data.digest())
+        *self.content_digest.get_or_init(|| {
+            let pag = self.topdown();
+            let mut h = Fnv::new();
+            h.u64(self.run.data.digest());
+            h.u64(pag.num_vertices() as u64);
+            for v in pag.vertex_ids() {
+                let vd = pag.vertex(v);
+                h.str(vd.label.name());
+                h.str(&vd.name);
+                h.str(pag.vstr(v, keys::DEBUG_INFO).unwrap_or(""));
+            }
+            h.u64(pag.num_edges() as u64);
+            for e in pag.edge_ids() {
+                let ed = pag.edge(e);
+                h.u64(ed.src.0 as u64);
+                h.u64(ed.dst.0 as u64);
+                h.str(ed.label.name());
+            }
+            h.finish()
+        })
     }
 
     /// The profiled run (top-down PAG, raw run data, context maps).
@@ -91,22 +115,11 @@ impl GraphRef {
         }
     }
 
-    /// A (view-tag, handle-address) pair identifying this graph instance
-    /// — the identity `same_graph` compares, in hashable form. Used by
-    /// value fingerprints: sets on the same handle get the same token.
-    pub fn identity(&self) -> (u8, usize) {
-        match self {
-            GraphRef::TopDown(b) => (1, Arc::as_ptr(b) as *const () as usize),
-            GraphRef::Parallel(b) => (2, Arc::as_ptr(b) as *const () as usize),
-            GraphRef::Detached(p) => (3, Arc::as_ptr(p) as *const () as usize),
-        }
-    }
-
     /// A process-independent `(view-tag, content-digest)` identity for
-    /// graphs that belong to a run bundle — the token checkpoint keys
-    /// use instead of [`GraphRef::identity`]'s handle address. `None`
-    /// for detached graphs (difference graphs and other derived PAGs
-    /// have no stable content token, so values on them cannot be
+    /// graphs that belong to a run bundle — the token value fingerprints
+    /// and checkpoint snapshots name a set's graph by. `None` for
+    /// detached graphs (difference graphs and other derived PAGs have no
+    /// content token, so values on them are never cached or
     /// checkpointed).
     pub fn content_identity(&self) -> Option<(u8, u64)> {
         match self {

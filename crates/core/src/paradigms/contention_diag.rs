@@ -79,7 +79,6 @@ pub fn contention_graph(
         &[flows.then(top("top:flows", 64)), locks],
     );
     let contention = anchors.then(ContentionPass {
-        pattern: None,
         max_per_anchor: EMBEDDINGS_PER_ANCHOR,
     });
     let sets = [causes, hotspots, degraded, contention];

@@ -35,11 +35,12 @@ pub trait Pass: Send + Sync {
 
     /// Content fingerprint of the pass *configuration* (name, thresholds,
     /// parameters — everything that determines the output besides the
-    /// inputs). `Some(fp)` lets the pass-result cache share results
-    /// across graph instances holding equally-configured passes; `None`
-    /// (the default) makes the executor fall back to node-instance
-    /// identity, which still caches re-executions of the same graph but
-    /// never aliases two distinct pass objects (safe for closures).
+    /// inputs). With the inputs' content fingerprints it forms the one
+    /// key the pass-result cache and checkpoint snapshots store results
+    /// under, so equally-configured passes share results across graph
+    /// instances and processes. `None` (the default, and what closures
+    /// give) leaves the node unkeyed: it runs on every execution and is
+    /// never cached or checkpointed.
     fn fingerprint(&self) -> Option<u64> {
         None
     }
@@ -123,14 +124,7 @@ impl Pass for SourcePass {
         Ok(vec![self.value.clone()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        // Prefer the content-addressed fingerprint: the pointer-based one
-        // is unstable across processes, which would make source nodes
-        // silently unresumable from a checkpoint snapshot.
-        let value = self.value.stable_fingerprint();
-        config_fingerprint(
-            &["source"],
-            &[value.unwrap_or_else(|| self.value.fingerprint())],
-        )
+        config_fingerprint(&["source"], &[self.value.fingerprint()?])
     }
 }
 

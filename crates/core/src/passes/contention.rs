@@ -79,10 +79,9 @@ fn find_edge(
     })
 }
 
-/// Pass wrapper: suspicious set → (matched vertices, matched edges).
+/// Pass wrapper: suspicious set → (matched vertices, matched edges) of
+/// the [`default_contention_pattern`].
 pub struct ContentionPass {
-    /// Pattern override (`None` = default contention pattern).
-    pub pattern: Option<(Pattern, usize)>,
     /// Embedding cap per anchor vertex.
     pub max_per_anchor: usize,
 }
@@ -96,15 +95,10 @@ impl Pass for ContentionPass {
     }
     fn run(&self, inputs: &[Value], _cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
         let set = expect_vertices(self, inputs, 0)?;
-        let (v, e, _) = contention(set, self.pattern.clone(), self.max_per_anchor);
+        let (v, e, _) = contention(set, None, self.max_per_anchor);
         Ok(vec![v.into(), e.into()])
     }
     fn fingerprint(&self) -> Option<u64> {
-        // Custom patterns have no stable content hash; fall back to
-        // node-instance identity for those.
-        if self.pattern.is_some() {
-            return None;
-        }
         config_fingerprint(&[self.name()], &[self.max_per_anchor as u64])
     }
 }

@@ -1,6 +1,5 @@
 //! Values flowing along PerFlowGraph edges.
 
-use crate::graphref::GraphRef;
 use crate::report::Report;
 use crate::set::{EdgeSet, VertexSet};
 use obs::Fnv;
@@ -54,35 +53,15 @@ impl Value {
 }
 
 impl Value {
-    /// Content fingerprint, used as a cache key component by the
-    /// pass-result cache. Two values with the same fingerprint are
-    /// treated as interchangeable pass inputs: sets hash their member
-    /// ids, scores, and the *identity* of the graph they live on (the
-    /// shared handle, not the graph contents — PAGs are immutable while
-    /// sets flow through a PerFlowGraph), reports hash their full text
-    /// content, and numbers hash their bits.
-    pub fn fingerprint(&self) -> u64 {
-        self.fold(|g| {
-            let (tag, ptr) = g.identity();
-            Some((tag, ptr as u64))
-        })
-        .expect("every graph has a handle identity")
-    }
-
-    /// Process-independent content fingerprint, used by checkpoint
-    /// snapshots. Identical to [`Value::fingerprint`] except that sets
-    /// identify their graph by its *content digest*
-    /// ([`crate::graphref::GraphRef::content_identity`]) instead of the
-    /// handle address, so the same value in a re-created process hashes
-    /// the same. `None` when any referenced graph has no stable content
-    /// identity (detached graphs) — such values cannot be resumed.
-    pub fn stable_fingerprint(&self) -> Option<u64> {
-        self.fold(GraphRef::content_identity)
-    }
-
-    /// The one hash fold behind both fingerprints; `graph_id` names a
-    /// set's graph as a `(view tag, token)` pair, or `None` to give up.
-    fn fold(&self, graph_id: impl Fn(&GraphRef) -> Option<(u8, u64)>) -> Option<u64> {
+    /// Process-independent content fingerprint: the input half of the
+    /// pass-cache and checkpoint key. Sets hash their graph's content
+    /// identity
+    /// ([`GraphRef::content_identity`](crate::graphref::GraphRef::content_identity)),, their member ids and
+    /// scores; reports hash their full text content; numbers hash their
+    /// bits. `None` when the value lives on a detached graph, which has
+    /// no content identity — a pass fed such a value is never cached or
+    /// checkpointed.
+    pub fn fingerprint(&self) -> Option<u64> {
         let mut h = Fnv::new();
         match self {
             Value::Num(n) => {
@@ -91,7 +70,7 @@ impl Value {
             }
             Value::Vertices(v) => {
                 h.u64(2);
-                let (tag, token) = graph_id(&v.graph)?;
+                let (tag, token) = v.graph.content_identity()?;
                 h.u64(tag as u64);
                 h.u64(token);
                 h.u64(v.ids.len() as u64);
@@ -106,7 +85,7 @@ impl Value {
             }
             Value::Edges(e) => {
                 h.u64(3);
-                let (tag, token) = graph_id(&e.graph)?;
+                let (tag, token) = e.graph.content_identity()?;
                 h.u64(tag as u64);
                 h.u64(token);
                 h.u64(e.ids.len() as u64);
@@ -166,15 +145,11 @@ mod tests {
     /// Checkpoint (`PFCK` v1) keys fold these values; they must not move.
     #[test]
     fn stable_fingerprints_are_pinned() {
-        assert_eq!(
-            Value::Num(2.5).stable_fingerprint(),
-            Some(4113108009647811648)
-        );
+        assert_eq!(Value::Num(2.5).fingerprint(), Some(4113108009647811648));
         let mut r = Report::new("hotspot").with_columns(&["name", "time"]);
         r.push_row(vec!["kernel".into(), "1.5".into()]);
         r.note("n");
         let v = Value::Report(r);
-        assert_eq!(v.stable_fingerprint(), Some(9302869650229742610));
-        assert_eq!(v.stable_fingerprint(), Some(v.fingerprint()));
+        assert_eq!(v.fingerprint(), Some(9302869650229742610));
     }
 }

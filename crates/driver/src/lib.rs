@@ -940,6 +940,34 @@ mod tests {
         );
     }
 
+    /// Equal report fingerprints must mean byte-identical reports, so
+    /// the fingerprint sees the program's names, not only its run data
+    /// (which holds ids).
+    #[test]
+    fn report_fingerprint_sees_function_names() {
+        let pflow = PerFlow::new();
+        let cfg = AnalysisConfig {
+            ranks: 4,
+            ..AnalysisConfig::default()
+        };
+        let prog = workload("cg").unwrap();
+        let mut renamed = prog.clone();
+        renamed.functions[renamed.entry.0 as usize].name = "renamed_main".into();
+        let report = |prog: &Program| {
+            let run = pflow
+                .run(prog, &RunConfig::new(cfg.ranks).with_seed(cfg.seed))
+                .unwrap();
+            let text = analyze(&pflow, prog, &run, Paradigm::Hotspot, &cfg)
+                .unwrap()
+                .render();
+            (report_fingerprint(Paradigm::Hotspot, &cfg, &run), text)
+        };
+        let (fp, text) = report(&prog);
+        let (renamed_fp, renamed_text) = report(&renamed);
+        assert_ne!(text, renamed_text, "the rename shows in the report");
+        assert_ne!(fp, renamed_fp, "so it must show in the fingerprint");
+    }
+
     #[test]
     fn comm_analysis_session_produces_a_report() {
         let pflow = PerFlow::new();

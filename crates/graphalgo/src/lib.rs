@@ -10,7 +10,6 @@
 
 pub mod components;
 pub mod diff;
-pub mod kpaths;
 pub mod lca;
 pub mod longest_path;
 pub mod subgraph;
@@ -18,7 +17,6 @@ pub mod traverse;
 
 pub use components::tarjan_sccs;
 pub use diff::{graph_difference, graph_difference_scaled, hottest_differences};
-pub use kpaths::k_heaviest_paths;
 pub use lca::{lca_bfs, lowest_common_ancestor, LcaIndex};
 pub use longest_path::{critical_path, CriticalPath};
 pub use subgraph::{match_subgraph, Embedding, Pattern, PatternEdge, PatternVertex};

@@ -82,28 +82,6 @@ proptest! {
         prop_assert!(cp.weight >= max_v - 1e-9);
     }
 
-    /// k-heaviest paths: ranked, first equals the critical path weight,
-    /// all are valid chains.
-    #[test]
-    fn k_paths_are_ranked_valid_chains(spec in arb_dag(), k in 1usize..6) {
-        let g = build(&spec);
-        let w = |v: VertexId| g.vertex_time(v);
-        let cp = graphalgo::critical_path(&g, |_| true, w).unwrap();
-        let paths = graphalgo::k_heaviest_paths(&g, k, |_| true, w).unwrap();
-        prop_assert!(!paths.is_empty());
-        prop_assert!((paths[0].weight - cp.weight).abs() < 1e-6,
-            "k=1 weight {} vs critical {}", paths[0].weight, cp.weight);
-        for pair in paths.windows(2) {
-            prop_assert!(pair[0].weight >= pair[1].weight - 1e-9);
-        }
-        for p in &paths {
-            for (i, &e) in p.edges.iter().enumerate() {
-                prop_assert_eq!(g.edge(e).src, p.vertices[i]);
-                prop_assert_eq!(g.edge(e).dst, p.vertices[i + 1]);
-            }
-        }
-    }
-
     /// The bitset LCA index and the BFS LCA agree on existence, and both
     /// results are genuine common ancestors.
     #[test]

@@ -18,7 +18,7 @@ use obs::json::{obj, Json};
 /// executing the graph would fail, or the PAG violates an invariant the
 /// pass library relies on; the pre-flight gate rejects on errors.
 /// **warning** means the artifact is suspicious but executable (duplicate
-/// names, unreachable passes, identity-keyed caching, degraded metrics).
+/// names, unreachable passes, uncacheable passes, degraded metrics).
 /// **info** is advisory (an unused output may be intentional).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {

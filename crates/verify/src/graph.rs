@@ -10,7 +10,7 @@
 //! conditions under which execution would fail — a graph with no lint
 //! errors cannot hit the scheduler's cycle-stall or wiring errors.
 //! Warning/info findings catch likely authoring mistakes (unreachable
-//! passes, duplicate names, identity-keyed caching, unconsumed outputs).
+//! passes, duplicate names, uncacheable passes, unconsumed outputs).
 
 use crate::codes;
 use crate::diag::{Anchor, Diagnostics, Severity};
@@ -270,9 +270,9 @@ pub fn lint_graph(g: &GraphShape) -> Diagnostics {
         }
     }
 
-    // PF0010 — no content fingerprint: the pass-result cache falls back
-    // to pass-object identity, so equal configurations in different graph
-    // instances never share cached results.
+    // PF0010 — no content fingerprint: the node has no content key, so
+    // it runs on every execution and its results are never cached or
+    // checkpointed.
     for (i, node) in g.nodes.iter().enumerate() {
         if !node.has_fingerprint {
             d.push(
@@ -280,37 +280,13 @@ pub fn lint_graph(g: &GraphShape) -> Diagnostics {
                 Severity::Warn,
                 node_anchor(g, i),
                 format!(
-                    "`{}` has no content fingerprint; the pass-result cache falls back to object identity",
+                    "`{}` has no content fingerprint; its results are never cached or checkpointed",
                     node.name
                 ),
             );
         }
     }
 
-    d.finish()
-}
-
-/// Lint a PerFlowGraph for checkpoint/resume readiness: every pass
-/// without a content fingerprint gets a `PF0011` warning, because its
-/// results can never be persisted to a snapshot or replayed on resume —
-/// a kill-then-resume run re-executes it (and everything downstream of
-/// it) from scratch. Run by the engine when a checkpoint or resume
-/// handle is attached; findings are warnings and never block execution.
-pub fn lint_checkpoint(g: &GraphShape) -> Diagnostics {
-    let mut d = Diagnostics::new();
-    for (i, node) in g.nodes.iter().enumerate() {
-        if !node.has_fingerprint {
-            d.push(
-                codes::UNRESUMABLE_PASS,
-                Severity::Warn,
-                node_anchor(g, i),
-                format!(
-                    "`{}` has no content fingerprint; its results cannot be checkpointed or resumed",
-                    node.name
-                ),
-            );
-        }
-    }
     d.finish()
 }
 
@@ -543,7 +519,7 @@ mod tests {
             .find(|x| x.code == codes::NO_FINGERPRINT)
             .unwrap();
         assert!(m.message.contains("`my_closure`"));
-        assert!(m.message.contains("object identity"));
+        assert!(m.message.contains("never cached"));
     }
 
     #[test]
@@ -554,12 +530,12 @@ mod tests {
             nodes: vec![node("source", 0), opaque, node("report", 1)],
             wires: vec![wire(0, 1, 0), wire(1, 2, 0)],
         };
-        let d = lint_checkpoint(&g);
-        assert!(!d.has_errors(), "PF0011 findings are warnings only");
+        let d = lint_graph(&g);
+        assert!(!d.has_errors(), "PF0010 findings are warnings only");
         let items: Vec<_> = d
             .items()
             .iter()
-            .filter(|x| x.code == codes::UNRESUMABLE_PASS)
+            .filter(|x| x.code == codes::NO_FINGERPRINT)
             .collect();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].severity, Severity::Warn);
@@ -574,7 +550,10 @@ mod tests {
             nodes: vec![node("source", 0), node("hotspot", 1)],
             wires: vec![wire(0, 1, 0)],
         };
-        assert!(lint_checkpoint(&clean).items().is_empty());
+        assert!(lint_graph(&clean)
+            .items()
+            .iter()
+            .all(|x| x.code != codes::NO_FINGERPRINT));
     }
 
     #[test]

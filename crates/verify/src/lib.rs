@@ -47,7 +47,7 @@ pub mod program_lint;
 pub mod query_lint;
 
 pub use diag::{Anchor, Diagnostic, Diagnostics, Severity};
-pub use graph::{lint_checkpoint, lint_graph, GraphShape, NodeShape, WireShape};
+pub use graph::{lint_graph, GraphShape, NodeShape, WireShape};
 pub use pag_check::check_pag;
 pub use program_lint::lint_program;
 pub use query_lint::{lint_query, lint_query_text};
@@ -76,13 +76,10 @@ pub mod codes {
     pub const DUPLICATE_NAME: &str = "PF0008";
     /// A non-report node's outputs are never consumed (info).
     pub const UNUSED_OUTPUT: &str = "PF0009";
-    /// Pass lacks a content fingerprint; the pass-result cache falls
-    /// back to object identity (warning).
+    /// Pass lacks a content fingerprint, so its results are never
+    /// cached or checkpointed (warning). `PF0011` is retired (it repeated
+    /// this finding for checkpointed runs); the number is not reused.
     pub const NO_FINGERPRINT: &str = "PF0010";
-    /// Checkpoint/resume was requested but the pass has no content
-    /// fingerprint, so its results can never be persisted or resumed
-    /// (warning).
-    pub const UNRESUMABLE_PASS: &str = "PF0011";
 
     /// Edge endpoint out of the vertex range (error).
     pub const DANGLING_EDGE: &str = "PF0101";

@@ -3,8 +3,39 @@
 //! much of it replays from memory — at any capacity, and when several
 //! executions share it at once.
 
-use perflow::pass::FnPass;
-use perflow::{ExecOptions, PassCache, PerFlowGraph, Value};
+use perflow::pass::{Pass, PassCx};
+use perflow::{ExecOptions, PassCache, PerFlowError, PerFlowGraph, Value};
+
+/// A fingerprinted arithmetic pass, `x * mul + add` on one input or
+/// `x * mul + y` on two, so the pass cache keys it by content.
+struct Arith {
+    name: String,
+    arity: usize,
+    mul: f64,
+    add: f64,
+}
+
+impl Pass for Arith {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn arity(&self) -> usize {
+        self.arity
+    }
+    fn run(&self, inp: &[Value], _cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
+        let num = |v: &Value| v.as_num().expect("arithmetic passes receive nums");
+        let rest = inp.get(1).map_or(self.add, num);
+        Ok(vec![Value::Num(num(&inp[0]) * self.mul + rest)])
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        let mut h = obs::Fnv::new();
+        h.str(&self.name);
+        h.u64(self.arity as u64);
+        h.u64(self.mul.to_bits());
+        h.u64(self.add.to_bits());
+        Some(h.finish())
+    }
+}
 
 /// A deterministic 12-node graph: 4 sources fan into chains of
 /// arithmetic passes that join into one sink.
@@ -15,26 +46,22 @@ fn build_graph() -> (PerFlowGraph, perflow::NodeId) {
         .collect();
     let mut stage = Vec::new();
     for (i, &s) in sources.iter().enumerate() {
-        let scale = g.add_pass(FnPass::new(
-            format!("scale{i}"),
-            1,
-            move |inp: &[Value]| {
-                let Value::Num(n) = inp[0] else {
-                    unreachable!("sources emit nums")
-                };
-                Ok(vec![Value::Num(n * 3.0 + i as f64)])
-            },
-        ));
+        let scale = g.add_pass(Arith {
+            name: format!("scale{i}"),
+            arity: 1,
+            mul: 3.0,
+            add: i as f64,
+        });
         g.pipe(s, scale).unwrap();
         stage.push(scale);
     }
     let join2 = |g: &mut PerFlowGraph, name: &str, a, b| {
-        let n = g.add_pass(FnPass::new(name, 2, |inp: &[Value]| {
-            let (Value::Num(x), Value::Num(y)) = (&inp[0], &inp[1]) else {
-                unreachable!("joins receive nums")
-            };
-            Ok(vec![Value::Num(x * 7.0 + y)])
-        }));
+        let n = g.add_pass(Arith {
+            name: name.to_string(),
+            arity: 2,
+            mul: 7.0,
+            add: 0.0,
+        });
         g.connect(a, 0, n, 0).unwrap();
         g.connect(b, 0, n, 1).unwrap();
         n
@@ -231,5 +258,26 @@ fn shared_cache_replays_a_repeated_comm_session() {
     assert_eq!(
         warm_stats.misses, cold_stats.misses,
         "second identical session should add no misses"
+    );
+
+    // The same spec run again is a new handle with the same content: its
+    // session replays from the shared cache too.
+    let rerun = pflow
+        .run(
+            &prog,
+            &simrt::RunConfig::new(cfg.ranks)
+                .with_threads(cfg.threads)
+                .with_seed(cfg.seed),
+        )
+        .unwrap();
+    let again = driver::comm_analysis_session_with_cache(&rerun, &obs, &res, ctx, &cache).unwrap();
+    assert_eq!(
+        again.report, cold.report,
+        "a re-created run changed the report"
+    );
+    assert_eq!(
+        cache.stats().misses,
+        cold_stats.misses,
+        "a re-created run of the same spec should add no misses"
     );
 }

@@ -3,8 +3,8 @@
 //! DAG, the trail must list each node once in a topological order, and
 //! the pass-result cache must replay those exact results.
 
-use perflow::pass::FnPass;
-use perflow::{ExecOptions, NodeId, PassCache, PerFlowGraph, Value};
+use perflow::pass::{Pass, PassCx};
+use perflow::{ExecOptions, NodeId, PassCache, PerFlowError, PerFlowGraph, Value};
 use proptest::prelude::*;
 
 /// A random DAG description: node `i`'s inputs are drawn from nodes
@@ -42,25 +42,49 @@ fn rand_dag_strategy() -> impl Strategy<Value = RandDag> {
     })
 }
 
+/// Node `i` of a [`RandDag`]: `seed + Σ (k + 1) · input_k`, emitted as
+/// `(acc, -acc)`, fingerprinted so the pass cache keys it by content.
+struct DagPass {
+    name: String,
+    arity: usize,
+    seed: f64,
+}
+
+impl Pass for DagPass {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn arity(&self) -> usize {
+        self.arity
+    }
+    fn run(&self, inp: &[Value], cx: &mut PassCx) -> Result<Vec<Value>, PerFlowError> {
+        cx.trail.push(self.name.clone());
+        let mut acc = self.seed;
+        for (k, v) in inp.iter().enumerate() {
+            acc += (k as f64 + 1.0) * v.as_num().unwrap();
+        }
+        Ok(vec![Value::Num(acc), Value::Num(-acc)])
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        let mut h = obs::Fnv::new();
+        h.str(&self.name);
+        h.u64(self.arity as u64);
+        h.u64(self.seed.to_bits());
+        Some(h.finish())
+    }
+}
+
 /// Materialize a [`RandDag`] as a PerFlowGraph of deterministic numeric
 /// passes. Returns the graph and its node ids.
 fn build(dag: &RandDag) -> (PerFlowGraph, Vec<NodeId>) {
     let mut g = PerFlowGraph::new();
     let mut nodes = Vec::with_capacity(dag.preds.len());
     for (i, preds) in dag.preds.iter().enumerate() {
-        let seed = dag.seeds[i] as f64;
-        let arity = preds.len();
-        let id = g.add_pass(FnPass::new(
-            format!("n{i}"),
-            arity,
-            move |inp: &[Value]| {
-                let mut acc = seed;
-                for (k, v) in inp.iter().enumerate() {
-                    acc += (k as f64 + 1.0) * v.as_num().unwrap();
-                }
-                Ok(vec![Value::Num(acc), Value::Num(-acc)])
-            },
-        ));
+        let id = g.add_pass(DagPass {
+            name: format!("n{i}"),
+            arity: preds.len(),
+            seed: dag.seeds[i] as f64,
+        });
         for (port, &p) in preds.iter().enumerate() {
             // Alternate output ports so multi-port wiring is exercised.
             g.connect(nodes[p], port % 2, id, port).unwrap();
@@ -102,7 +126,7 @@ proptest! {
             prop_assert_eq!(got, want, "node {:?}", id);
         }
         // The trail holds each node's name, then the trail its pass
-        // wrote: an `FnPass` writes its own name once more.
+        // wrote: a `DagPass` writes its own name once more.
         let mut ran = out.trail.clone();
         ran.dedup();
         prop_assert_eq!(ran.len(), nodes.len(), "{:?}", out.trail);
