@@ -324,13 +324,16 @@ impl CheckpointWriter {
         })
     }
 
-    /// Append one completed pass result. Returns `true` when the entry
-    /// was written; `false` when it was skipped (no encoding,
-    /// duplicate key, or the writer already failed). Write errors are
-    /// sticky and surfaced by [`CheckpointWriter::error`] — they never
-    /// abort the analysis itself.
-    pub(crate) fn record(&self, key: u64, outputs: &[Value], trail: &[String]) -> bool {
-        let Some(payload) = encode_entry(key, outputs, trail) else {
+    /// Append one completed pass result under its content key. Returns
+    /// `true` when the entry was written; `false` when it was skipped
+    /// (no key, no encoding, duplicate key, or the writer already
+    /// failed). A result without a key or an encoding counts as
+    /// unresumable. Write errors are sticky and surfaced by
+    /// [`CheckpointWriter::error`] — they never abort the analysis
+    /// itself.
+    pub(crate) fn record(&self, key: Option<u64>, outputs: &[Value], trail: &[String]) -> bool {
+        let encoded = key.and_then(|k| Some((k, encode_entry(k, outputs, trail)?)));
+        let Some((key, payload)) = encoded else {
             let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
             st.skipped += 1;
             return false;
@@ -368,8 +371,8 @@ impl CheckpointWriter {
             .recorded
     }
 
-    /// Number of results that could not be checkpointed (values on
-    /// detached graphs).
+    /// Number of completed results that could not be checkpointed: a
+    /// pass without a fingerprint, or a value on a detached graph.
     pub fn skipped(&self) -> usize {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).skipped
     }
@@ -626,12 +629,12 @@ mod tests {
         r.push_row(vec!["x".into(), "y".into()]);
         r.note("n1");
         assert!(w.record(
-            42,
+            Some(42),
             &[Value::Num(1.5), Value::Report(r.clone())],
             &["p1".into()]
         ));
         // Duplicate keys are written once.
-        assert!(!w.record(42, &[Value::Num(1.5)], &[]));
+        assert!(!w.record(Some(42), &[Value::Num(1.5)], &[]));
         assert_eq!(w.recorded(), 1);
         let f = CheckpointFile::load(&path).unwrap();
         assert_eq!(f.len(), 1);
@@ -648,8 +651,8 @@ mod tests {
     fn torn_tail_is_tolerated() {
         let path = tmp("torn");
         let w = CheckpointWriter::create(&path, 9).unwrap();
-        assert!(w.record(1, &[Value::Num(1.0)], &[]));
-        assert!(w.record(2, &[Value::Num(2.0)], &[]));
+        assert!(w.record(Some(1), &[Value::Num(1.0)], &[]));
+        assert!(w.record(Some(2), &[Value::Num(2.0)], &[]));
         drop(w);
         // Simulate a kill mid-append: chop bytes off the tail.
         let bytes = std::fs::read(&path).unwrap();
@@ -665,7 +668,7 @@ mod tests {
     fn corrupt_payload_is_rejected_by_checksum() {
         let path = tmp("corrupt");
         let w = CheckpointWriter::create(&path, 9).unwrap();
-        assert!(w.record(1, &[Value::Num(1.0)], &[]));
+        assert!(w.record(Some(1), &[Value::Num(1.0)], &[]));
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload byte (past header + frame length).

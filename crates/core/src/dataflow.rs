@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use obs::{names, Layer};
 
-use crate::cache::{self, CacheStats, Probe};
+use crate::cache::{self, CacheStats};
 use crate::error::PerFlowError;
 use crate::exec::{ExecOptions, ExecPolicy, PassFailure};
 use crate::metrics::{PassMetric, RunMetrics};
@@ -428,8 +428,6 @@ impl PerFlowGraph {
                 CacheStats {
                     hits: s1.hits - s0.hits,
                     misses: s1.misses - s0.misses,
-                    evictions: s1.evictions - s0.evictions,
-                    coalesced: s1.coalesced - s0.coalesced,
                 }
             });
             passes.sort_by_key(|p| p.node);
@@ -547,8 +545,8 @@ struct NodeRun {
     result: NodeResult,
     /// Execution attempts made (1 when the result was replayed).
     attempts: u32,
-    /// Whether the cache answered the node's probe; `None` when it was
-    /// not probed (no cache attached, or the node has no content key).
+    /// Whether the cache answered the node's lookup; `None` when it was
+    /// not looked up (no cache attached, or the node has no content key).
     cache_hit: Option<bool>,
     resume_hit: bool,
 }
@@ -566,24 +564,12 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
     } else {
         None
     };
-    // Probe the cache: a hit clones the payload pointer (the deep clone
-    // below happens off the cache lock); a miss hands this run the
-    // single-flight fill guard, so a concurrent execution probing the
-    // same key waits for our fill instead of re-running the pass or
-    // double-counting the miss.
-    let mut fill = None;
-    let probe = opts.cache.zip(key).map(|(c, k)| c.probe(k));
-    let cache_hit = probe.as_ref().map(|p| matches!(p, Probe::Hit(_)));
-    let cached = match probe {
-        Some(Probe::Hit(r)) => Some(r),
-        Some(Probe::Miss(g)) => {
-            fill = Some(g);
-            None
-        }
-        None => None,
-    };
+    // A hit clones the payload pointer; the deep clone below happens off
+    // the cache lock.
+    let cached = opts.cache.zip(key).map(|(c, k)| c.get(k));
+    let cache_hit = cached.as_ref().map(Option::is_some);
     let mut attempts = 1;
-    let (result, resume_hit) = if let Some(r) = cached {
+    let (result, resume_hit) = if let Some(r) = cached.flatten() {
         (Ok((r.outputs.clone(), r.trail.clone())), false)
     } else if let Some(r) = key.and_then(|k| opts.resume.and_then(|snap| snap.get(k))) {
         obs.count(names::PASS_RESUME_HIT, 1);
@@ -611,19 +597,17 @@ fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> N
         (result, false)
     };
     if let Ok((outs, trail)) = &result {
-        // Fill the cache from executed *and* resumed results, and append
-        // every keyed success to the snapshot — a resumed run rewrites a
-        // complete checkpoint file.
-        if let Some(g) = fill.take() {
-            g.fill(outs.clone(), trail.clone());
+        // Fill the cache from executed *and* resumed results, and hand
+        // every success to the snapshot — a resumed run rewrites a
+        // complete checkpoint file, and an unkeyed node is counted as
+        // unresumable.
+        if let (Some(c), Some(k), Some(false)) = (opts.cache, key, cache_hit) {
+            c.insert(k, outs.clone(), trail.clone());
         }
-        if let (Some(w), Some(k)) = (opts.checkpoint, key) {
-            w.record(k, outs, trail);
+        if let Some(w) = opts.checkpoint {
+            w.record(key, outs, trail);
         }
     }
-    // A failed pass abandons its fill guard, promoting one coalesced
-    // waiter (if any) to run the pass itself.
-    drop(fill);
     NodeRun {
         result,
         attempts,
@@ -897,7 +881,7 @@ mod tests {
             let out = g.execute_with(&opts).unwrap();
             assert_eq!(out.of(sq)[0].as_num(), Some(9.0));
         }
-        // Only the keyed source is probed: one miss, then one hit.
+        // Only the keyed source is looked up: one miss, then one hit.
         assert_eq!(runs.load(Ordering::SeqCst), 2, "the closure runs each time");
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
@@ -1293,8 +1277,9 @@ mod tests {
             "{:?}",
             out.warnings
         );
-        // Only the fingerprinted source was recorded.
-        assert_eq!(writer.recorded(), 1);
+        // Only the fingerprinted source was recorded; the closure pass
+        // completed without a key, so it counts as unresumable.
+        assert_eq!((writer.recorded(), writer.skipped()), (1, 1));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -143,7 +143,7 @@ pub struct ExecOptions<'a> {
     pub pass_timeout_ms: Option<u64>,
     /// Retry policy applied to every pass (`None`: one attempt each).
     pub retry: Option<RetryPolicy>,
-    /// Pass-result cache to probe and fill.
+    /// Pass-result cache to look up and fill.
     pub cache: Option<&'a PassCache>,
     /// Observability handle (disabled by default).
     pub obs: Obs,

@@ -7,10 +7,11 @@
 //! determine or design the next passes."
 //!
 //! [`InteractiveSession`] keeps a *current set*, applies built-in passes
-//! step by step, records the history (so the final PerFlowGraph can be
-//! reconstructed from an exploratory session), supports undo, and offers
-//! heuristic [`InteractiveSession::suggest`]ions for the next pass based
-//! on what the current set contains.
+//! step by step, records the history (rendered by
+//! [`InteractiveSession::report`], so the final PerFlowGraph can be
+//! reconstructed from an exploratory session), and offers heuristic
+//! [`InteractiveSession::suggest`]ions for the next pass based on what
+//! the current set contains.
 
 use pag::{keys, CallKind, VertexLabel};
 
@@ -31,7 +32,7 @@ pub struct StepRecord {
     pub output_len: usize,
 }
 
-/// A suggested next pass, with the heuristic's rationale.
+/// A suggested next pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Suggestion {
     /// Start (or restart) with hotspot detection.
@@ -48,34 +49,11 @@ pub enum Suggestion {
     Widen,
 }
 
-impl Suggestion {
-    /// Human-readable rationale.
-    pub fn rationale(&self) -> &'static str {
-        match self {
-            Suggestion::Hotspot => "no analysis applied yet — find where time goes first",
-            Suggestion::Imbalance => {
-                "the set is communication-heavy — check whether processes are balanced"
-            }
-            Suggestion::Breakdown => {
-                "imbalanced communication detected — break it down to find what causes the waits"
-            }
-            Suggestion::Causal => {
-                "suspects identified — switch to the parallel view and trace causality"
-            }
-            Suggestion::Contention => {
-                "lock/allocator sites dominate — search for contention patterns"
-            }
-            Suggestion::Widen => "the current set is empty — relax thresholds or widen the filter",
-        }
-    }
-}
-
 /// An interactive analysis session over one profiled run.
 pub struct InteractiveSession {
     run: RunHandle,
     current: VertexSet,
     history: Vec<StepRecord>,
-    undo_stack: Vec<VertexSet>,
 }
 
 impl InteractiveSession {
@@ -85,7 +63,6 @@ impl InteractiveSession {
             run: std::sync::Arc::clone(run),
             current: run.vertices(),
             history: Vec::new(),
-            undo_stack: Vec::new(),
         }
     }
 
@@ -94,31 +71,13 @@ impl InteractiveSession {
         &self.current
     }
 
-    /// Recorded steps so far.
-    pub fn history(&self) -> &[StepRecord] {
-        &self.history
-    }
-
     fn step(&mut self, pass: String, next: VertexSet) {
         self.history.push(StepRecord {
             pass,
             input_len: self.current.len(),
             output_len: next.len(),
         });
-        self.undo_stack
-            .push(std::mem::replace(&mut self.current, next));
-    }
-
-    /// Undo the last step; true if something was undone.
-    pub fn undo(&mut self) -> bool {
-        match self.undo_stack.pop() {
-            Some(prev) => {
-                self.current = prev;
-                self.history.pop();
-                true
-            }
-            None => false,
-        }
+        self.current = next;
     }
 
     /// Apply a name filter.
@@ -276,7 +235,7 @@ mod tests {
             names.iter().any(|n| *n == "kernel" || *n == "it"),
             "cause set {names:?}"
         );
-        assert_eq!(s.history().len(), 4);
+        assert_eq!(s.history.len(), 4);
     }
 
     #[test]
@@ -292,25 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn undo_restores_previous_set() {
-        let run = run();
-        let mut s = InteractiveSession::new(&run);
-        let before = s.current().len();
-        s.filter("MPI_*");
-        assert_ne!(s.current().len(), before);
-        assert!(s.undo());
-        assert_eq!(s.current().len(), before);
-        assert!(s.history().is_empty());
-        assert!(!s.undo());
-    }
-
-    #[test]
     fn empty_set_suggests_widening() {
         let run = run();
         let mut s = InteractiveSession::new(&run);
         s.filter("does_not_exist_*");
         assert_eq!(s.suggest(), Suggestion::Widen);
-        assert!(!s.suggest().rationale().is_empty());
     }
 
     /// The session's contention step finds what the Fig. 14 paradigm's

@@ -205,11 +205,7 @@ mod tests {
                     dispatch_seq: 1,
                 },
             ],
-            cache: Some(CacheStats {
-                hits: 1,
-                misses: 1,
-                ..CacheStats::default()
-            }),
+            cache: Some(CacheStats { hits: 1, misses: 1 }),
             total_wall_us: 40.0,
             workers: 2,
             worker_busy_us: vec![10.0, 30.0],

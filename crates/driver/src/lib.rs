@@ -19,7 +19,7 @@ use perflow::passes::{HotspotPass, ReportPass};
 use perflow::verify::{check_pag, lint_program, lint_query_text, Diagnostics, Severity};
 use perflow::{
     execute_query, CheckpointFile, CheckpointWriter, ExecOptions, ExecPolicy, GraphBuilder, Obs,
-    PassCache, PerFlow, PerFlowError, PerFlowGraph, Report, RetryPolicy, RunHandle, RunHandleExt,
+    PerFlow, PerFlowError, PerFlowGraph, Report, RetryPolicy, RunHandle, RunHandleExt,
 };
 use progmodel::Program;
 use simrt::RunConfig;
@@ -547,27 +547,13 @@ pub struct CommAnalysisOutcome {
 
 /// Run the standard communication-analysis PerFlowGraph under the
 /// observed (and, when requested, resilient) scheduler so the trace
-/// covers the core layer too, with a fresh cache; daemons reuse results
-/// *across* sessions via [`comm_analysis_session_with_cache`].
+/// covers the core layer too. The session runs without a pass cache: no
+/// two of its nodes share a content key, so one could never hit.
 pub fn comm_analysis_session(
     run: &RunHandle,
     obs: &Obs,
     res: &ResilienceConfig,
     context: u64,
-) -> Result<CommAnalysisOutcome, DriverError> {
-    comm_analysis_session_with_cache(run, obs, res, context, &PassCache::new())
-}
-
-/// [`comm_analysis_session`] against a caller-owned [`PassCache`]: the
-/// pass results of this session land in (and replay from) `cache`, so a
-/// long-lived front-end sharing one bounded cache answers repeated
-/// identical sessions without re-running any pass.
-pub fn comm_analysis_session_with_cache(
-    run: &RunHandle,
-    obs: &Obs,
-    res: &ResilienceConfig,
-    context: u64,
-    cache: &PassCache,
 ) -> Result<CommAnalysisOutcome, DriverError> {
     let _app = obs.span(perflow::Layer::App, "comm-analysis-graph", 0);
     let (mut g, report_node) = comm_analysis_graph(run.vertices())
@@ -601,7 +587,7 @@ pub fn comm_analysis_session_with_cache(
         None => None,
     };
 
-    let mut opts = ExecOptions::new().with_cache(cache).with_obs(obs.clone());
+    let mut opts = ExecOptions::new().with_obs(obs.clone());
     if let Some(p) = res.fail_policy {
         opts = opts.with_policy(p);
     }

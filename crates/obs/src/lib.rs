@@ -101,13 +101,6 @@ pub mod names {
     pub const SERVE_JOB_TOTAL_US: &str = "serve.job.total_us";
     /// Counter: `POST /bench-diff` comparisons served.
     pub const SERVE_BENCH_DIFF: &str = "serve.bench_diff.requests";
-    /// Gauge (sampled at `/metrics` scrape): shared pass-cache hits.
-    pub const SERVE_PASS_CACHE_HITS: &str = "serve.pass_cache.hits";
-    /// Gauge (sampled at `/metrics` scrape): shared pass-cache misses.
-    pub const SERVE_PASS_CACHE_MISSES: &str = "serve.pass_cache.misses";
-    /// Gauge (sampled at `/metrics` scrape): shared pass-cache
-    /// evictions.
-    pub const SERVE_PASS_CACHE_EVICT: &str = "serve.pass_cache.evictions";
 }
 
 use std::borrow::Cow;

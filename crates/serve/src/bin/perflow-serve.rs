@@ -10,7 +10,6 @@ Options:
   --workers N                 executor threads (default 4)
   --queue-cap N               bounded job-queue capacity (default 64)
   --tenant-quota N            max active jobs per tenant (default 8)
-  --cache-capacity N          pass-result cache entry cap (default 1024)
   --run-cache-capacity N      simulated-run cache entry cap (default 16)
   --report-cache-capacity N   rendered-report cache entry cap (default 256)
   --span-cap N                span-storage cap of the trace store (default 65536)
@@ -45,11 +44,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 cfg.tenant_quota = value("--tenant-quota")?
                     .parse()
                     .map_err(|_| "--tenant-quota needs an integer".to_string())?
-            }
-            "--cache-capacity" => {
-                cfg.pass_cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity needs an integer".to_string())?
             }
             "--run-cache-capacity" => {
                 cfg.run_cache_capacity = value("--run-cache-capacity")?

@@ -5,8 +5,7 @@
 //! run cache maps a simulation fingerprint to its [`perflow::RunHandle`] so an
 //! identical submission skips the simulator, and the report cache maps
 //! a report fingerprint to the rendered text + digest so it skips the
-//! analysis too. Pass-level reuse inside `comm` jobs additionally goes
-//! through the core's bounded [`perflow::PassCache`].
+//! analysis too. These are the daemon's only two cache layers.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;

@@ -19,8 +19,9 @@ use obs::json::{obj, Json};
 pub enum JobKind {
     /// One of the driver's built-in paradigms.
     Paradigm(Paradigm),
-    /// The observed/resilient comm-analysis session (shares the
-    /// server's bounded pass cache across jobs).
+    /// The observed/resilient comm-analysis session. A repeat is
+    /// answered by the report cache, keyed on the run's content digest
+    /// and the resilience knobs.
     Comm,
     /// A perflow-query program, statically linted before admission
     /// (`POST /query`). The string is the query text.

@@ -39,16 +39,17 @@
 //!
 //! ## Caching
 //!
-//! Three content-fingerprint-keyed layers, all bounded:
+//! Two content-fingerprint-keyed LRU layers:
 //! * a **run cache** ([`driver::sim_fingerprint`] → [`RunHandle`]) so an
-//!   identical simulation is never re-run,
+//!   identical simulation is never re-run, and
 //! * a **report cache** ([`driver::report_fingerprint`] /
 //!   [`RunBundle::content_digest`](perflow::RunBundle) → rendered text +
 //!   digest) so an identical submission is answered without re-running
-//!   the analysis (`"cached": true` in the job JSON), and
-//! * the core's bounded, single-flight [`PassCache`] shared across
-//!   `comm` jobs for pass-level reuse keyed on
-//!   [`Pass::fingerprint`](perflow::Pass::fingerprint).
+//!   the analysis (`"cached": true` in the job JSON).
+//!
+//! There is no pass-level layer: a pass result is a pure function of its
+//! pass and inputs, so a repeated job is answered whole by the report
+//! cache, and a run the run cache evicts is freed.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,7 +60,7 @@ use std::time::Duration;
 
 use driver::fnv_str;
 use obs::names;
-use perflow::{Obs, PassCache, PerFlow, RunHandle};
+use perflow::{Obs, PerFlow, RunHandle};
 use simrt::RunConfig;
 
 pub mod cache;
@@ -84,8 +85,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum active (queued + running) jobs per tenant.
     pub tenant_quota: usize,
-    /// Entry cap of the shared pass-result cache (LRU).
-    pub pass_cache_capacity: usize,
     /// Entry cap of the simulated-run cache (LRU).
     pub run_cache_capacity: usize,
     /// Entry cap of the rendered-report cache (LRU).
@@ -105,7 +104,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             tenant_quota: 8,
-            pass_cache_capacity: 1024,
             run_cache_capacity: 16,
             report_cache_capacity: 256,
             api_keys: Vec::new(),
@@ -133,7 +131,6 @@ struct Shared {
     pflow: PerFlow,
     registry: Registry,
     queue: JobQueue<u64>,
-    pass_cache: PassCache,
     run_cache: LruMap<RunHandle>,
     report_cache: LruMap<Arc<(String, u64)>>,
     /// Set once shutdown begins: submissions are rejected 503.
@@ -170,7 +167,6 @@ impl Server {
             pflow: PerFlow::new(),
             registry: Arc::new(JobRegistry::default()),
             queue: JobQueue::new(cfg.queue_capacity),
-            pass_cache: PassCache::with_capacity(cfg.pass_cache_capacity),
             run_cache: LruMap::new(cfg.run_cache_capacity),
             report_cache: LruMap::new(cfg.report_cache_capacity),
             draining: AtomicBool::new(false),
@@ -356,18 +352,6 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
         ),
         ("GET", "/metrics") => {
             shared.tick_queue_gauge();
-            // Surface the core pass cache's counters as gauges so all
-            // three cache layers show up in one scrape.
-            let pc = shared.pass_cache.stats();
-            shared
-                .obs
-                .set_gauge(names::SERVE_PASS_CACHE_HITS, pc.hits as f64);
-            shared
-                .obs
-                .set_gauge(names::SERVE_PASS_CACHE_MISSES, pc.misses as f64);
-            shared
-                .obs
-                .set_gauge(names::SERVE_PASS_CACHE_EVICT, pc.evictions as f64);
             (200, "text/plain; version=0.0.4", shared.obs.prometheus())
         }
         ("POST", "/jobs") => submit(shared, req, false),
@@ -710,7 +694,7 @@ fn executor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Run one job through the three cache layers (run → report → pass).
+/// Run one job through the two cache layers (run → report).
 /// `obs` is the job's trace-scoped handle: spans recorded below it
 /// (simulator, collector, scheduler passes) carry the job's trace id.
 fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobResult, String> {
@@ -791,14 +775,8 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
         }
         JobKind::Comm => {
             let ctx = driver::checkpoint_context(&spec.workload, &spec.cfg, &run);
-            let out = driver::comm_analysis_session_with_cache(
-                &run,
-                obs,
-                &spec.resilience,
-                ctx,
-                &shared.pass_cache,
-            )
-            .map_err(|e| e.to_string())?;
+            let out = driver::comm_analysis_session(&run, obs, &spec.resilience, ctx)
+                .map_err(|e| e.to_string())?;
             run_metrics = Some(out.outputs.metrics.to_json());
             (out.report, out.report_digest)
         }
@@ -819,3 +797,46 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
 
 // Re-export the pieces front-ends and tests need.
 pub use jobs::{JobKind as ServeJobKind, JobStatus as ServeJobStatus};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Admit `body` as a job of `server` and run it through the cache
+    /// layers on this thread.
+    fn run_job(server: &Server, body: &str) -> JobSpec {
+        let spec = JobSpec::from_json(&Json::parse(body).unwrap()).unwrap();
+        let shared = &server.shared;
+        let record = shared.registry.admit("t", spec, 1, 0.0).unwrap();
+        let outcome = execute(shared, &record, &Obs::disabled());
+        assert!(outcome.is_ok(), "{outcome:?}");
+        shared.registry.finish(record.id, outcome, 0.0);
+        record.spec
+    }
+
+    #[test]
+    fn a_run_evicted_from_the_run_cache_is_freed() {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            run_cache_capacity: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let comm = run_job(
+            &server,
+            r#"{"workload":"cg","paradigm":"comm","ranks":2,"threads":2,"seed":5}"#,
+        );
+        let run = server.shared.run_cache.get(comm.sim_fingerprint()).unwrap();
+        let weak = Arc::downgrade(&run);
+        drop(run);
+        run_job(
+            &server,
+            r#"{"workload":"cg","paradigm":"hotspot","ranks":2,"threads":2,"seed":6}"#,
+        );
+        assert!(
+            weak.upgrade().is_none(),
+            "nothing may keep a run alive once the run cache evicted it"
+        );
+        server.shutdown();
+    }
+}

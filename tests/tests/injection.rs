@@ -85,6 +85,28 @@ fn interactive_session_walks_to_the_injected_fault() {
 }
 
 #[test]
+fn interactive_parallel_projection_traces_the_injected_fault() {
+    let pflow = PerFlow::new();
+    let cfg = RunConfig::new(8).with_slow_rank(3, 3.0);
+    let run = pflow.run(&balanced_prog(), &cfg).unwrap();
+    let mut s = InteractiveSession::new(&run);
+    s.filter("MPI_Allreduce");
+    // One flow replica per rank, and the session now suggests causality.
+    assert_eq!(s.to_parallel().len(), 8);
+    assert_eq!(s.suggest(), Suggestion::Causal);
+    // Causal analysis on the projected waits names the stencil kernel.
+    let causes = s.causal();
+    let names: Vec<&str> = causes
+        .ids
+        .iter()
+        .map(|&v| causes.graph.pag().vertex_name(v))
+        .collect();
+    assert_eq!(names, ["stencil"]);
+    let report = s.report(&["name"]).render();
+    assert!(report.contains("to_parallel_view"), "{report}");
+}
+
+#[test]
 fn breakdown_attributes_injected_fault_waits() {
     let pflow = PerFlow::new();
     let cfg = RunConfig::new(8).with_slow_rank(0, 4.0);

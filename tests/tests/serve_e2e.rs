@@ -71,6 +71,27 @@ fn job_spec(workload: &str) -> String {
     format!(r#"{{"workload":"{workload}","paradigm":"hotspot","ranks":2,"threads":2,"seed":3}}"#)
 }
 
+/// The span names of job `id`'s trace.
+fn trace_span_names(addr: SocketAddr, key: &str, id: u64) -> Vec<String> {
+    let (status, trace) = http(
+        addr,
+        "GET",
+        &format!("/jobs/{id}/trace"),
+        &[("X-Api-Key", key)],
+        None,
+    );
+    assert_eq!(status, 200, "{trace}");
+    let t = Json::parse(&trace).unwrap();
+    let Some(Json::Arr(events)) = t.get("traceEvents") else {
+        panic!("no traceEvents array: {trace}");
+    };
+    events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap().to_string())
+        .collect()
+}
+
 #[test]
 fn eight_concurrent_distinct_workloads_complete() {
     let server = Server::start(ServerConfig {
@@ -195,6 +216,16 @@ fn repeated_identical_submission_is_served_from_the_report_cache() {
         warm.get("report_digest").and_then(Json::as_str),
         cold.get("report_digest").and_then(Json::as_str)
     );
+    // The cold job ran the comm graph's passes; the repeat ran none.
+    let pass_spans = |j: &Json| {
+        let id = j.get("id").and_then(Json::as_u64).unwrap();
+        trace_span_names(addr, "t", id)
+            .iter()
+            .filter(|n| n.starts_with("pass:"))
+            .count()
+    };
+    assert!(pass_spans(&cold) > 0);
+    assert_eq!(pass_spans(&warm), 0, "a report-cache hit runs no pass");
 
     // The hit is visible in /metrics.
     let (ms, metrics) = http(addr, "GET", "/metrics", &[], None);
