@@ -2,8 +2,7 @@
 //!
 //! A [`PassCache`] memoizes `(pass, inputs) → outputs` across
 //! [`crate::dataflow::PerFlowGraph::execute_with`] calls. Results are
-//! stored under one content key (`cache::key`), the same one checkpoint
-//! snapshots use: the pass's content
+//! stored under one content key (`cache::key`): the pass's content
 //! [`fingerprint`](crate::pass::Pass::fingerprint) combined with the
 //! content [`Value::fingerprint`] of every input. Re-executing an
 //! unchanged PerFlowGraph — or an equal one built on a re-created run —
@@ -32,9 +31,8 @@ use obs::Fnv;
 /// The content key of running `pass` on `inputs`: the pass's
 /// [`fingerprint`](Pass::fingerprint) and every input's
 /// [`Value::fingerprint`]. `None` when the pass or any input has no
-/// fingerprint — such a node is neither cached nor checkpointed. The key
-/// is stable across processes, so checkpoint snapshots store results
-/// under it too.
+/// fingerprint — such a node is never cached. The key is stable across
+/// processes.
 pub(crate) fn key(pass: &dyn Pass, inputs: &[Value]) -> Option<u64> {
     let fp = pass.fingerprint()?;
     let mut h = Fnv::new();

@@ -13,7 +13,6 @@
 //! and trail on every run.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use obs::{names, Layer};
 
@@ -23,14 +22,14 @@ use crate::exec::{ExecOptions, ExecPolicy, PassFailure};
 use crate::metrics::{PassMetric, RunMetrics};
 use crate::pass::{Pass, PassCx, SourcePass};
 use crate::value::Value;
-use verify::{codes, lint_graph, Diagnostics, GraphShape, NodeShape, WireShape};
+use verify::{lint_graph, Diagnostics, GraphShape, NodeShape, WireShape};
 
 /// Identifier of a node within one [`PerFlowGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 struct Node {
-    pass: Arc<dyn Pass>,
+    pass: Box<dyn Pass>,
 }
 
 /// A wire from `(from_node, out_port)` to `(to_node, in_port)`.
@@ -68,16 +67,14 @@ pub struct Outputs {
     /// Scheduler metrics (empty unless the run was observed via
     /// [`ExecOptions::with_obs`]).
     pub metrics: RunMetrics,
-    /// Nodes that failed (error, panic, or timeout after retries) in an
-    /// [`ExecPolicy::Isolate`] run, sorted by node id. Empty on
-    /// fail-fast runs — those return `Err` instead.
+    /// Nodes that failed (error or panic) in an [`ExecPolicy::Isolate`]
+    /// run, sorted by node id. Empty on fail-fast runs — those return
+    /// `Err` instead.
     pub failures: Vec<PassFailure>,
     /// Nodes skipped because a transitive producer failed, sorted.
     pub skipped: Vec<NodeId>,
-    /// Degraded-data and checkpoint warnings, in deterministic order.
+    /// Degraded-data warnings, in deterministic order.
     pub warnings: Vec<String>,
-    /// Nodes replayed from a resume snapshot instead of executing.
-    pub resumed: usize,
 }
 
 impl Outputs {
@@ -124,7 +121,7 @@ impl PerFlowGraph {
     /// Add a pass node.
     pub fn add_pass(&mut self, pass: impl Pass + 'static) -> NodeId {
         self.nodes.push(Node {
-            pass: Arc::new(pass),
+            pass: Box::new(pass),
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -291,8 +288,8 @@ impl PerFlowGraph {
         self.execute_with(&ExecOptions::new())
     }
 
-    /// Execute the graph under `opts`: failure policy, deadline, retry,
-    /// cache, observability and checkpoint/resume (see [`ExecOptions`]).
+    /// Execute the graph under `opts`: failure policy, cache and
+    /// observability (see [`ExecOptions`]).
     /// The nodes run one at a time on the calling thread, in canonical
     /// topological order.
     pub fn execute_with(&self, opts: &ExecOptions<'_>) -> Result<Outputs, PerFlowError> {
@@ -327,7 +324,6 @@ impl PerFlowGraph {
         let mut trail: Vec<String> = Vec::new();
         let mut failures: Vec<PassFailure> = Vec::new();
         let mut skipped: Vec<NodeId> = Vec::new();
-        let mut resumed = 0;
         let mut passes: Vec<PassMetric> = Vec::new();
         // Observability: when each node finished; a node is ready once
         // its last producer has (empty when the run is unobserved — no
@@ -350,14 +346,13 @@ impl PerFlowGraph {
                         node: i,
                         pass: pass.name().to_string(),
                         error,
-                        attempts: 0,
                     });
                     continue;
                 }
                 Err(e) => return Err(e),
             };
             let start_us = obs.now_us();
-            let run = run_node(pass, &inputs, opts);
+            let run = run_node(pass.as_ref(), &inputs, opts);
             if observed {
                 let end_us = obs.now_us();
                 let ready_us = wires_in[i]
@@ -376,8 +371,6 @@ impl PerFlowGraph {
                     &[
                         ("node", i as f64),
                         ("cache_hit", if cache_hit { 1.0 } else { 0.0 }),
-                        ("resume_hit", if run.resume_hit { 1.0 } else { 0.0 }),
-                        ("attempts", run.attempts as f64),
                         ("dispatch_seq", dispatch_seq as f64),
                     ],
                 );
@@ -404,7 +397,6 @@ impl PerFlowGraph {
             }
             match run.result {
                 Ok((outs, pass_trail)) => {
-                    resumed += usize::from(run.resume_hit);
                     trail.push(pass.name().to_string());
                     trail.extend(pass_trail);
                     values.insert(NodeId(i), outs);
@@ -413,14 +405,13 @@ impl PerFlowGraph {
                     node: i,
                     pass: pass.name().to_string(),
                     error,
-                    attempts: run.attempts,
                 }),
                 Err(e) => return Err(e),
             }
         }
         failures.sort_by_key(|f| f.node);
         skipped.sort();
-        let warnings = self.run_warnings(opts, &diagnostics, &failures, &skipped);
+        let warnings = self.run_warnings(&failures, &skipped);
         let metrics = if observed {
             let cache = opts.cache.map(|c| {
                 let s1 = c.stats();
@@ -462,30 +453,13 @@ impl PerFlowGraph {
             failures,
             skipped,
             warnings,
-            resumed,
         })
     }
 
-    /// Assemble the deterministic warning list of a completed run: the
-    /// pre-flight lint's PF0010 findings (when snapshotting was
-    /// requested, as those passes are never checkpointed), degraded-data
-    /// records for failures and skips, and best-effort checkpoint/resume
-    /// anomalies.
-    fn run_warnings(
-        &self,
-        opts: &ExecOptions<'_>,
-        diagnostics: &Diagnostics,
-        failures: &[PassFailure],
-        skipped: &[NodeId],
-    ) -> Vec<String> {
+    /// Assemble the deterministic degraded-data warnings of a completed
+    /// run: one per failure, then one naming every skipped pass.
+    fn run_warnings(&self, failures: &[PassFailure], skipped: &[NodeId]) -> Vec<String> {
         let mut warnings = Vec::new();
-        if opts.checkpoint.is_some() || opts.resume.is_some() {
-            for d in diagnostics.items() {
-                if d.code == codes::NO_FINGERPRINT {
-                    warnings.push(d.render_text());
-                }
-            }
-        }
         for f in failures {
             warnings.push(format!("degraded data: {f}"));
         }
@@ -499,20 +473,6 @@ impl PerFlowGraph {
                 names.len(),
                 names.join(", ")
             ));
-        }
-        if let Some(w) = opts.checkpoint {
-            if let Some(e) = w.error() {
-                warnings.push(format!("checkpoint: {e}"));
-            }
-        }
-        if let Some(s) = opts.resume {
-            if s.dropped > 0 {
-                warnings.push(format!(
-                    "resume: {} snapshot entr{} referenced a run digest not loaded in this process and could not be replayed",
-                    s.dropped,
-                    if s.dropped == 1 { "y" } else { "ies" }
-                ));
-            }
         }
         warnings
     }
@@ -543,118 +503,51 @@ impl PerFlowGraph {
 /// What running one node produced, and how.
 struct NodeRun {
     result: NodeResult,
-    /// Execution attempts made (1 when the result was replayed).
-    attempts: u32,
     /// Whether the cache answered the node's lookup; `None` when it was
     /// not looked up (no cache attached, or the node has no content key).
     cache_hit: Option<bool>,
-    resume_hit: bool,
 }
 
-/// Run one node: replay a cached or resumed result when there is one,
-/// else execute the pass with the run's retries; then fill the cache and
-/// the checkpoint from a success.
-fn run_node(pass: &Arc<dyn Pass>, inputs: &[Value], opts: &ExecOptions<'_>) -> NodeRun {
-    let obs = &opts.obs;
-    // One content key names the result in the cache and the snapshot,
-    // computed only when one is attached. An unkeyed node runs every
-    // time.
-    let key = if opts.cache.is_some() || opts.checkpoint.is_some() || opts.resume.is_some() {
-        cache::key(&**pass, inputs)
-    } else {
-        None
-    };
+/// Run one node: replay a cached result when there is one, else execute
+/// the pass once under panic capture and fill the cache from a success.
+fn run_node(pass: &dyn Pass, inputs: &[Value], opts: &ExecOptions<'_>) -> NodeRun {
+    // The content key is computed only when a cache is attached. An
+    // unkeyed node runs every time.
+    let key = opts.cache.and_then(|_| cache::key(pass, inputs));
     // A hit clones the payload pointer; the deep clone below happens off
     // the cache lock.
     let cached = opts.cache.zip(key).map(|(c, k)| c.get(k));
     let cache_hit = cached.as_ref().map(Option::is_some);
-    let mut attempts = 1;
-    let (result, resume_hit) = if let Some(r) = cached.flatten() {
-        (Ok((r.outputs.clone(), r.trail.clone())), false)
-    } else if let Some(r) = key.and_then(|k| opts.resume.and_then(|snap| snap.get(k))) {
-        obs.count(names::PASS_RESUME_HIT, 1);
-        (Ok(r), true)
-    } else {
-        let result = loop {
-            let r = run_attempt(pass, inputs, opts.pass_timeout_ms);
-            match &r {
-                Err(PerFlowError::PassPanicked { .. }) => obs.count(names::PASS_PANIC, 1),
-                Err(PerFlowError::PassTimeout { .. }) => obs.count(names::PASS_TIMEOUT, 1),
-                _ => {}
-            }
-            match (r, opts.retry) {
-                (Err(_), Some(retry)) if attempts <= retry.max_retries => {
-                    // Deterministic capped exponential backoff.
-                    let backoff = retry.backoff_ms(attempts);
-                    obs.count(names::PASS_RETRY, 1);
-                    obs.observe(names::PASS_RETRY_LATENCY_MS, backoff as f64);
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                    attempts += 1;
-                }
-                (r, _) => break r,
-            }
-        };
-        (result, false)
+    let result = match cached.flatten() {
+        Some(r) => Ok((r.outputs.clone(), r.trail.clone())),
+        None => run_guarded(pass, inputs, &opts.obs),
     };
-    if let Ok((outs, trail)) = &result {
-        // Fill the cache from executed *and* resumed results, and hand
-        // every success to the snapshot — a resumed run rewrites a
-        // complete checkpoint file, and an unkeyed node is counted as
-        // unresumable.
-        if let (Some(c), Some(k), Some(false)) = (opts.cache, key, cache_hit) {
-            c.insert(k, outs.clone(), trail.clone());
-        }
-        if let Some(w) = opts.checkpoint {
-            w.record(key, outs, trail);
-        }
+    if let (Some(c), Some(k), Some(false), Ok((outs, trail))) =
+        (opts.cache, key, cache_hit, &result)
+    {
+        c.insert(k, outs.clone(), trail.clone());
     }
-    NodeRun {
-        result,
-        attempts,
-        cache_hit,
-        resume_hit,
-    }
-}
-
-/// Run one execution attempt of `pass`: panics are caught and converted
-/// to [`PerFlowError::PassPanicked`]; with a deadline, the pass runs on
-/// a detached watchdog thread and is abandoned on expiry (its eventual
-/// result, if any, is discarded).
-fn run_attempt(pass: &Arc<dyn Pass>, inputs: &[Value], timeout_ms: Option<u64>) -> NodeResult {
-    let Some(ms) = timeout_ms else {
-        return run_guarded(pass, inputs);
-    };
-    let (tx, rx) = std::sync::mpsc::channel();
-    let pass2 = Arc::clone(pass);
-    let inputs2 = inputs.to_vec();
-    std::thread::spawn(move || {
-        // A send after the deadline hits a dropped receiver; ignore it.
-        let _ = tx.send(run_guarded(&pass2, &inputs2));
-    });
-    match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
-        Ok(r) => r,
-        Err(_) => Err(PerFlowError::PassTimeout {
-            pass: pass.name().to_string(),
-            timeout_ms: ms,
-        }),
-    }
+    NodeRun { result, cache_hit }
 }
 
 /// Run a pass under `catch_unwind`, converting an unwind into a
 /// structured error. `AssertUnwindSafe` is sound here: on panic both the
 /// context and any partially-built outputs are discarded, so no broken
 /// invariant is ever observed.
-fn run_guarded(pass: &Arc<dyn Pass>, inputs: &[Value]) -> NodeResult {
+fn run_guarded(pass: &dyn Pass, inputs: &[Value], obs: &obs::Obs) -> NodeResult {
     let mut cx = PassCx::new();
     let caught =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pass.run(inputs, &mut cx)));
     match caught {
         Ok(Ok(outs)) => Ok((outs, cx.trail)),
         Ok(Err(e)) => Err(e),
-        Err(payload) => Err(PerFlowError::PassPanicked {
-            pass: pass.name().to_string(),
-            payload: panic_payload_text(payload.as_ref()),
-        }),
+        Err(payload) => {
+            obs.count(names::PASS_PANIC, 1);
+            Err(PerFlowError::PassPanicked {
+                pass: pass.name().to_string(),
+                payload: panic_payload_text(payload.as_ref()),
+            })
+        }
     }
 }
 
@@ -673,10 +566,10 @@ fn panic_payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint;
     use crate::pass::FnPass;
     use obs::Obs;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn add_pass() -> FnPass<impl Fn(&[Value]) -> Result<Vec<Value>, PerFlowError> + Send + Sync> {
         FnPass::new("add", 2, |inputs: &[Value]| {
@@ -1013,8 +906,6 @@ mod tests {
 
     // ----- resilient execution -------------------------------------
 
-    use crate::exec::RetryPolicy;
-
     /// A fingerprinted unary pass: `f(x)` on Num inputs, content-keyed
     /// on its name, counting its runs.
     struct FpPass {
@@ -1125,162 +1016,6 @@ mod tests {
             out.warnings
         );
         assert_eq!(obs.counter(obs::names::PASS_PANIC), 1);
-    }
-
-    #[test]
-    fn deadline_watchdog_abandons_stalled_pass() {
-        let mut g = PerFlowGraph::new();
-        let s = g.add_source(1.0);
-        let stall = g.add_pass(FnPass::new("stall", 1, |i: &[Value]| {
-            std::thread::sleep(std::time::Duration::from_millis(400));
-            Ok(vec![i[0].clone()])
-        }));
-        g.pipe(s, stall).unwrap();
-        let obs = Obs::enabled();
-        let opts = ExecOptions::new()
-            .with_pass_timeout_ms(30)
-            .with_obs(obs.clone());
-        match g.execute_with(&opts) {
-            Err(PerFlowError::PassTimeout { pass, timeout_ms }) => {
-                assert_eq!(pass, "stall");
-                assert_eq!(timeout_ms, 30);
-            }
-            other => panic!("expected PassTimeout, got {other:?}"),
-        }
-        assert_eq!(obs.counter(obs::names::PASS_TIMEOUT), 1);
-        // A generous deadline lets the same graph complete.
-        let opts = ExecOptions::new().with_pass_timeout_ms(10_000);
-        assert!(g.execute_with(&opts).is_ok());
-    }
-
-    #[test]
-    fn retry_recovers_transient_failures() {
-        let tries = Arc::new(AtomicU32::new(0));
-        let mut g = PerFlowGraph::new();
-        let s = g.add_source(7.0);
-        let t2 = Arc::clone(&tries);
-        let flaky = g.add_pass(FnPass::new("flaky", 1, move |i: &[Value]| {
-            if t2.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(PerFlowError::Analysis("transient".into()))
-            } else {
-                Ok(vec![i[0].clone()])
-            }
-        }));
-        g.pipe(s, flaky).unwrap();
-        let obs = Obs::enabled();
-        let opts = ExecOptions::new()
-            .with_retry(RetryPolicy::new(3).with_backoff_ms(1, 2))
-            .with_obs(obs.clone());
-        let out = g.execute_with(&opts).expect("retries recover");
-        assert_eq!(out.of(flaky)[0].as_num(), Some(7.0));
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-        assert_eq!(obs.counter(obs::names::PASS_RETRY), 2);
-        assert_eq!(
-            obs.histogram(obs::names::PASS_RETRY_LATENCY_MS)
-                .unwrap()
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn retries_exhaust_to_final_error() {
-        let mut g = PerFlowGraph::new();
-        let s = g.add_source(1.0);
-        let bad = g.add_pass(FnPass::new("bad", 1, |_: &[Value]| {
-            Err(PerFlowError::Analysis("permanent".into()))
-        }));
-        g.pipe(s, bad).unwrap();
-        let opts = ExecOptions::new().with_retry(RetryPolicy::new(2).with_backoff_ms(1, 1));
-        match g.execute_with(&opts) {
-            Err(PerFlowError::Analysis(m)) => assert_eq!(m, "permanent"),
-            other => panic!("expected Analysis, got {other:?}"),
-        }
-        // Under Isolate the same exhaustion is a recorded failure with
-        // the attempt count.
-        let opts = ExecOptions::new()
-            .with_policy(ExecPolicy::Isolate)
-            .with_retry(RetryPolicy::new(2).with_backoff_ms(1, 1));
-        let out = g.execute_with(&opts).unwrap();
-        assert_eq!(out.failures.len(), 1);
-        assert_eq!(out.failures[0].attempts, 3);
-    }
-
-    #[test]
-    fn checkpoint_then_resume_replays_without_execution() {
-        let path = {
-            let mut p = std::env::temp_dir();
-            p.push(format!("perflow-dataflow-ckpt-{}", std::process::id()));
-            p
-        };
-        let runs = Arc::new(AtomicU32::new(0));
-
-        let build = |runs: Arc<AtomicU32>| {
-            let mut g = PerFlowGraph::new();
-            let s = g.add_source(3.0);
-            let double = g.add_pass(FpPass::new("double", |x| x * 2.0));
-            let inc = g.add_pass(FpPass::counted("counting_inc", |x| x + 1.0, &runs));
-            g.pipe(s, double).unwrap();
-            g.pipe(double, inc).unwrap();
-            (g, inc)
-        };
-
-        // First run writes the snapshot.
-        let (g1, inc1) = build(Arc::clone(&runs));
-        let writer = checkpoint::CheckpointWriter::create(&path, 77).unwrap();
-        let opts = ExecOptions::new().with_checkpoint(&writer);
-        let first = g1.execute_with(&opts).unwrap();
-        assert_eq!(first.of(inc1)[0].as_num(), Some(7.0));
-        assert_eq!(writer.recorded(), 3, "all three passes are keyed");
-        assert!(writer.error().is_none());
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-
-        // Second run (fresh graph objects, same content) resumes: no
-        // pass re-executes, outputs identical.
-        let (g2, inc2) = build(Arc::clone(&runs));
-        let file = checkpoint::CheckpointFile::load(&path).unwrap();
-        file.expect_context(77).unwrap();
-        let snap = file.rebind(&[]);
-        assert_eq!(snap.len(), 3);
-        let obs = Obs::enabled();
-        let opts = ExecOptions::new().with_resume(&snap).with_obs(obs.clone());
-        let second = g2.execute_with(&opts).unwrap();
-        assert_eq!(second.of(inc2)[0].as_num(), Some(7.0));
-        assert_eq!(second.resumed, 3);
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "no re-execution on resume");
-        assert_eq!(obs.counter(obs::names::PASS_RESUME_HIT), 3);
-        assert_eq!(first.trail, second.trail);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_warns_on_unresumable_passes() {
-        let path = {
-            let mut p = std::env::temp_dir();
-            p.push(format!("perflow-dataflow-warn-{}", std::process::id()));
-            p
-        };
-        let mut g = PerFlowGraph::new();
-        let s = g.add_source(1.0);
-        // Closure pass: no fingerprint, so it can never be checkpointed.
-        let id = g.add_pass(FnPass::new("opaque", 1, |i: &[Value]| {
-            Ok(vec![i[0].clone()])
-        }));
-        g.pipe(s, id).unwrap();
-        let writer = checkpoint::CheckpointWriter::create(&path, 1).unwrap();
-        let opts = ExecOptions::new().with_checkpoint(&writer);
-        let out = g.execute_with(&opts).unwrap();
-        assert!(
-            out.warnings
-                .iter()
-                .any(|w| w.contains("PF0010") && w.contains("opaque")),
-            "{:?}",
-            out.warnings
-        );
-        // Only the fingerprinted source was recorded; the closure pass
-        // completed without a key, so it counts as unresumable.
-        assert_eq!((writer.recorded(), writer.skipped()), (1, 1));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

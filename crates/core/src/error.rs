@@ -56,21 +56,6 @@ pub enum PerFlowError {
         /// verbatim, anything else a placeholder).
         payload: String,
     },
-    /// A pass exceeded its per-pass wall-clock deadline and was
-    /// abandoned by the watchdog (its eventual result, if any, is
-    /// discarded).
-    PassTimeout {
-        /// Display name of the stalled pass.
-        pass: String,
-        /// The deadline that was exceeded, milliseconds.
-        timeout_ms: u64,
-    },
-    /// Checkpoint snapshot I/O or format failure (unreadable file, bad
-    /// magic/version, context mismatch with the run being resumed).
-    Checkpoint {
-        /// What went wrong.
-        detail: String,
-    },
     /// The simulated run failed.
     Sim(simrt::SimError),
     /// Graph-difference failure (skeleton mismatch).
@@ -121,10 +106,6 @@ impl std::fmt::Display for PerFlowError {
             PerFlowError::PassPanicked { pass, payload } => {
                 write!(f, "pass {pass} panicked: {payload}")
             }
-            PerFlowError::PassTimeout { pass, timeout_ms } => {
-                write!(f, "pass {pass} exceeded its {timeout_ms} ms deadline")
-            }
-            PerFlowError::Checkpoint { detail } => write!(f, "checkpoint failed: {detail}"),
             PerFlowError::Sim(e) => write!(f, "simulation failed: {e}"),
             PerFlowError::Diff(m) => write!(f, "graph difference failed: {m}"),
             PerFlowError::Analysis(m) => write!(f, "analysis failed: {m}"),
@@ -202,19 +183,6 @@ mod tests {
                     payload: "index out of bounds".into(),
                 },
                 &["breakdown_analysis", "panicked", "index out of bounds"],
-            ),
-            (
-                PerFlowError::PassTimeout {
-                    pass: "causal_analysis".into(),
-                    timeout_ms: 250,
-                },
-                &["causal_analysis", "250 ms", "deadline"],
-            ),
-            (
-                PerFlowError::Checkpoint {
-                    detail: "context mismatch".into(),
-                },
-                &["checkpoint failed", "context mismatch"],
             ),
             (
                 PerFlowError::Sim(simrt::SimError::Deadlock { blocked: vec![] }),

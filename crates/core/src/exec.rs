@@ -1,29 +1,24 @@
-//! Execution policies for the resilient scheduler.
+//! Execution policies of the scheduler.
 //!
-//! The scheduler in [`crate::dataflow`] is a shared engine: one stalled
-//! or panicking pass must not take the whole analysis down with it. This
-//! module defines the knobs that govern how the scheduler reacts to
-//! failing passes:
+//! One panicking or failing pass must not take the whole analysis down
+//! with it. This module defines how the scheduler in [`crate::dataflow`]
+//! reacts to a failing pass:
 //!
 //! * [`ExecPolicy`] — what happens to the *rest of the graph* when one
 //!   node fails: abort everything ([`ExecPolicy::FailFast`]) or skip the
 //!   transitive downstream of the failed node and return a partial,
 //!   degraded result ([`ExecPolicy::Isolate`]).
-//! * [`RetryPolicy`] — bounded deterministic re-execution of every
-//!   failing pass of a run, with capped exponential backoff.
 //! * [`ExecOptions`] — the full per-execution configuration: policy,
-//!   per-pass wall-clock deadline, retries, cache, observability handle,
-//!   and checkpoint/resume handles.
+//!   cache and observability handle.
 //! * [`PassFailure`] — the post-mortem record of one failed node that a
 //!   degraded run carries in [`crate::dataflow::Outputs`].
 
 use crate::cache::PassCache;
-use crate::checkpoint::{CheckpointWriter, ResumeSnapshot};
 use crate::error::PerFlowError;
 use obs::Obs;
 
 /// What the scheduler does with the rest of the graph when a pass fails
-/// (returns an error, panics, or exceeds its deadline).
+/// (returns an error or panics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPolicy {
     /// Abort the run on the first failure and return the error; no
@@ -58,53 +53,6 @@ impl std::fmt::Display for ExecPolicy {
     }
 }
 
-/// Bounded deterministic retry with capped exponential backoff.
-///
-/// A failing attempt `k` (1-based) sleeps `min(base · 2^(k-1), cap)`
-/// milliseconds before re-running. No jitter: the schedule is a pure
-/// function of the policy, so retried runs stay reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum number of *re*-executions after the first failure.
-    pub max_retries: u32,
-    /// Backoff before the first retry, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff, milliseconds.
-    pub backoff_cap_ms: u64,
-}
-
-impl RetryPolicy {
-    /// `max_retries` retries with the default 10 ms base / 1 s cap.
-    pub fn new(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 1_000,
-        }
-    }
-
-    /// Override the backoff base and cap.
-    pub fn with_backoff_ms(mut self, base: u64, cap: u64) -> Self {
-        self.backoff_base_ms = base;
-        self.backoff_cap_ms = cap.max(base);
-        self
-    }
-
-    /// Backoff before retry `attempt` (1-based), milliseconds:
-    /// `min(base · 2^(attempt-1), cap)`. Deterministic, monotone,
-    /// saturating.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt.saturating_sub(1)).unwrap_or(0);
-        match factor {
-            0 => self.backoff_cap_ms,
-            f => self
-                .backoff_base_ms
-                .saturating_mul(f)
-                .min(self.backoff_cap_ms),
-        }
-    }
-}
-
 /// Post-mortem record of one failed node in a degraded
 /// ([`ExecPolicy::Isolate`]) run.
 #[derive(Debug, Clone)]
@@ -113,18 +61,16 @@ pub struct PassFailure {
     pub node: usize,
     /// Display name of the failing pass.
     pub pass: String,
-    /// The final error after all retries were exhausted.
+    /// The error the pass returned, or its caught panic.
     pub error: PerFlowError,
-    /// Total execution attempts made (1 = no retries).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for PassFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "pass `{}` (node {}) failed after {} attempt(s): {}",
-            self.pass, self.node, self.attempts, self.error
+            "pass `{}` (node {}) failed: {}",
+            self.pass, self.node, self.error
         )
     }
 }
@@ -136,28 +82,14 @@ impl std::fmt::Display for PassFailure {
 pub struct ExecOptions<'a> {
     /// Failure policy (default [`ExecPolicy::FailFast`]).
     pub policy: ExecPolicy,
-    /// Per-pass wall-clock deadline, milliseconds. When set, every pass
-    /// attempt runs under a watchdog; an attempt exceeding the deadline
-    /// fails with [`PerFlowError::PassTimeout`] (and is abandoned — its
-    /// eventual result, if any, is discarded).
-    pub pass_timeout_ms: Option<u64>,
-    /// Retry policy applied to every pass (`None`: one attempt each).
-    pub retry: Option<RetryPolicy>,
     /// Pass-result cache to look up and fill.
     pub cache: Option<&'a PassCache>,
     /// Observability handle (disabled by default).
     pub obs: Obs,
-    /// Checkpoint writer: every completed pass with a content key is
-    /// appended to the snapshot file as it finishes.
-    pub checkpoint: Option<&'a CheckpointWriter>,
-    /// Resume snapshot: passes whose content key is present replay the
-    /// recorded outputs instead of running.
-    pub resume: Option<&'a ResumeSnapshot>,
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Defaults: fail-fast, no deadline, no retries, no cache, disabled
-    /// observability, no checkpointing.
+    /// Defaults: fail-fast, no cache, disabled observability.
     pub fn new() -> Self {
         Self::default()
     }
@@ -165,18 +97,6 @@ impl<'a> ExecOptions<'a> {
     /// Set the failure policy.
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Set the per-pass deadline in milliseconds.
-    pub fn with_pass_timeout_ms(mut self, ms: u64) -> Self {
-        self.pass_timeout_ms = Some(ms);
-        self
-    }
-
-    /// Apply a retry policy to every pass.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 
@@ -189,18 +109,6 @@ impl<'a> ExecOptions<'a> {
     /// Attach an observability handle.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Record completed passes into a checkpoint file.
-    pub fn with_checkpoint(mut self, writer: &'a CheckpointWriter) -> Self {
-        self.checkpoint = Some(writer);
-        self
-    }
-
-    /// Replay passes from a loaded checkpoint snapshot.
-    pub fn with_resume(mut self, snapshot: &'a ResumeSnapshot) -> Self {
-        self.resume = Some(snapshot);
         self
     }
 }
@@ -222,34 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RetryPolicy::new(5).with_backoff_ms(10, 70);
-        assert_eq!(p.backoff_ms(1), 10);
-        assert_eq!(p.backoff_ms(2), 20);
-        assert_eq!(p.backoff_ms(3), 40);
-        assert_eq!(p.backoff_ms(4), 70, "capped");
-        assert_eq!(p.backoff_ms(100), 70, "huge attempts saturate at cap");
-    }
-
-    #[test]
-    fn backoff_cap_never_below_base() {
-        let p = RetryPolicy::new(1).with_backoff_ms(50, 10);
-        assert_eq!(p.backoff_cap_ms, 50);
-        assert_eq!(p.backoff_ms(1), 50);
-    }
-
-    #[test]
     fn failure_display_names_everything() {
         let f = PassFailure {
             node: 3,
             pass: "hotspot_detection".into(),
             error: PerFlowError::Analysis("boom".into()),
-            attempts: 2,
         };
         let s = f.to_string();
         assert!(s.contains("hotspot_detection"), "{s}");
         assert!(s.contains("node 3"), "{s}");
-        assert!(s.contains("2 attempt(s)"), "{s}");
         assert!(s.contains("boom"), "{s}");
     }
 }

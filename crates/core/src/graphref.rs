@@ -43,8 +43,7 @@ impl RunBundle {
     /// the edges — because the run data holds ids, not the names reports
     /// print. Metrics are left out: they derive from the run data.
     /// Stable across processes for deterministic simulations: it names
-    /// a run's sets in pass-cache and checkpoint keys, and report
-    /// fingerprints fold it.
+    /// a run's sets in pass-cache keys, and report fingerprints fold it.
     pub fn content_digest(&self) -> u64 {
         *self.content_digest.get_or_init(|| {
             let pag = self.topdown();
@@ -117,10 +116,9 @@ impl GraphRef {
 
     /// A process-independent `(view-tag, content-digest)` identity for
     /// graphs that belong to a run bundle — the token value fingerprints
-    /// and checkpoint snapshots name a set's graph by. `None` for
-    /// detached graphs (difference graphs and other derived PAGs have no
-    /// content token, so values on them are never cached or
-    /// checkpointed).
+    /// name a set's graph by. `None` for detached graphs (difference
+    /// graphs and other derived PAGs have no content token, so values on
+    /// them are never cached).
     pub fn content_identity(&self) -> Option<(u8, u64)> {
         match self {
             GraphRef::TopDown(b) => Some((1, b.content_digest())),

@@ -46,7 +46,6 @@
 pub mod api;
 pub mod builder;
 pub mod cache;
-pub mod checkpoint;
 pub mod dataflow;
 pub mod error;
 pub mod exec;
@@ -64,10 +63,9 @@ pub mod value;
 pub use api::PerFlow;
 pub use builder::{GraphBuilder, NodeHandle, OutPort};
 pub use cache::{CacheStats, PassCache};
-pub use checkpoint::{CheckpointFile, CheckpointWriter, ResumeSnapshot};
 pub use dataflow::{NodeId, PerFlowGraph};
 pub use error::PerFlowError;
-pub use exec::{ExecOptions, ExecPolicy, PassFailure, RetryPolicy};
+pub use exec::{ExecOptions, ExecPolicy, PassFailure};
 pub use graphref::{GraphRef, RunBundle, RunHandle, RunHandleExt};
 pub use interactive::{InteractiveSession, Suggestion};
 pub use metrics::{PassMetric, RunMetrics};

@@ -35,12 +35,11 @@ pub trait Pass: Send + Sync {
 
     /// Content fingerprint of the pass *configuration* (name, thresholds,
     /// parameters — everything that determines the output besides the
-    /// inputs). With the inputs' content fingerprints it forms the one
-    /// key the pass-result cache and checkpoint snapshots store results
-    /// under, so equally-configured passes share results across graph
-    /// instances and processes. `None` (the default, and what closures
-    /// give) leaves the node unkeyed: it runs on every execution and is
-    /// never cached or checkpointed.
+    /// inputs). With the inputs' content fingerprints it forms the key
+    /// the pass-result cache stores results under, so equally-configured
+    /// passes share results across graph instances. `None` (the default,
+    /// and what closures give) leaves the node unkeyed: it runs on every
+    /// execution and is never cached.
     fn fingerprint(&self) -> Option<u64> {
         None
     }

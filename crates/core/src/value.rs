@@ -54,13 +54,12 @@ impl Value {
 
 impl Value {
     /// Process-independent content fingerprint: the input half of the
-    /// pass-cache and checkpoint key. Sets hash their graph's content
-    /// identity
-    /// ([`GraphRef::content_identity`](crate::graphref::GraphRef::content_identity)),, their member ids and
-    /// scores; reports hash their full text content; numbers hash their
-    /// bits. `None` when the value lives on a detached graph, which has
-    /// no content identity — a pass fed such a value is never cached or
-    /// checkpointed.
+    /// pass-cache key. Sets hash their graph's content identity
+    /// ([`GraphRef::content_identity`](crate::graphref::GraphRef::content_identity)),
+    /// their member ids and scores; reports hash their full text content;
+    /// numbers hash their bits. `None` when the value lives on a detached
+    /// graph, which has no content identity — a pass fed such a value is
+    /// never cached.
     pub fn fingerprint(&self) -> Option<u64> {
         let mut h = Fnv::new();
         match self {
@@ -142,7 +141,7 @@ impl From<f64> for Value {
 mod tests {
     use super::*;
 
-    /// Checkpoint (`PFCK` v1) keys fold these values; they must not move.
+    /// Pass-cache keys fold these values; they must not move.
     #[test]
     fn stable_fingerprints_are_pinned() {
         assert_eq!(Value::Num(2.5).fingerprint(), Some(4113108009647811648));

@@ -399,9 +399,8 @@ mod tests {
                     .with_obs(obs.clone()),
             )
             .unwrap();
-        let ctx = crate::checkpoint_context("cg", &cfg, &run);
         let res = crate::ResilienceConfig::default();
-        let session = crate::comm_analysis_session(&run, &obs, &res, ctx).unwrap();
+        let session = crate::comm_analysis_session(&run, &obs, &res, 0).unwrap();
         let text = session.outputs.metrics.to_json().render();
 
         let clean = bench_diff_texts(&text, &text, &BenchDiffConfig::default()).unwrap();

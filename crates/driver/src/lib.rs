@@ -2,9 +2,9 @@
 //!
 //! The reusable layer between a front-end (the CLI today, `perflow-serve`
 //! tomorrow) and the perflow library: workload selection, paradigm
-//! assembly, lint collection and the observed/resilient comm-analysis
-//! session. Front-ends parse arguments and print; everything that decides
-//! *what to run* lives here so it can be driven programmatically.
+//! assembly, lint collection and the observed comm-analysis session.
+//! Front-ends parse arguments and print; everything that decides *what
+//! to run* lives here so it can be driven programmatically.
 
 pub mod bench_diff;
 
@@ -18,8 +18,8 @@ use perflow::pass::FnPass;
 use perflow::passes::{HotspotPass, ReportPass};
 use perflow::verify::{check_pag, lint_program, lint_query_text, Diagnostics, Severity};
 use perflow::{
-    execute_query, CheckpointFile, CheckpointWriter, ExecOptions, ExecPolicy, GraphBuilder, Obs,
-    PerFlow, PerFlowError, PerFlowGraph, Report, RetryPolicy, RunHandle, RunHandleExt,
+    execute_query, ExecOptions, ExecPolicy, GraphBuilder, Obs, PerFlow, PerFlowError, PerFlowGraph,
+    Report, RunHandle, RunHandleExt,
 };
 use progmodel::Program;
 use simrt::RunConfig;
@@ -424,11 +424,11 @@ pub fn query_fingerprint(run: &RunHandle, text: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint context + digests
+// Digests
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over a string — used for report digests and as an ingredient of
-/// [`checkpoint_context`].
+/// the run and report fingerprints.
 pub fn fnv_str(s: &str) -> u64 {
     let mut h = obs::Fnv::new();
     h.write(s.as_bytes());
@@ -443,9 +443,10 @@ fn fnv_words(words: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Checkpoint context digest: workload + shape-determining config + the
-/// run's content digest, so a snapshot taken under one configuration
-/// refuses to resume under another.
+/// Digest of workload + shape-determining config + the run's content
+/// digest. The library does not read it: it is kept only because the
+/// benchmark harness (`benchmark/src`) passes it as
+/// [`comm_analysis_session`]'s unused `_context` argument.
 pub fn checkpoint_context(workload: &str, cfg: &AnalysisConfig, run: &RunHandle) -> u64 {
     fnv_words(&[
         fnv_str(workload),
@@ -489,22 +490,14 @@ pub fn report_fingerprint(paradigm: Paradigm, cfg: &AnalysisConfig, run: &RunHan
 }
 
 // ---------------------------------------------------------------------------
-// Observed / resilient comm-analysis session
+// Observed comm-analysis session
 // ---------------------------------------------------------------------------
 
-/// Fault-tolerant-scheduler knobs for [`comm_analysis_session`].
+/// Pass-failure knobs for [`comm_analysis_session`].
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceConfig {
     /// Pass-failure policy (fail fast vs. isolate).
     pub fail_policy: Option<ExecPolicy>,
-    /// Per-pass deadline.
-    pub pass_timeout_ms: Option<u64>,
-    /// Retry budget per pass.
-    pub retries: Option<u32>,
-    /// Write a checkpoint here after the run.
-    pub checkpoint_out: Option<String>,
-    /// Resume from this checkpoint file.
-    pub resume_in: Option<String>,
     /// Inject a panicking pass (fault-tolerance demo/testing).
     pub inject_pass_panic: bool,
 }
@@ -512,21 +505,8 @@ pub struct ResilienceConfig {
 impl ResilienceConfig {
     /// True when any knob is set, i.e. resilient execution was requested.
     pub fn is_active(&self) -> bool {
-        self.fail_policy.is_some()
-            || self.pass_timeout_ms.is_some()
-            || self.retries.is_some()
-            || self.checkpoint_out.is_some()
-            || self.resume_in.is_some()
-            || self.inject_pass_panic
+        self.fail_policy.is_some() || self.inject_pass_panic
     }
-}
-
-/// Outcome of the checkpoint writer, if one was requested.
-pub enum CheckpointStatus {
-    /// The checkpoint was written: `(entries recorded, entries unresumable)`.
-    Written(usize, usize),
-    /// The writer hit an error; the file is incomplete.
-    Incomplete(String),
 }
 
 /// What [`comm_analysis_session`] produced.
@@ -536,24 +516,23 @@ pub struct CommAnalysisOutcome {
     /// The rendered comm-analysis report (empty when the report node
     /// produced nothing, e.g. when it was skipped after a failure).
     pub report: String,
-    /// Stable digest of the rendered report — lets scripts check that a
-    /// resumed run reproduced the uninterrupted result.
+    /// Stable digest of the rendered report — lets scripts compare two
+    /// runs' results.
     pub report_digest: u64,
-    /// `(entries, dropped)` when resuming from a snapshot.
-    pub resumed_from: Option<(usize, usize)>,
-    /// Checkpoint writer status when a checkpoint was requested.
-    pub checkpoint: Option<CheckpointStatus>,
 }
 
 /// Run the standard communication-analysis PerFlowGraph under the
-/// observed (and, when requested, resilient) scheduler so the trace
-/// covers the core layer too. The session runs without a pass cache: no
-/// two of its nodes share a content key, so one could never hit.
+/// observed scheduler, with `res`'s failure policy, so the trace covers
+/// the core layer too. The session runs without a pass cache: no two of
+/// its nodes share a content key, so one could never hit.
+///
+/// `_context` is unused. It is kept only because the benchmark harness
+/// (`benchmark/src`) passes [`checkpoint_context`] here.
 pub fn comm_analysis_session(
     run: &RunHandle,
     obs: &Obs,
     res: &ResilienceConfig,
-    context: u64,
+    _context: u64,
 ) -> Result<CommAnalysisOutcome, DriverError> {
     let _app = obs.span(perflow::Layer::App, "comm-analysis-graph", 0);
     let (mut g, report_node) = comm_analysis_graph(run.vertices())
@@ -566,43 +545,9 @@ pub fn comm_analysis_session(
         ));
     }
 
-    let mut resumed_from = None;
-    let snapshot = match &res.resume_in {
-        Some(path) => {
-            let file = CheckpointFile::load(path)
-                .map_err(|e| DriverError(format!("cannot load checkpoint {path}: {e}")))?;
-            file.expect_context(context)
-                .map_err(|e| DriverError(format!("cannot resume from {path}: {e}")))?;
-            let snap = file.rebind(std::slice::from_ref(run));
-            resumed_from = Some((snap.len(), snap.dropped));
-            Some(snap)
-        }
-        None => None,
-    };
-    let writer = match &res.checkpoint_out {
-        Some(path) => Some(
-            CheckpointWriter::create(path, context)
-                .map_err(|e| DriverError(format!("cannot create checkpoint {path}: {e}")))?,
-        ),
-        None => None,
-    };
-
-    let mut opts = ExecOptions::new().with_obs(obs.clone());
-    if let Some(p) = res.fail_policy {
-        opts = opts.with_policy(p);
-    }
-    if let Some(ms) = res.pass_timeout_ms {
-        opts = opts.with_pass_timeout_ms(ms);
-    }
-    if let Some(n) = res.retries {
-        opts = opts.with_retry(RetryPolicy::new(n));
-    }
-    if let Some(w) = &writer {
-        opts = opts.with_checkpoint(w);
-    }
-    if let Some(s) = &snapshot {
-        opts = opts.with_resume(s);
-    }
+    let opts = ExecOptions::new()
+        .with_obs(obs.clone())
+        .with_policy(res.fail_policy.unwrap_or_default());
     let outputs = g
         .execute_with(&opts)
         .map_err(|e| DriverError(format!("comm-analysis graph failed: {e}")))?;
@@ -615,16 +560,10 @@ pub fn comm_analysis_session(
         .map(Report::render)
         .unwrap_or_default();
     let report_digest = fnv_str(&report);
-    let checkpoint = writer.map(|w| match w.error() {
-        Some(e) => CheckpointStatus::Incomplete(e.to_string()),
-        None => CheckpointStatus::Written(w.recorded(), w.skipped()),
-    });
     Ok(CommAnalysisOutcome {
         outputs,
         report,
         report_digest,
-        resumed_from,
-        checkpoint,
     })
 }
 
@@ -632,7 +571,7 @@ pub fn comm_analysis_session(
 mod tests {
     use super::*;
 
-    /// Every report, checkpoint and cache digest folds through these;
+    /// Every report, run and cache digest folds through these;
     /// the constants are the pre-hoist values, so none can move.
     #[test]
     fn fnv_digests_are_pinned() {
@@ -971,12 +910,9 @@ mod tests {
                     .with_obs(obs.clone()),
             )
             .unwrap();
-        let ctx = checkpoint_context("cg", &cfg, &run);
-        let out = comm_analysis_session(&run, &obs, &ResilienceConfig::default(), ctx).unwrap();
+        let out = comm_analysis_session(&run, &obs, &ResilienceConfig::default(), 0).unwrap();
         assert!(!out.report.is_empty());
         assert_eq!(out.report_digest, fnv_str(&out.report));
-        assert!(out.checkpoint.is_none());
-        assert!(out.resumed_from.is_none());
     }
 
     fn pinned_diagnostics() -> Diagnostics {

@@ -1,5 +1,5 @@
 //! The workspace's one byte-wise FNV-1a hasher: value/pass fingerprints
-//! in `core`, report and checkpoint digests in `driver`, and the trace
+//! in `core`, report and run digests in `driver`, and the trace
 //! digest here all fold bytes through it (no external dependencies,
 //! stable across platforms).
 

@@ -44,7 +44,8 @@ pub use fnv::Fnv;
 pub use folded::{render_folded, sanitize_frame, walk_span_nesting, NestedSpan, FOLDED_ROOT};
 pub use metrics::{bucket_bound, Histogram, HIST_BUCKETS};
 
-/// Well-known instrument names recorded by the resilient pass scheduler.
+/// Well-known instrument names recorded by the pass scheduler and the
+/// `perflow-serve` daemon.
 /// Counters render in the Prometheus exposition as
 /// `perflow_<sanitized>_total` (e.g. `perflow_core_pass_panic_total`),
 /// histograms as `perflow_<sanitized>_bucket`/`_sum`/`_count`.
@@ -52,15 +53,6 @@ pub mod names {
     /// Counter: pass executions that panicked (caught and converted to a
     /// structured error by the scheduler).
     pub const PASS_PANIC: &str = "core.pass.panic";
-    /// Counter: retry attempts scheduled after a failed execution.
-    pub const PASS_RETRY: &str = "core.pass.retry";
-    /// Counter: pass executions abandoned by the deadline watchdog.
-    pub const PASS_TIMEOUT: &str = "core.pass.timeout";
-    /// Counter: passes replayed from a resume snapshot instead of
-    /// executing.
-    pub const PASS_RESUME_HIT: &str = "core.pass.resume_hit";
-    /// Histogram: backoff latency (ms) inserted before each retry.
-    pub const PASS_RETRY_LATENCY_MS: &str = "core.pass.retry_latency_ms";
 
     // `perflow-serve` daemon instruments (exposed via `/metrics`).
 

@@ -224,18 +224,9 @@ mod tests {
     fn resilience_counters_render() {
         let obs = Obs::enabled();
         obs.count(crate::names::PASS_PANIC, 2);
-        obs.count(crate::names::PASS_RETRY, 3);
-        obs.count(crate::names::PASS_TIMEOUT, 1);
-        obs.count(crate::names::PASS_RESUME_HIT, 4);
-        obs.observe(crate::names::PASS_RETRY_LATENCY_MS, 10.0);
         let text = obs.prometheus();
         assert!(text.contains("# TYPE perflow_core_pass_panic_total counter"));
         assert!(text.contains("perflow_core_pass_panic_total 2\n"));
-        assert!(text.contains("perflow_core_pass_retry_total 3\n"));
-        assert!(text.contains("perflow_core_pass_timeout_total 1\n"));
-        assert!(text.contains("perflow_core_pass_resume_hit_total 4\n"));
-        assert!(text.contains("# TYPE perflow_core_pass_retry_latency_ms histogram"));
-        assert!(text.contains("perflow_core_pass_retry_latency_ms_count 1\n"));
     }
 
     #[test]

@@ -19,9 +19,9 @@ use obs::json::{obj, Json};
 pub enum JobKind {
     /// One of the driver's built-in paradigms.
     Paradigm(Paradigm),
-    /// The observed/resilient comm-analysis session. A repeat is
-    /// answered by the report cache, keyed on the run's content digest
-    /// and the resilience knobs.
+    /// The observed comm-analysis session. A repeat is answered by the
+    /// report cache, keyed on the run's content digest and the failure
+    /// policy.
     Comm,
     /// A perflow-query program, statically linted before admission
     /// (`POST /query`). The string is the query text.
@@ -52,6 +52,20 @@ pub const MAX_PRIORITY: u8 = 9;
 /// Priority assigned when a submission does not name one.
 pub const DEFAULT_PRIORITY: u8 = 4;
 
+/// Every field a `POST /jobs` body may carry; any other is refused.
+const FIELDS: &[&str] = &[
+    "workload",
+    "paradigm",
+    "query",
+    "ranks",
+    "small_ranks",
+    "threads",
+    "seed",
+    "priority",
+    "fail_policy",
+    "hold_ms",
+];
+
 /// A validated analysis-job request.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -63,7 +77,7 @@ pub struct JobSpec {
     pub cfg: AnalysisConfig,
     /// Scheduling priority, `0..=9`, FIFO within equal priorities.
     pub priority: u8,
-    /// Resilient-scheduler knobs for `comm` jobs.
+    /// Pass-failure policy for `comm` jobs.
     pub resilience: ResilienceConfig,
     /// Debug/testing knob: hold the executor this long before running,
     /// to simulate a long job (bounded to 10 s).
@@ -71,10 +85,13 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Parse and validate a `POST /jobs` body.
+    /// Parse and validate a `POST /jobs` body; an unknown field is an error.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        if !matches!(v, Json::Obj(_)) {
+        let Json::Obj(fields) = v else {
             return Err("job spec must be a JSON object".into());
+        };
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown field `{key}`"));
         }
         let workload = v
             .get("workload")
@@ -138,22 +155,8 @@ impl JobSpec {
         let mut resilience = ResilienceConfig::default();
         if let Some(j) = v.get("fail_policy") {
             let s = j.as_str().ok_or("`fail_policy` must be a string")?;
-            resilience.fail_policy = Some(
-                ExecPolicy::parse(s)
-                    .ok_or_else(|| format!("`fail_policy` must be failfast|isolate, got `{s}`"))?,
-            );
-        }
-        if let Some(j) = v.get("retries") {
-            resilience.retries = Some(
-                j.as_u64()
-                    .ok_or("`retries` must be a non-negative integer")? as u32,
-            );
-        }
-        if let Some(j) = v.get("pass_timeout_ms") {
-            resilience.pass_timeout_ms = Some(
-                j.as_u64()
-                    .ok_or("`pass_timeout_ms` must be a non-negative integer")?,
-            );
+            let bad = || format!("`fail_policy` must be failfast|isolate, got `{s}`");
+            resilience.fail_policy = Some(ExecPolicy::parse(s).ok_or_else(bad)?);
         }
         let hold_ms = match v.get("hold_ms") {
             None => 0,
@@ -464,7 +467,7 @@ mod tests {
         let ok = JobSpec::from_json(
             &Json::parse(
                 r#"{"workload":"cg","paradigm":"comm","ranks":8,"seed":7,"priority":9,
-                    "fail_policy":"isolate","retries":2,"pass_timeout_ms":500,"hold_ms":10}"#,
+                    "fail_policy":"isolate","hold_ms":10}"#,
             )
             .unwrap(),
         )
@@ -473,7 +476,7 @@ mod tests {
         assert_eq!(ok.cfg.ranks, 8);
         assert_eq!(ok.cfg.seed, 7);
         assert_eq!(ok.priority, 9);
-        assert_eq!(ok.resilience.retries, Some(2));
+        assert_eq!(ok.resilience.fail_policy, Some(ExecPolicy::Isolate));
         assert!(ok.resilience.is_active());
 
         for bad in [
@@ -494,6 +497,13 @@ mod tests {
                 JobSpec::from_json(&Json::parse(bad).unwrap()).is_err(),
                 "accepted bad spec {bad}"
             );
+        }
+        // Fields the daemon does not know are refused by name, not
+        // silently ignored.
+        for key in ["retries", "pass_timeout_ms", "rnaks"] {
+            let body = format!(r#"{{"workload":"cg","paradigm":"comm","{key}":1}}"#);
+            let err = JobSpec::from_json(&Json::parse(&body).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{key}: {err}");
         }
     }
 

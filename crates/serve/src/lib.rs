@@ -9,7 +9,7 @@
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /jobs` | Submit a job (JSON body: `workload`, `paradigm`, `ranks`, `threads`, `seed`, `priority`, resilience knobs). 202 + job id. |
+//! | `POST /jobs` | Submit a job (JSON body: `workload`, `paradigm`, `ranks`, `small_ranks`, `threads`, `seed`, `priority`, `fail_policy`, `hold_ms`; any other field is a 400 that names it). 202 + job id. |
 //! | `POST /query` | Submit a perflow-query job (body adds a required `query` string). The query is statically linted (PF03xx) **before** admission: lint errors are a 400 with the diagnostics as JSON and nothing is enqueued or executed. 202 + job id otherwise. |
 //! | `GET /jobs/:id` | Job status; includes the report, its digest, `cached` and a per-job `metrics` latency block once done. |
 //! | `GET /jobs/:id/trace` | The job's end-to-end trace as Chrome-trace JSON: every span stamped with the job's trace id (= job id), from HTTP admission through queue wait to per-pass scheduler spans. |
@@ -729,13 +729,11 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
     let report_fp = match &spec.kind {
         JobKind::Paradigm(p) => driver::report_fingerprint(*p, &spec.cfg, &run),
         // The comm session's report depends on the run plus the
-        // resilience knobs that can degrade it.
+        // failure policy that can degrade it.
         JobKind::Comm => fnv_str(&format!(
-            "comm:{:016x}:{:?}:{:?}:{:?}",
+            "comm:{:016x}:{:?}",
             run.content_digest(),
             spec.resilience.fail_policy,
-            spec.resilience.retries,
-            spec.resilience.pass_timeout_ms,
         )),
         JobKind::Query(text) => driver::query_fingerprint(&run, text),
     };
@@ -774,8 +772,7 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
             (rendered, digest)
         }
         JobKind::Comm => {
-            let ctx = driver::checkpoint_context(&spec.workload, &spec.cfg, &run);
-            let out = driver::comm_analysis_session(&run, obs, &spec.resilience, ctx)
+            let out = driver::comm_analysis_session(&run, obs, &spec.resilience, 0)
                 .map_err(|e| e.to_string())?;
             run_metrics = Some(out.outputs.metrics.to_json());
             (out.report, out.report_digest)

@@ -271,8 +271,7 @@ pub fn lint_graph(g: &GraphShape) -> Diagnostics {
     }
 
     // PF0010 — no content fingerprint: the node has no content key, so
-    // it runs on every execution and its results are never cached or
-    // checkpointed.
+    // it runs on every execution and its results are never cached.
     for (i, node) in g.nodes.iter().enumerate() {
         if !node.has_fingerprint {
             d.push(
@@ -280,7 +279,7 @@ pub fn lint_graph(g: &GraphShape) -> Diagnostics {
                 Severity::Warn,
                 node_anchor(g, i),
                 format!(
-                    "`{}` has no content fingerprint; its results are never cached or checkpointed",
+                    "`{}` has no content fingerprint; its results are never cached",
                     node.name
                 ),
             );
@@ -540,12 +539,7 @@ mod tests {
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].severity, Severity::Warn);
         assert!(items[0].message.contains("`my_closure`"));
-        assert!(
-            items[0].message.contains("checkpointed"),
-            "{}",
-            items[0].message
-        );
-        // A fully fingerprinted graph is checkpoint-clean.
+        // A fully fingerprinted graph has no PF0010 finding.
         let clean = GraphShape {
             nodes: vec![node("source", 0), node("hotspot", 1)],
             wires: vec![wire(0, 1, 0)],

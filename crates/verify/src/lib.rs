@@ -77,8 +77,7 @@ pub mod codes {
     /// A non-report node's outputs are never consumed (info).
     pub const UNUSED_OUTPUT: &str = "PF0009";
     /// Pass lacks a content fingerprint, so its results are never
-    /// cached or checkpointed (warning). `PF0011` is retired (it repeated
-    /// this finding for checkpointed runs); the number is not reused.
+    /// cached (warning). `PF0011` is retired; the number is not reused.
     pub const NO_FINGERPRINT: &str = "PF0010";
 
     /// Edge endpoint out of the vertex range (error).

@@ -20,7 +20,7 @@
 
 mod closed_stdout;
 
-use driver::{AnalysisConfig, CheckpointStatus, Paradigm, ResilienceConfig, WORKLOAD_NAMES};
+use driver::{AnalysisConfig, Paradigm, ResilienceConfig, WORKLOAD_NAMES};
 use perflow::{ExecPolicy, Obs, PerFlow};
 use simrt::{FaultPlan, RunConfig};
 
@@ -32,8 +32,7 @@ fn usage() -> ! {
          \x20                [--query QUERY] [--check-query QUERY] [--query-json]\n\
          \x20                [--bench-diff OLD NEW [--bench-threshold F] [--bench-noise-floor US] [--bench-json]]\n\
          \x20                [--self-analyze] [--prom-out FILE] [--folded-out FILE] [--app-folded-out FILE]\n\
-         \x20                [--fail-policy failfast|isolate] [--pass-timeout-ms N] [--retries N]\n\
-         \x20                [--checkpoint FILE] [--resume FILE] [--inject-pass-panic]\n\
+         \x20                [--fail-policy failfast|isolate] [--inject-pass-panic]\n\
          \x20                [--crash RANK@US] [--hang RANK@US] [--sample-loss RATE]\n\
          \x20                [--msg-drop RATE@DELAY_US] [--pmu-corrupt RATE] [--truncate-stacks DEPTH]"
     );
@@ -209,13 +208,6 @@ fn main() {
                     std::process::exit(2)
                 }));
             }
-            "--pass-timeout-ms" => {
-                res.pass_timeout_ms =
-                    Some(val("--pass-timeout-ms").parse().unwrap_or_else(|_| usage()))
-            }
-            "--retries" => res.retries = Some(val("--retries").parse().unwrap_or_else(|_| usage())),
-            "--checkpoint" => res.checkpoint_out = Some(val("--checkpoint")),
-            "--resume" => res.resume_in = Some(val("--resume")),
             "--inject-pass-panic" => res.inject_pass_panic = true,
             "--crash" => {
                 let (r, t) = rank_at("--crash", &val("--crash"));
@@ -310,48 +302,27 @@ fn main() {
 
     if obs.is_enabled() || res.is_active() {
         let resilient = res.is_active();
-        let ctx = driver::checkpoint_context(target, &cfg, &run);
-        let out = driver::comm_analysis_session(&run, &obs, &res, ctx).unwrap_or_else(|e| fail(e));
-        if let Some((entries, dropped)) = out.resumed_from {
-            eprintln!(
-                "resumed from {}: {} entr{} ({} dropped)",
-                res.resume_in.as_deref().unwrap_or_default(),
-                entries,
-                if entries == 1 { "y" } else { "ies" },
-                dropped
-            );
-        }
+        let out = driver::comm_analysis_session(&run, &obs, &res, 0).unwrap_or_else(|e| fail(e));
         if resilient {
             if !out.report.is_empty() {
                 println!("\n{}", out.report);
             }
-            // Stable digest of the rendered report: lets scripts check
-            // that a resumed run reproduced the uninterrupted result.
+            // Stable digest of the rendered report: lets scripts compare
+            // two runs' results.
             println!("comm-analysis report digest: {:016x}", out.report_digest);
             for w in &out.outputs.warnings {
                 println!("warning: {w}");
             }
             println!(
-                "resilience: {} failed, {} skipped, {} resumed{}",
+                "resilience: {} failed, {} skipped{}",
                 out.outputs.failures.len(),
                 out.outputs.skipped.len(),
-                out.outputs.resumed,
                 if out.outputs.degraded() {
                     " (degraded)"
                 } else {
                     ""
                 }
             );
-        }
-        if let (Some(path), Some(status)) = (&res.checkpoint_out, &out.checkpoint) {
-            match status {
-                CheckpointStatus::Incomplete(e) => {
-                    eprintln!("checkpoint {path} incomplete: {e}")
-                }
-                CheckpointStatus::Written(recorded, skipped) => eprintln!(
-                    "wrote checkpoint to {path} ({recorded} recorded, {skipped} unresumable)"
-                ),
-            }
         }
         if metrics {
             print!("\n{}", out.outputs.metrics.render());

@@ -137,11 +137,9 @@ fn comm_session_reports_are_identical_across_cache_capacities() {
         )
         .unwrap();
     let obs = perflow::Obs::default();
-    let ctx = driver::checkpoint_context("cg", &cfg, &run);
 
-    let session = |res: driver::ResilienceConfig| {
-        driver::comm_analysis_session(&run, &obs, &res, ctx).unwrap()
-    };
+    let session =
+        |res: driver::ResilienceConfig| driver::comm_analysis_session(&run, &obs, &res, 0).unwrap();
     let plain = session(Default::default());
     let baseline = plain.report_digest;
     // A cold and a cached execution of the same graph render the
@@ -156,46 +154,17 @@ fn comm_session_reports_are_identical_across_cache_capacities() {
     }
     assert!(cache.stats().hits > 0, "{:?}", cache.stats());
 
-    // Nor do the guard rails: isolate + a deadline + retries.
-    let guarded = session(driver::ResilienceConfig {
+    // Nor does the isolate policy on a clean run.
+    let isolated = session(driver::ResilienceConfig {
         fail_policy: Some(perflow::ExecPolicy::Isolate),
-        pass_timeout_ms: Some(60_000),
-        retries: Some(2),
         ..Default::default()
     });
-    assert!(!guarded.outputs.degraded());
+    assert!(!isolated.outputs.degraded());
     assert_eq!(
-        guarded.report_digest, baseline,
-        "guard rails changed the report"
+        isolated.report_digest, baseline,
+        "the isolate policy changed the report"
     );
-    assert_eq!(guarded.outputs.trail, plain.outputs.trail);
-
-    // A checkpointed session resumes pass for pass to the same report.
-    let path =
-        std::env::temp_dir().join(format!("perflow-cache-bounded-{}.pfck", std::process::id()));
-    let path = path.to_string_lossy().into_owned();
-    let recording = session(driver::ResilienceConfig {
-        checkpoint_out: Some(path.clone()),
-        ..Default::default()
-    });
-    let Some(driver::CheckpointStatus::Written(recorded, _)) = recording.checkpoint else {
-        panic!("the checkpoint was not written cleanly");
-    };
-    let resumed = session(driver::ResilienceConfig {
-        resume_in: Some(path.clone()),
-        ..Default::default()
-    });
-    std::fs::remove_file(&path).ok();
-    assert_eq!(
-        resumed.resumed_from,
-        Some((recorded, 0)),
-        "every entry rebinds"
-    );
-    assert_eq!(
-        resumed.outputs.resumed, recorded,
-        "every recorded pass replays"
-    );
-    assert_eq!(resumed.report_digest, baseline, "resume changed the report");
+    assert_eq!(isolated.outputs.trail, plain.outputs.trail);
 }
 
 #[test]
