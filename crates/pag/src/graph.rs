@@ -57,12 +57,6 @@ pub(crate) fn str_set(props: &mut StrProps, key: &str, value: Arc<str>) {
     }
 }
 
-pub(crate) fn str_remove(props: &mut StrProps, key: &str) {
-    if let Ok(i) = str_slot(props, key) {
-        props.remove(i);
-    }
-}
-
 /// A Program Abstraction Graph: a directed property graph describing one
 /// program execution (§3.1).
 ///

@@ -380,25 +380,6 @@ impl MetricColumns {
         vc.data[row] = Some(value);
     }
 
-    /// Remove any value (scalar or vector) under `key` on `row`; true if
-    /// something was removed.
-    pub fn remove(&mut self, key: KeyId, row: usize) -> bool {
-        let mut removed = false;
-        if let Some(Some(sc)) = self.scalars.get_mut(key.index()) {
-            if sc.has(row) {
-                sc.present[row >> 6] &= !(1u64 << (row & 63));
-                sc.data[row] = 0.0;
-                removed = true;
-            }
-        }
-        if let Some(Some(vc)) = self.vecs.get_mut(key.index()) {
-            if row < vc.data.len() && vc.data[row].take().is_some() {
-                removed = true;
-            }
-        }
-        removed
-    }
-
     /// Direct access to a scalar column, if it exists.
     pub fn scalar_col(&self, key: KeyId) -> Option<&ScalarCol> {
         self.scalar(key)
@@ -615,9 +596,6 @@ mod tests {
         c.set(keys::TIME, 0, 3.0, false);
         assert_eq!(c.get_vec(keys::TIME, 0), None);
         assert_eq!(c.get(keys::TIME, 0), Some(3.0));
-        assert!(c.remove(keys::TIME, 0));
-        assert!(!c.remove(keys::TIME, 0));
-        assert_eq!(c.get(keys::TIME, 0), None);
     }
 
     #[test]

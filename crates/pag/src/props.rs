@@ -147,10 +147,7 @@ mod tests {
 
     #[test]
     fn remove_and_missing() {
-        let (mut g, v) = one_vertex();
-        g.set_vstr(v, "x", "1");
-        crate::graph::str_remove(&mut g.vertex_mut(v).sprops, "x");
-        crate::graph::str_remove(&mut g.vertex_mut(v).sprops, "x");
+        let (g, v) = one_vertex();
         assert_eq!(g.vstr(v, "x"), None);
         assert_eq!(g.metric_f64(v, mkeys::TIME), 0.0);
         assert_eq!(g.metric(v, mkeys::TIME), None);

@@ -6,43 +6,36 @@
 //! table so that parallel views — where every process replicates the same
 //! vertex names — stay compact.
 //!
-//! Two wire formats exist:
+//! The wire format is **`PAG2`**: vertex/edge records carry only labels,
+//! names and string properties; numeric metrics are written as *columnar
+//! sections* mirroring the in-memory [`MetricColumns`] layout — per key: a
+//! presence bitmap plus the packed present values. Sparse metrics
+//! therefore cost one bit per absent row instead of a keyed entry per
+//! vertex.
 //!
-//! * **`PAG2`** (current, written by [`encode`]): vertex/edge records carry
-//!   only labels, names and string properties; numeric metrics are written
-//!   as *columnar sections* mirroring the in-memory [`MetricColumns`]
-//!   layout — per key: a presence bitmap plus the packed present values.
-//!   Sparse metrics therefore cost one bit per absent row instead of a
-//!   keyed entry per vertex.
-//! * **`PAG1`** (legacy, read-only): every vertex/edge carries a full
-//!   key→value property list. Nothing writes it any more; [`decode`] accepts
-//!   both magics so snapshots written before the columnar storage landed
-//!   keep loading.
-//!
-//! Both decode paths reject input with bytes left over after a well-formed
+//! [`decode`] rejects input with bytes left over after a well-formed
 //! payload ([`DecodeError::TrailingBytes`]) so torn or concatenated
 //! snapshots fail loudly instead of silently dropping data.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::graph::{str_remove, str_set, EdgeData, Pag, StrProps, VertexData};
+use crate::graph::{str_set, EdgeData, Pag, StrProps, VertexData};
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{CallKind, CommKind, EdgeLabel, VertexLabel};
 use crate::metric::{KeyId, MetricColumns};
 use crate::ViewKind;
 
-const MAGIC_V1: &[u8; 4] = b"PAG1";
-const MAGIC_V2: &[u8; 4] = b"PAG2";
+const MAGIC: &[u8; 4] = b"PAG2";
 
-/// Value tag of a string entry in a property list (0 = int, 1 = float and
-/// 3 = float vector appear in `PAG1` lists only).
+/// Value tag of a string entry in a property list, the only tag `PAG2`
+/// lists carry.
 const TAG_STR: u8 = 2;
 
 /// Errors produced while decoding a serialized PAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Input does not start with the `PAG1`/`PAG2` magic.
+    /// Input does not start with the `PAG2` magic.
     BadMagic,
     /// Input ended before the structure was complete.
     Truncated,
@@ -283,7 +276,7 @@ pub fn encode(pag: &Pag) -> Vec<u8> {
     }
     enc.columns(pag, pag.vmetric_columns());
     enc.columns(pag, pag.emetric_columns());
-    enc.assemble(MAGIC_V2)
+    enc.assemble(MAGIC)
 }
 
 // ---------------------------------------------------------------- decoding
@@ -315,9 +308,6 @@ impl<'a> Decoder<'a> {
     fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
     fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -334,8 +324,8 @@ impl<'a> Decoder<'a> {
         Ok(Arc::from(xs.into_boxed_slice()))
     }
 
-    /// A `PAG2` string-property list. Metrics live in the columnar
-    /// sections, so any value tag but "string" is malformed.
+    /// A string-property list. Metrics live in the columnar sections, so
+    /// any value tag but "string" is malformed.
     fn str_props(&mut self) -> Result<StrProps, DecodeError> {
         let n = self.u32()?;
         let mut props = StrProps::new();
@@ -347,37 +337,6 @@ impl<'a> Decoder<'a> {
             }
         }
         Ok(props)
-    }
-
-    /// A `PAG1` property list of one vertex or edge: numeric entries are
-    /// routed into the metric columns, strings into the string properties.
-    /// A key listed twice keeps its last entry, whichever store it names.
-    fn legacy_props(&mut self, pag: &mut Pag, edges: bool, row: usize) -> Result<(), DecodeError> {
-        let n = self.u32()?;
-        for _ in 0..n {
-            let name = self.str_ref()?;
-            let tag = self.u8()?;
-            if tag == TAG_STR {
-                let value = self.str_ref()?;
-                let key = pag.key_id(&name);
-                let (cols, sprops) = pag.stores_mut(edges, row);
-                if let Some(k) = key {
-                    cols.remove(k, row);
-                }
-                str_set(sprops, &name, value);
-                continue;
-            }
-            let k = pag.intern_key(&name);
-            let (cols, sprops) = pag.stores_mut(edges, row);
-            str_remove(sprops, &name);
-            match tag {
-                0 => cols.set(k, row, self.u64()? as i64 as f64, Pag::int_kinded(k, true)),
-                1 => cols.set(k, row, self.f64()?, Pag::int_kinded(k, false)),
-                3 => cols.set_vec(k, row, self.f64s()?),
-                t => return Err(DecodeError::BadTag(t)),
-            }
-        }
-        Ok(())
     }
 
     fn string_table(&mut self) -> Result<(), DecodeError> {
@@ -432,14 +391,12 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Deserialize a PAG from bytes produced by [`encode`] (`PAG2`) or from a
-/// legacy `PAG1` snapshot. Rejects trailing bytes.
+/// Deserialize a PAG from bytes produced by [`encode`]. Rejects trailing
+/// bytes.
 pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
-    let v2 = match bytes.get(..4) {
-        Some(m) if m == MAGIC_V2 => true,
-        Some(m) if m == MAGIC_V1 => false,
-        _ => return Err(DecodeError::BadMagic),
-    };
+    if bytes.get(..4) != Some(MAGIC) {
+        return Err(DecodeError::BadMagic);
+    }
     let mut dec = Decoder {
         buf: bytes,
         pos: 4,
@@ -470,11 +427,7 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         let label = vertex_label_from_tag(dec.u8()?)?;
         let vname = dec.str_ref()?;
         let v = pag.add_vertex(label, vname);
-        if v2 {
-            pag.vertex_mut(v).sprops = dec.str_props()?;
-        } else {
-            dec.legacy_props(&mut pag, false, v.index())?;
-        }
+        pag.vertex_mut(v).sprops = dec.str_props()?;
     }
     let ne = dec.u32()? as usize;
     for _ in 0..ne {
@@ -485,16 +438,10 @@ pub fn decode(bytes: &[u8]) -> Result<Pag, DecodeError> {
         }
         let label = edge_label_from_tag(dec.u8()?)?;
         let e: EdgeId = pag.add_edge(src, dst, label);
-        if v2 {
-            pag.edge_mut(e).sprops = dec.str_props()?;
-        } else {
-            dec.legacy_props(&mut pag, true, e.index())?;
-        }
+        pag.edge_mut(e).sprops = dec.str_props()?;
     }
-    if v2 {
-        dec.columns(&mut pag, false, nv)?;
-        dec.columns(&mut pag, true, ne)?;
-    }
+    dec.columns(&mut pag, false, nv)?;
+    dec.columns(&mut pag, true, ne)?;
     if let Some(r) = root {
         if r.index() >= nv {
             return Err(DecodeError::BadIndex);
@@ -517,10 +464,6 @@ mod tests {
     use super::*;
     use crate::metric::keys as mkeys;
     use crate::props::keys;
-
-    /// The legacy snapshot the integration suite also pins (4 vertices, 3
-    /// edges, hostile names, NaN/±inf metrics, user keys, string props).
-    const PAG1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/sample_pag1.bin");
 
     fn sample() -> Pag {
         let mut g = Pag::new(ViewKind::Parallel, "ser-sample");
@@ -580,14 +523,8 @@ mod tests {
     /// Hand-assembled payload: a rootless one-process top-down PAG named
     /// `strings[0]` with one compute vertex `strings[1]` carrying `vprops`
     /// and one intra-proc self edge carrying `eprops`, then `tail`.
-    fn raw(
-        magic: &[u8; 4],
-        strings: &[&str],
-        vprops: &[RawProp],
-        eprops: &[RawProp],
-        tail: &[u8],
-    ) -> Vec<u8> {
-        let mut b = magic.to_vec();
+    fn raw(strings: &[&str], vprops: &[RawProp], eprops: &[RawProp], tail: &[u8]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
         let w32 = |b: &mut Vec<u8>, v: u32| b.extend_from_slice(&v.to_le_bytes());
         let props = |b: &mut Vec<u8>, list: &[RawProp]| {
             w32(b, list.len() as u32);
@@ -624,71 +561,8 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let g = sample();
         let bytes = encode(&g);
-        assert_eq!(&bytes[..4], MAGIC_V2);
+        assert_eq!(&bytes[..4], MAGIC);
         check_sample(&decode(&bytes).unwrap());
-    }
-
-    /// Nothing writes `PAG1` any more, so the payload is spelled out by
-    /// hand: a NaN float, an int-kinded `count`, a `time-per-proc` vector,
-    /// a user int and a string on the vertex, an int and a string on the
-    /// edge. Everything must land in the right store and survive `PAG2`.
-    #[test]
-    fn v1_roundtrip_preserves_everything() {
-        let strings: Vec<&str> = "g k time count time-per-proc debug-info k.c:1 comm-bytes user"
-            .split(' ')
-            .collect();
-        let debug_info: RawProp = (5, TAG_STR, 6u32.to_le_bytes().to_vec());
-        let vprops = [
-            (2, 1, f64s(&[f64::NAN])),
-            (3, 1, f64s(&[9.0])), // the global key's kind wins → int
-            (
-                4,
-                3,
-                [&[2, 0, 0, 0][..], &f64s(&[0.5, f64::INFINITY])].concat(),
-            ),
-            debug_info.clone(),
-            (8, 0, (-3i64).to_le_bytes().to_vec()), // user keys keep the written kind
-        ];
-        let eprops = [(7, 0, 64u64.to_le_bytes().to_vec()), debug_info];
-        let g = decode(&raw(MAGIC_V1, &strings, &vprops, &eprops, &[])).unwrap();
-        let (v, e) = (VertexId(0), EdgeId(0));
-        assert!(g.metric(v, mkeys::TIME).unwrap().is_nan());
-        assert_eq!(g.metric_i64(v, mkeys::COUNT), Some(9));
-        assert_eq!(
-            g.metric_vec(v, mkeys::TIME_PER_PROC),
-            Some(&[0.5, f64::INFINITY][..])
-        );
-        assert_eq!(g.vstr(v, keys::DEBUG_INFO), Some("k.c:1"));
-        assert_eq!(
-            g.key_id(keys::DEBUG_INFO),
-            None,
-            "strings stay out of the columns"
-        );
-        let user = g.key_id("user").unwrap();
-        assert!(!user.is_global());
-        assert_eq!(g.metric_i64(v, user), Some(-3));
-        assert_eq!(g.emetric_i64(e, mkeys::COMM_BYTES), Some(64));
-        assert_eq!(g.estr(e, keys::DEBUG_INFO), Some("k.c:1"));
-        assert_eq!(g.prop_entries(v).len(), 5);
-        // The same graph survives the current format unchanged.
-        let h = decode(&encode(&g)).unwrap();
-        assert_eq!(encode(&h), encode(&g));
-        assert_eq!(h.metric_i64(v, h.key_id("user").unwrap()), Some(-3));
-    }
-
-    #[test]
-    fn v1_duplicate_keys_keep_the_last_entry() {
-        let x = |tag, payload| (2, tag, payload);
-        let vprops = [
-            x(1, f64s(&[1.0])),
-            x(TAG_STR, 3u32.to_le_bytes().to_vec()),
-            x(0, 2u64.to_le_bytes().to_vec()),
-        ];
-        let g = decode(&raw(MAGIC_V1, &["g", "k", "x", "s"], &vprops, &[], &[])).unwrap();
-        let entries = g.prop_entries(VertexId(0));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].1.to_string(), "2");
-        assert_eq!(g.vstr(VertexId(0), "x"), None);
     }
 
     #[test]
@@ -704,7 +578,7 @@ mod tests {
             } else {
                 (vec![p], vec![])
             };
-            decode(&raw(MAGIC_V2, &strings, &vp, &ep, &empty_columns))
+            decode(&raw(&strings, &vp, &ep, &empty_columns))
         };
         for on_edge in [false, true] {
             let ok = try_decode((2, TAG_STR, 1u32.to_le_bytes().to_vec()), on_edge);
@@ -719,14 +593,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn v1_and_v2_decode_to_same_graph() {
-        let via_v1 = decode(PAG1_FIXTURE).unwrap();
-        let via_v2 = decode(&encode(&via_v1)).unwrap();
-        assert_eq!(encode(&via_v2), encode(&via_v1));
-        assert_eq!((via_v2.num_vertices(), via_v2.num_edges()), (4, 3));
     }
 
     #[test]
@@ -745,30 +611,28 @@ mod tests {
         let xs = h.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
         assert_eq!(xs[0], f64::INFINITY);
         assert!(xs[1].is_nan());
-
-        let h = decode(PAG1_FIXTURE).unwrap();
-        let xs = h.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
-        assert!(xs[1].is_nan() && xs[2] == f64::INFINITY);
-        assert!(h.emetric(EdgeId(1), mkeys::WAIT_TIME).unwrap().is_nan());
     }
 
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(decode(b"nope"), Err(DecodeError::BadMagic)));
         assert!(matches!(decode(b""), Err(DecodeError::BadMagic)));
+        // The retired row-wise `PAG1` format is no longer read.
+        let mut v1 = encode(&sample());
+        v1[..4].copy_from_slice(b"PAG1");
+        assert_eq!(decode(&v1).unwrap_err(), DecodeError::BadMagic);
     }
 
     #[test]
     fn truncation_rejected() {
-        for bytes in [encode(&sample()), PAG1_FIXTURE.to_vec()] {
-            for cut in 0..bytes.len() {
-                let want = if cut < 4 {
-                    DecodeError::BadMagic
-                } else {
-                    DecodeError::Truncated
-                };
-                assert_eq!(decode(&bytes[..cut]).unwrap_err(), want, "cut at {cut}");
-            }
+        let bytes = encode(&sample());
+        for cut in 0..bytes.len() {
+            let want = if cut < 4 {
+                DecodeError::BadMagic
+            } else {
+                DecodeError::Truncated
+            };
+            assert_eq!(decode(&bytes[..cut]).unwrap_err(), want, "cut at {cut}");
         }
     }
 
@@ -806,10 +670,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        for mut bytes in [encode(&sample()), PAG1_FIXTURE.to_vec()] {
-            bytes.push(0);
-            assert!(matches!(decode(&bytes), Err(DecodeError::TrailingBytes)));
-        }
+        let mut bytes = encode(&sample());
+        bytes.push(0);
+        assert!(matches!(decode(&bytes), Err(DecodeError::TrailingBytes)));
         // Two concatenated snapshots are not one snapshot.
         let mut twice = encode(&sample());
         twice.extend_from_slice(&encode(&sample()));

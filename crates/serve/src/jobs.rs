@@ -6,8 +6,8 @@
 //! /jobs` JSON body; records track a job from `queued` to a terminal
 //! state and render back to JSON for `GET /jobs/:id`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, Mutex};
 
 use driver::{AnalysisConfig, Paradigm, ResilienceConfig};
 use perflow::ExecPolicy;
@@ -23,8 +23,9 @@ pub enum JobKind {
     /// report cache, keyed on the run's content digest and the failure
     /// policy.
     Comm,
-    /// A perflow-query program, statically linted before admission
-    /// (`POST /query`). The string is the query text.
+    /// A perflow-query program (a `query` field in the `POST /jobs`
+    /// body), statically linted before admission. The string is the
+    /// query text.
     Query(String),
 }
 
@@ -47,11 +48,6 @@ impl JobKind {
     }
 }
 
-/// Highest accepted priority (priorities are `0..=MAX_PRIORITY`).
-pub const MAX_PRIORITY: u8 = 9;
-/// Priority assigned when a submission does not name one.
-pub const DEFAULT_PRIORITY: u8 = 4;
-
 /// Every field a `POST /jobs` body may carry; any other is refused.
 const FIELDS: &[&str] = &[
     "workload",
@@ -61,7 +57,6 @@ const FIELDS: &[&str] = &[
     "small_ranks",
     "threads",
     "seed",
-    "priority",
     "fail_policy",
     "hold_ms",
 ];
@@ -75,8 +70,6 @@ pub struct JobSpec {
     pub kind: JobKind,
     /// Run shape (ranks, threads, seed, reference-run ranks).
     pub cfg: AnalysisConfig,
-    /// Scheduling priority, `0..=9`, FIFO within equal priorities.
-    pub priority: u8,
     /// Pass-failure policy for `comm` jobs.
     pub resilience: ResilienceConfig,
     /// Debug/testing knob: hold the executor this long before running,
@@ -138,20 +131,14 @@ impl JobSpec {
                 Some(j) => j.as_u64().ok_or("`seed` must be a non-negative integer")?,
             },
         };
-        if cfg.ranks == 0 || cfg.ranks > 4096 {
-            return Err("`ranks` must be in 1..=4096".into());
+        for (name, n) in [("ranks", cfg.ranks), ("small_ranks", cfg.small_ranks)] {
+            if n == 0 || n > 4096 {
+                return Err(format!("`{name}` must be in 1..=4096"));
+            }
         }
         if cfg.threads > 256 {
             return Err("`threads` must be at most 256".into());
         }
-        let priority = match v.get("priority") {
-            None => DEFAULT_PRIORITY,
-            Some(j) => j
-                .as_u64()
-                .filter(|&n| n <= MAX_PRIORITY as u64)
-                .map(|n| n as u8)
-                .ok_or_else(|| format!("`priority` must be an integer in 0..={MAX_PRIORITY}"))?,
-        };
         let mut resilience = ResilienceConfig::default();
         if let Some(j) = v.get("fail_policy") {
             let s = j.as_str().ok_or("`fail_policy` must be a string")?;
@@ -169,7 +156,6 @@ impl JobSpec {
             workload,
             kind,
             cfg,
-            priority,
             resilience,
             hold_ms,
         })
@@ -256,7 +242,6 @@ impl JobRecord {
             ("status", Json::Str(self.status.name().into())),
             ("workload", Json::Str(self.spec.workload.clone())),
             ("paradigm", Json::Str(self.spec.kind.name().into())),
-            ("priority", Json::Num(self.spec.priority as f64)),
             ("ranks", Json::Num(self.spec.cfg.ranks as f64)),
             ("threads", Json::Num(self.spec.cfg.threads as f64)),
             ("seed", Json::Num(self.spec.cfg.seed as f64)),
@@ -311,12 +296,31 @@ impl JobRecord {
     }
 }
 
-/// Thread-safe registry of every job plus per-tenant active counts
-/// (queued + running), which back quota enforcement.
-#[derive(Default)]
+/// Why [`JobRegistry::admit`] refused a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// [`JobRegistry::close`] was called: the server is draining.
+    Draining,
+    /// The tenant already holds this many active (queued + running)
+    /// jobs, its quota.
+    Quota(usize),
+    /// The queue already holds `capacity` undispatched jobs.
+    Full,
+}
+
+/// The daemon's one job table: every record, the FIFO of queued ids,
+/// per-tenant active counts (queued + running, which back quota
+/// enforcement) and the closed flag, all behind one lock. Admission,
+/// dispatch and settling are each one critical section, so no job is
+/// ever half admitted.
 pub struct JobRegistry {
     inner: Mutex<RegistryState>,
-    /// Signaled on every terminal transition (used by drain/wait).
+    /// Maximum undispatched (queued) jobs across all tenants.
+    capacity: usize,
+    /// Signaled when a job is queued or the table closes (wakes executors).
+    ready: Condvar,
+    /// Signaled on every terminal transition and on close (wakes the
+    /// drain waiter).
     settled: Condvar,
 }
 
@@ -324,33 +328,55 @@ pub struct JobRegistry {
 struct RegistryState {
     jobs: HashMap<u64, JobRecord>,
     next_id: u64,
+    /// Ids of queued jobs, oldest first.
+    queue: VecDeque<u64>,
     active_per_tenant: HashMap<String, usize>,
     active_total: usize,
+    /// Set by [`JobRegistry::close`]: admission refuses, dispatch drains.
+    closed: bool,
 }
 
 impl JobRegistry {
+    /// An empty, open table queueing at most `capacity` jobs.
+    pub fn new(capacity: usize) -> JobRegistry {
+        JobRegistry {
+            inner: Mutex::default(),
+            capacity,
+            ready: Condvar::new(),
+            settled: Condvar::new(),
+        }
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryState> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Admit a job if the tenant is below `quota` active jobs. Returns
-    /// the new record or the tenant's current active count. `now_us` is
-    /// the admission timestamp queue wait is measured from.
+    /// Admit a job at the back of the queue, unless the table is closed,
+    /// the tenant already holds `quota` active jobs or the queue is full.
+    /// Returns the new job's id and the queue depth after the push.
+    /// `now_us` is the admission timestamp queue wait is measured from.
     pub fn admit(
         &self,
         tenant: &str,
         spec: JobSpec,
         quota: usize,
         now_us: f64,
-    ) -> Result<JobRecord, usize> {
+    ) -> Result<(u64, usize), Refusal> {
         let mut st = self.lock();
+        if st.closed {
+            return Err(Refusal::Draining);
+        }
         let active = st.active_per_tenant.get(tenant).copied().unwrap_or(0);
         if active >= quota {
-            return Err(active);
+            return Err(Refusal::Quota(active));
+        }
+        if st.queue.len() >= self.capacity {
+            return Err(Refusal::Full);
         }
         st.next_id += 1;
+        let id = st.next_id;
         let record = JobRecord {
-            id: st.next_id,
+            id,
             tenant: tenant.to_string(),
             spec,
             status: JobStatus::Queued,
@@ -360,10 +386,34 @@ impl JobRegistry {
             dispatched_us: None,
             finished_us: None,
         };
-        st.jobs.insert(record.id, record.clone());
+        st.jobs.insert(id, record);
+        st.queue.push_back(id);
         *st.active_per_tenant.entry(tenant.to_string()).or_insert(0) += 1;
         st.active_total += 1;
-        Ok(record)
+        let depth = st.queue.len();
+        drop(st);
+        self.ready.notify_one();
+        Ok((id, depth))
+    }
+
+    /// Hand an executor the oldest queued job, already marked running
+    /// with its dispatch time taken from `now_us`. Blocks while the table
+    /// is open and nothing is queued; returns `None` only once it is
+    /// closed *and* drained.
+    pub fn dispatch(&self, now_us: impl FnOnce() -> f64) -> Option<JobRecord> {
+        let mut st = self.lock();
+        loop {
+            if let Some(id) = st.queue.pop_front() {
+                let job = st.jobs.get_mut(&id).expect("a queued id has a record");
+                job.status = JobStatus::Running;
+                job.dispatched_us = Some(now_us());
+                return Some(job.clone());
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
     }
 
     /// Snapshot one job.
@@ -384,15 +434,8 @@ impl JobRegistry {
         jobs
     }
 
-    /// Mark a job running, stamping the dispatch time.
-    pub fn start(&self, id: u64, now_us: f64) {
-        if let Some(j) = self.lock().jobs.get_mut(&id) {
-            j.status = JobStatus::Running;
-            j.dispatched_us = Some(now_us);
-        }
-    }
-
-    /// Settle a job into a terminal state and release its quota slot.
+    /// Settle a dispatched job into a terminal state and release its
+    /// quota slot.
     pub fn finish(&self, id: u64, outcome: Result<JobResult, String>, now_us: f64) {
         let mut st = self.lock();
         if let Some(j) = st.jobs.get_mut(&id) {
@@ -407,25 +450,8 @@ impl JobRegistry {
                 }
             }
             j.finished_us = Some(now_us);
-            if j.dispatched_us.is_none() {
-                j.dispatched_us = Some(now_us);
-            }
             let tenant = j.tenant.clone();
             if let Some(n) = st.active_per_tenant.get_mut(&tenant) {
-                *n = n.saturating_sub(1);
-            }
-            st.active_total = st.active_total.saturating_sub(1);
-        }
-        drop(st);
-        self.settled.notify_all();
-    }
-
-    /// Remove a just-admitted job whose enqueue failed, releasing its
-    /// quota slot as if it never existed.
-    pub fn retract(&self, id: u64) {
-        let mut st = self.lock();
-        if let Some(j) = st.jobs.remove(&id) {
-            if let Some(n) = st.active_per_tenant.get_mut(&j.tenant) {
                 *n = n.saturating_sub(1);
             }
             st.active_total = st.active_total.saturating_sub(1);
@@ -440,18 +466,34 @@ impl JobRegistry {
         self.lock().active_total
     }
 
-    /// Block until no job is queued or running (used by graceful
-    /// shutdown after the queue stops accepting work).
-    pub fn wait_idle(&self) {
+    /// Undispatched jobs.
+    pub fn queued(&self) -> usize {
+        self.lock().queue.len()
+    }
+
+    /// Stop admitting and wake every blocked executor and drain waiter.
+    /// Queued jobs still come out of [`JobRegistry::dispatch`], oldest
+    /// first.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+        self.settled.notify_all();
+    }
+
+    /// True once [`JobRegistry::close`] was called.
+    pub fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Block until the table is closed and no job is queued or running
+    /// (graceful shutdown).
+    pub fn wait_drained(&self) {
         let mut st = self.lock();
-        while st.active_total > 0 {
+        while !st.closed || st.active_total > 0 {
             st = self.settled.wait(st).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
-
-/// Shareable registry handle.
-pub type Registry = Arc<JobRegistry>;
 
 #[cfg(test)]
 mod tests {
@@ -466,7 +508,7 @@ mod tests {
     fn spec_parsing_validates() {
         let ok = JobSpec::from_json(
             &Json::parse(
-                r#"{"workload":"cg","paradigm":"comm","ranks":8,"seed":7,"priority":9,
+                r#"{"workload":"cg","paradigm":"comm","ranks":8,"small_ranks":2,"seed":7,
                     "fail_policy":"isolate","hold_ms":10}"#,
             )
             .unwrap(),
@@ -474,8 +516,8 @@ mod tests {
         .unwrap();
         assert_eq!(ok.kind, JobKind::Comm);
         assert_eq!(ok.cfg.ranks, 8);
+        assert_eq!(ok.cfg.small_ranks, 2);
         assert_eq!(ok.cfg.seed, 7);
-        assert_eq!(ok.priority, 9);
         assert_eq!(ok.resilience.fail_policy, Some(ExecPolicy::Isolate));
         assert!(ok.resilience.is_active());
 
@@ -485,7 +527,8 @@ mod tests {
             r#"{"workload":"cg","paradigm":"nope"}"#,
             r#"{"workload":"cg","ranks":0}"#,
             r#"{"workload":"cg","ranks":99999}"#,
-            r#"{"workload":"cg","priority":10}"#,
+            r#"{"workload":"cg","small_ranks":0}"#,
+            r#"{"workload":"cg","small_ranks":4097}"#,
             r#"{"workload":"cg","hold_ms":999999}"#,
             r#"{"workload":"cg","fail_policy":"explode"}"#,
             r#"{"workload":"cg","seed":-1}"#,
@@ -500,7 +543,7 @@ mod tests {
         }
         // Fields the daemon does not know are refused by name, not
         // silently ignored.
-        for key in ["retries", "pass_timeout_ms", "rnaks"] {
+        for key in ["retries", "pass_timeout_ms", "priority", "rnaks"] {
             let body = format!(r#"{{"workload":"cg","paradigm":"comm","{key}":1}}"#);
             let err = JobSpec::from_json(&Json::parse(&body).unwrap()).unwrap_err();
             assert!(err.contains(&format!("`{key}`")), "{key}: {err}");
@@ -519,9 +562,9 @@ mod tests {
         );
         assert_eq!(ok.kind.name(), "query");
 
-        let reg = JobRegistry::default();
-        let rec = reg.admit("t1", ok, 1, 0.0).unwrap();
-        let j = reg.get(rec.id).unwrap().to_json(false);
+        let reg = JobRegistry::new(1);
+        let (id, _) = reg.admit("t1", ok, 1, 0.0).unwrap();
+        let j = reg.get(id).unwrap().to_json(false);
         assert_eq!(j.get("paradigm").and_then(Json::as_str), Some("query"));
         assert_eq!(
             j.get("query").and_then(Json::as_str),
@@ -539,17 +582,18 @@ mod tests {
 
     #[test]
     fn quotas_and_lifecycle() {
-        let reg = JobRegistry::default();
-        let a = reg.admit("t1", spec("cg"), 2, 10.0).unwrap();
-        let _b = reg.admit("t1", spec("bt"), 2, 11.0).unwrap();
-        assert_eq!(reg.admit("t1", spec("ep"), 2, 12.0).err(), Some(2));
+        let reg = JobRegistry::new(16);
+        let (a, _) = reg.admit("t1", spec("cg"), 2, 10.0).unwrap();
+        reg.admit("t1", spec("bt"), 2, 11.0).unwrap();
+        assert_eq!(reg.admit("t1", spec("ep"), 2, 12.0), Err(Refusal::Quota(2)));
         // Another tenant is unaffected.
         assert!(reg.admit("t2", spec("ep"), 2, 13.0).is_ok());
         assert_eq!(reg.active_total(), 3);
-        reg.start(a.id, 25.0);
-        assert_eq!(reg.get(a.id).unwrap().status, JobStatus::Running);
+        let running = reg.dispatch(|| 25.0).unwrap();
+        assert_eq!((running.id, running.status), (a, JobStatus::Running));
+        assert_eq!(reg.get(a).unwrap().dispatched_us, Some(25.0));
         reg.finish(
-            a.id,
+            a,
             Ok(JobResult {
                 report: "r".into(),
                 report_digest: 1,
@@ -558,10 +602,10 @@ mod tests {
             }),
             40.0,
         );
-        let done = reg.get(a.id).unwrap();
-        assert_eq!(done.status, JobStatus::Done);
+        let finished = reg.get(a).unwrap();
+        assert_eq!(finished.status, JobStatus::Done);
         // Queue wait is measured from HTTP admission, not dispatch.
-        let m = done.to_json(false);
+        let m = finished.to_json(false);
         let metrics = m.get("metrics").expect("terminal job carries metrics");
         assert_eq!(
             metrics.get("queue_wait_us").and_then(Json::as_f64),
@@ -577,10 +621,11 @@ mod tests {
 
     #[test]
     fn record_json_shape() {
-        let reg = JobRegistry::default();
-        let a = reg.admit("t1", spec("cg"), 1, 0.0).unwrap();
+        let reg = JobRegistry::new(1);
+        let (a, _) = reg.admit("t1", spec("cg"), 1, 0.0).unwrap();
+        reg.dispatch(|| 1.0).unwrap();
         reg.finish(
-            a.id,
+            a,
             Ok(JobResult {
                 report: "line1\nline2".into(),
                 report_digest: 0xabcd,
@@ -589,9 +634,9 @@ mod tests {
             }),
             2.0,
         );
-        let j = reg.get(a.id).unwrap().to_json(true);
+        let j = reg.get(a).unwrap().to_json(true);
         assert_eq!(j.get("status").and_then(Json::as_str), Some("done"));
-        assert_eq!(j.get("trace").and_then(Json::as_f64), Some(a.id as f64));
+        assert_eq!(j.get("trace").and_then(Json::as_f64), Some(a as f64));
         assert_eq!(
             j.get("metrics")
                 .and_then(|m| m.get("run"))
@@ -608,5 +653,123 @@ mod tests {
         // Render/parse round trip survives the embedded newline.
         let rendered = j.render();
         assert_eq!(Json::parse(&rendered).unwrap(), j);
+    }
+
+    #[test]
+    fn jobs_dispatch_in_fifo_order() {
+        let reg = JobRegistry::new(16);
+        let ids: Vec<u64> = ["cg", "bt", "ep", "ft"]
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                reg.admit(&format!("t{}", i % 2), spec(w), 4, 0.0)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let order: Vec<u64> = (0..ids.len())
+            .map(|_| reg.dispatch(|| 1.0).unwrap().id)
+            .collect();
+        assert_eq!(order, ids);
+        assert_eq!(reg.queued(), 0);
+        assert!(reg
+            .for_tenant("t0")
+            .iter()
+            .all(|j| j.status == JobStatus::Running));
+    }
+
+    #[test]
+    fn a_full_queue_refuses_without_using_an_id() {
+        let reg = JobRegistry::new(2);
+        assert_eq!(reg.admit("t", spec("cg"), 8, 0.0), Ok((1, 1)));
+        assert_eq!(reg.admit("t", spec("bt"), 8, 0.0), Ok((2, 2)));
+        assert_eq!(reg.admit("t", spec("ep"), 8, 0.0), Err(Refusal::Full));
+        assert_eq!(reg.for_tenant("t").len(), 2);
+        assert_eq!(reg.active_total(), 2);
+        // Capacity bounds queued jobs only: a dispatched job frees a slot.
+        reg.dispatch(|| 1.0).unwrap();
+        assert_eq!(reg.admit("t", spec("ep"), 8, 0.0), Ok((3, 2)));
+    }
+
+    #[test]
+    fn close_refuses_admission_and_drains_the_queue() {
+        let reg = JobRegistry::new(8);
+        let (a, _) = reg.admit("t", spec("cg"), 8, 0.0).unwrap();
+        let (b, _) = reg.admit("t", spec("bt"), 8, 0.0).unwrap();
+        reg.close();
+        assert!(reg.is_closed());
+        assert_eq!(reg.admit("t", spec("ep"), 8, 0.0), Err(Refusal::Draining));
+        assert_eq!(reg.dispatch(|| 1.0).map(|j| j.id), Some(a));
+        assert_eq!(reg.dispatch(|| 1.0).map(|j| j.id), Some(b));
+        assert!(reg.dispatch(|| 1.0).is_none());
+        assert_eq!(reg.for_tenant("t").len(), 2);
+    }
+
+    #[test]
+    fn a_blocked_dispatch_wakes_on_admit_and_on_close() {
+        let reg = &JobRegistry::new(8);
+        let (to_main, from_executor) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let executor = s.spawn(move || {
+                let mut got = Vec::new();
+                loop {
+                    to_main.send(()).unwrap();
+                    match reg.dispatch(|| 1.0) {
+                        Some(j) => got.push(j.id),
+                        None => return got,
+                    }
+                }
+            });
+            // Each step waits until the executor is about to block.
+            from_executor.recv().unwrap();
+            let (id, _) = reg.admit("t", spec("cg"), 8, 0.0).unwrap();
+            from_executor.recv().unwrap();
+            reg.close();
+            assert_eq!(executor.join().unwrap(), vec![id]);
+        });
+    }
+
+    #[test]
+    fn concurrent_admission_respects_capacity_and_quota() {
+        const CAPACITY: usize = 5;
+        const QUOTA: usize = 3;
+        let reg = JobRegistry::new(CAPACITY);
+        let start = std::sync::Barrier::new(8);
+        let outcomes: Vec<Result<(u64, usize), Refusal>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|t| {
+                    let (reg, start) = (&reg, &start);
+                    s.spawn(move || {
+                        let tenant = if t % 2 == 0 { "a" } else { "b" };
+                        start.wait();
+                        (0..2)
+                            .map(|_| reg.admit(tenant, spec("cg"), QUOTA, 0.0))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        let mut ids: Vec<u64> = outcomes
+            .iter()
+            .filter_map(|o| o.ok())
+            .map(|o| o.0)
+            .collect();
+        ids.sort_unstable();
+        // Quota allows six across the two tenants, so capacity binds.
+        assert_eq!(ids, (1..=CAPACITY as u64).collect::<Vec<_>>());
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o, Ok(_) | Err(Refusal::Full) | Err(Refusal::Quota(QUOTA)))));
+        for tenant in ["a", "b"] {
+            assert!(reg.for_tenant(tenant).len() <= QUOTA, "{tenant}");
+        }
+        // No refused admission left a record behind.
+        let records = reg.for_tenant("a").len() + reg.for_tenant("b").len();
+        assert_eq!(records, CAPACITY);
+        assert_eq!((reg.queued(), reg.active_total()), (CAPACITY, CAPACITY));
     }
 }

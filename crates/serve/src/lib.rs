@@ -3,14 +3,13 @@
 //! PerFlow's serving half: a zero-external-dependency HTTP/1.1 server
 //! (std `TcpListener` + threads, matching the workspace's no-deps
 //! style) that accepts analysis jobs and executes them through the
-//! [`driver`] crate over a bounded, priority-ordered job queue.
+//! [`driver`] crate over a bounded FIFO job queue.
 //!
 //! ## Endpoints
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /jobs` | Submit a job (JSON body: `workload`, `paradigm`, `ranks`, `small_ranks`, `threads`, `seed`, `priority`, `fail_policy`, `hold_ms`; any other field is a 400 that names it). 202 + job id. |
-//! | `POST /query` | Submit a perflow-query job (body adds a required `query` string). The query is statically linted (PF03xx) **before** admission: lint errors are a 400 with the diagnostics as JSON and nothing is enqueued or executed. 202 + job id otherwise. |
+//! | `POST /jobs` | Submit a job (JSON body: `workload`, `paradigm` or `query`, `ranks`, `small_ranks`, `threads`, `seed`, `fail_policy`, `hold_ms`; any other field is a 400 that names it). A `query` is statically linted (PF03xx) **before** admission: lint errors are a 400 with the diagnostics as JSON and nothing is enqueued or executed. 202 + job id otherwise. |
 //! | `GET /jobs/:id` | Job status; includes the report, its digest, `cached` and a per-job `metrics` latency block once done. |
 //! | `GET /jobs/:id/trace` | The job's end-to-end trace as Chrome-trace JSON: every span stamped with the job's trace id (= job id), from HTTP admission through queue wait to per-pass scheduler spans. |
 //! | `GET /jobs` | The calling tenant's jobs (no report bodies). |
@@ -33,9 +32,11 @@
 //! The `X-Api-Key` header names the tenant (`anonymous` when absent;
 //! submissions are rejected 401 when the server was started with an
 //! explicit key list). Each tenant may hold at most `tenant_quota`
-//! *active* (queued + running) jobs — the 429 path. Admitted jobs land
-//! on a bounded queue ordered by `(priority desc, arrival asc)`:
-//! strict FIFO within a priority level.
+//! *active* (queued + running) jobs — the 429 path. Admitted jobs wait
+//! in one bounded FIFO queue (503 when full) and executors take them
+//! oldest first. Records, queue, quotas and the drain flag live in one
+//! [`JobRegistry`] behind one lock, so a job is admitted, dispatched or
+//! refused in one step.
 //!
 //! ## Caching
 //!
@@ -53,8 +54,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -66,13 +66,11 @@ use simrt::RunConfig;
 pub mod cache;
 pub mod http;
 pub mod jobs;
-pub mod queue;
 
 use cache::LruMap;
 use http::{respond, Request};
-use jobs::{JobKind, JobRecord, JobRegistry, JobResult, JobSpec, Registry};
+use jobs::{JobKind, JobRecord, JobRegistry, JobResult, JobSpec, Refusal};
 use obs::json::{obj, Json};
-use queue::{JobQueue, PushError};
 
 /// Everything tunable about the daemon.
 #[derive(Debug, Clone)]
@@ -129,20 +127,26 @@ struct Shared {
     cfg: ServerConfig,
     obs: Obs,
     pflow: PerFlow,
-    registry: Registry,
-    queue: JobQueue<u64>,
+    registry: JobRegistry,
     run_cache: LruMap<RunHandle>,
     report_cache: LruMap<Arc<(String, u64)>>,
-    /// Set once shutdown begins: submissions are rejected 503.
-    draining: AtomicBool,
-    /// Signaled by `POST /shutdown` / [`Server::request_shutdown`].
-    shutdown: (Mutex<bool>, Condvar),
 }
 
 impl Shared {
+    fn new(cfg: ServerConfig) -> Shared {
+        Shared {
+            obs: Obs::enabled_with_cap(cfg.span_cap),
+            pflow: PerFlow::new(),
+            registry: JobRegistry::new(cfg.queue_capacity),
+            run_cache: LruMap::new(cfg.run_cache_capacity),
+            report_cache: LruMap::new(cfg.report_cache_capacity),
+            cfg,
+        }
+    }
+
     fn tick_queue_gauge(&self) {
         self.obs
-            .set_gauge(names::SERVE_QUEUE_DEPTH, self.queue.len() as f64);
+            .set_gauge(names::SERVE_QUEUE_DEPTH, self.registry.queued() as f64);
     }
 }
 
@@ -161,18 +165,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let obs = Obs::enabled_with_cap(cfg.span_cap);
-        let shared = Arc::new(Shared {
-            obs,
-            pflow: PerFlow::new(),
-            registry: Arc::new(JobRegistry::default()),
-            queue: JobQueue::new(cfg.queue_capacity),
-            run_cache: LruMap::new(cfg.run_cache_capacity),
-            report_cache: LruMap::new(cfg.report_cache_capacity),
-            draining: AtomicBool::new(false),
-            shutdown: (Mutex::new(false), Condvar::new()),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(cfg));
 
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
@@ -202,36 +195,22 @@ impl Server {
         &self.shared.obs
     }
 
-    /// Ask the server to shut down, as `POST /shutdown` does. Returns
-    /// immediately; pair with [`Server::wait`].
+    /// Ask the server to shut down, as `POST /shutdown` does: from here
+    /// on submissions are refused 503 while queued and running jobs
+    /// finish. Returns immediately; pair with [`Server::wait`].
     pub fn request_shutdown(&self) {
-        *self
-            .shared
-            .shutdown
-            .0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = true;
-        self.shared.shutdown.1.notify_all();
+        self.shared.registry.close();
     }
 
-    /// Block until shutdown is requested, then drain: stop accepting
-    /// submissions, let queued and running jobs finish, join every
-    /// thread, and report lifetime counters.
+    /// Block until shutdown is requested and the drain is over, then
+    /// join every thread and report lifetime counters.
     pub fn wait(mut self) -> DrainStats {
-        {
-            let (lock, cv) = &self.shared.shutdown;
-            let mut requested = lock.lock().unwrap_or_else(|p| p.into_inner());
-            while !*requested {
-                requested = cv.wait(requested).unwrap_or_else(|p| p.into_inner());
-            }
-        }
         let shared = &self.shared;
-        shared.draining.store(true, Ordering::SeqCst);
-        // Drain: queued jobs still dispatch; pop returns None once the
-        // closed queue is empty, so executors exit after their last job.
-        shared.queue.close();
-        shared.registry.wait_idle();
-        // Unblock the acceptor (it re-checks `draining` per connection).
+        // Executors exit once dispatch finds the closed table's queue
+        // empty.
+        shared.registry.wait_drained();
+        // Unblock the acceptor (it re-checks the closed flag per
+        // connection).
         let _ = TcpStream::connect(self.addr);
         if let Some(a) = self.accept.take() {
             let _ = a.join();
@@ -255,7 +234,7 @@ impl Server {
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     for stream in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) {
+        if shared.registry.is_closed() {
             // The drain's wake-up connection (or a late client): stop
             // accepting. In-flight handler threads finish on their own.
             break;
@@ -322,7 +301,6 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
                     Json::Arr(
                         [
                             "POST /jobs",
-                            "POST /query",
                             "POST /bench-diff",
                             "GET /jobs",
                             "GET /jobs/:id",
@@ -354,8 +332,7 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
             shared.tick_queue_gauge();
             (200, "text/plain; version=0.0.4", shared.obs.prometheus())
         }
-        ("POST", "/jobs") => submit(shared, req, false),
-        ("POST", "/query") => submit(shared, req, true),
+        ("POST", "/jobs") => submit(shared, req),
         ("POST", "/bench-diff") => bench_diff_endpoint(shared, req),
         ("GET", "/jobs") => match authenticate(shared, req) {
             Err((status, body)) => (status, "application/json", body),
@@ -385,10 +362,9 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
                 }
             }
             let active = shared.registry.active_total();
-            // Signal the waiter; the drain itself happens in
-            // `Server::wait`, off this connection thread.
-            *shared.shutdown.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
-            shared.shutdown.1.notify_all();
+            // The drain itself is awaited in `Server::wait`, off this
+            // connection thread.
+            shared.registry.close();
             (
                 202,
                 "application/json",
@@ -400,7 +376,6 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
             )
         }
         (_, "/jobs")
-        | (_, "/query")
         | (_, "/bench-diff")
         | (_, "/metrics")
         | (_, "/healthz")
@@ -410,15 +385,11 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
-fn submit(shared: &Arc<Shared>, req: &Request, require_query: bool) -> Response {
+fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     let tenant = match authenticate(shared, req) {
         Ok(t) => t,
         Err((status, body)) => return (status, "application/json", body),
     };
-    if shared.draining.load(Ordering::SeqCst) {
-        shared.obs.count(names::SERVE_REJECT_FULL, 1);
-        return (503, "application/json", err_body("server is draining"));
-    }
     let body = match req.body_str() {
         Ok(b) => b,
         Err(e) => return (400, "application/json", err_body(e.message())),
@@ -431,13 +402,6 @@ fn submit(shared: &Arc<Shared>, req: &Request, require_query: bool) -> Response 
         Ok(s) => s,
         Err(e) => return (400, "application/json", err_body(e)),
     };
-    if require_query && !matches!(spec.kind, JobKind::Query(_)) {
-        return (
-            400,
-            "application/json",
-            err_body("missing required string field `query`"),
-        );
-    }
     // Static gate: a query job never reaches the queue with lint
     // errors, so executors only ever see verified query programs.
     if let JobKind::Query(text) = &spec.kind {
@@ -456,61 +420,58 @@ fn submit(shared: &Arc<Shared>, req: &Request, require_query: bool) -> Response 
         }
     }
     let admitted_us = shared.obs.now_us();
-    let record = match shared
-        .registry
-        .admit(&tenant, spec, shared.cfg.tenant_quota, admitted_us)
-    {
-        Ok(r) => r,
-        Err(active) => {
-            shared.obs.count(names::SERVE_REJECT_QUOTA, 1);
-            return (
-                429,
-                "application/json",
-                obj(vec![
-                    ("error", Json::Str("tenant quota exceeded".into())),
-                    ("active", Json::Num(active as f64)),
-                    ("quota", Json::Num(shared.cfg.tenant_quota as f64)),
-                ])
-                .render(),
-            );
-        }
-    };
-    match shared.queue.push(record.spec.priority, record.id) {
-        Ok(depth) => {
-            // The job's trace starts here: a Serve-layer span stamped
-            // with the deterministic trace id (= job id).
-            shared.obs.with_trace(record.id).record_span(
-                obs::Layer::Serve,
-                "job.admit",
-                record.id as u32,
-                admitted_us,
-                shared.obs.now_us(),
-                &[("priority", record.spec.priority as f64)],
-            );
-            shared.obs.count(names::SERVE_JOBS_SUBMITTED, 1);
-            shared.obs.set_gauge(names::SERVE_QUEUE_DEPTH, depth as f64);
-            (
-                202,
-                "application/json",
-                obj(vec![
-                    ("id", Json::Num(record.id as f64)),
-                    ("status", Json::Str("queued".into())),
-                    ("tenant", Json::Str(tenant)),
-                    ("queue_depth", Json::Num(depth as f64)),
-                ])
-                .render(),
-            )
-        }
-        Err(e) => {
-            shared.registry.retract(record.id);
-            shared.obs.count(names::SERVE_REJECT_FULL, 1);
-            let msg = match e {
-                PushError::Full => "job queue is full",
-                PushError::Closed => "server is draining",
-            };
-            (503, "application/json", err_body(msg))
-        }
-    }
+    let (id, depth) =
+        match shared
+            .registry
+            .admit(&tenant, spec, shared.cfg.tenant_quota, admitted_us)
+        {
+            Ok(admitted) => admitted,
+            Err(Refusal::Quota(active)) => {
+                shared.obs.count(names::SERVE_REJECT_QUOTA, 1);
+                return (
+                    429,
+                    "application/json",
+                    obj(vec![
+                        ("error", Json::Str("tenant quota exceeded".into())),
+                        ("active", Json::Num(active as f64)),
+                        ("quota", Json::Num(shared.cfg.tenant_quota as f64)),
+                    ])
+                    .render(),
+                );
+            }
+            Err(refusal) => {
+                shared.obs.count(names::SERVE_REJECT_FULL, 1);
+                let msg = if refusal == Refusal::Full {
+                    "job queue is full"
+                } else {
+                    "server is draining"
+                };
+                return (503, "application/json", err_body(msg));
+            }
+        };
+    // The job's trace starts here: a Serve-layer span stamped with the
+    // deterministic trace id (= job id).
+    shared.obs.with_trace(id).record_span(
+        obs::Layer::Serve,
+        "job.admit",
+        id as u32,
+        admitted_us,
+        shared.obs.now_us(),
+        &[],
+    );
+    shared.obs.count(names::SERVE_JOBS_SUBMITTED, 1);
+    shared.obs.set_gauge(names::SERVE_QUEUE_DEPTH, depth as f64);
+    (
+        202,
+        "application/json",
+        obj(vec![
+            ("id", Json::Num(id as f64)),
+            ("status", Json::Str("queued".into())),
+            ("tenant", Json::Str(tenant)),
+            ("queue_depth", Json::Num(depth as f64)),
+        ])
+        .render(),
+    )
 }
 
 fn job_status(shared: &Arc<Shared>, req: &Request, id_text: &str) -> Response {
@@ -628,25 +589,24 @@ fn bench_diff_endpoint(shared: &Arc<Shared>, req: &Request) -> Response {
 // ---------------------------------------------------------------------------
 
 fn executor_loop(shared: &Arc<Shared>) {
-    while let Some(id) = shared.queue.pop() {
+    while let Some(record) = shared.registry.dispatch(|| shared.obs.now_us()) {
         shared.tick_queue_gauge();
-        let Some(record) = shared.registry.get(id) else {
-            continue;
-        };
+        let id = record.id;
         // Everything this job does — including the core scheduler's
         // per-pass spans — records through a trace-scoped handle, so
         // `/jobs/:id/trace` can filter one connected tree back out.
         let jobobs = shared.obs.with_trace(id);
         let lane = id as u32;
-        let dispatched_us = jobobs.now_us();
-        shared.registry.start(id, dispatched_us);
+        let dispatched_us = record
+            .dispatched_us
+            .expect("dispatch stamps the dispatch time");
         jobobs.record_span(
             obs::Layer::Serve,
             "job.queue_wait",
             lane,
             record.admitted_us.min(dispatched_us),
             dispatched_us,
-            &[("priority", record.spec.priority as f64)],
+            &[],
         );
         if record.spec.hold_ms > 0 {
             std::thread::sleep(Duration::from_millis(record.spec.hold_ms));
@@ -671,7 +631,7 @@ fn executor_loop(shared: &Arc<Shared>) {
             lane,
             record.admitted_us.min(dispatched_us),
             finished_us,
-            &[("priority", record.spec.priority as f64)],
+            &[],
         );
         let queue_wait = (dispatched_us - record.admitted_us).max(0.0);
         let exec = (finished_us - dispatched_us).max(0.0);
@@ -792,19 +752,16 @@ fn execute(shared: &Arc<Shared>, record: &JobRecord, obs: &Obs) -> Result<JobRes
     })
 }
 
-// Re-export the pieces front-ends and tests need.
-pub use jobs::{JobKind as ServeJobKind, JobStatus as ServeJobStatus};
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Admit `body` as a job of `server` and run it through the cache
-    /// layers on this thread.
-    fn run_job(server: &Server, body: &str) -> JobSpec {
+    /// Admit `body` as a job and run it through the cache layers on
+    /// this thread.
+    fn run_job(shared: &Arc<Shared>, body: &str) -> JobSpec {
         let spec = JobSpec::from_json(&Json::parse(body).unwrap()).unwrap();
-        let shared = &server.shared;
-        let record = shared.registry.admit("t", spec, 1, 0.0).unwrap();
+        shared.registry.admit("t", spec, 1, 0.0).unwrap();
+        let record = shared.registry.dispatch(|| 0.0).unwrap();
         let outcome = execute(shared, &record, &Obs::disabled());
         assert!(outcome.is_ok(), "{outcome:?}");
         shared.registry.finish(record.id, outcome, 0.0);
@@ -813,27 +770,25 @@ mod tests {
 
     #[test]
     fn a_run_evicted_from_the_run_cache_is_freed() {
-        let server = Server::start(ServerConfig {
-            workers: 1,
+        // No executor threads: the jobs run on this thread.
+        let shared = Arc::new(Shared::new(ServerConfig {
             run_cache_capacity: 1,
             ..ServerConfig::default()
-        })
-        .unwrap();
+        }));
         let comm = run_job(
-            &server,
+            &shared,
             r#"{"workload":"cg","paradigm":"comm","ranks":2,"threads":2,"seed":5}"#,
         );
-        let run = server.shared.run_cache.get(comm.sim_fingerprint()).unwrap();
+        let run = shared.run_cache.get(comm.sim_fingerprint()).unwrap();
         let weak = Arc::downgrade(&run);
         drop(run);
         run_job(
-            &server,
+            &shared,
             r#"{"workload":"cg","paradigm":"hotspot","ranks":2,"threads":2,"seed":6}"#,
         );
         assert!(
             weak.upgrade().is_none(),
             "nothing may keep a run alive once the run cache evicted it"
         );
-        server.shutdown();
     }
 }

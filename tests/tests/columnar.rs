@@ -1,14 +1,10 @@
 //! Columnar-storage compatibility suite (ISSUE 7): PAG2 wire round-trips
-//! under hostile inputs and the checked-in legacy PAG1 fixture.
+//! under hostile inputs.
 
 use proptest::prelude::*;
 
-use pag::serialize::{decode, encode, DecodeError};
-use pag::{mkeys, EdgeId, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
-
-/// A legacy PAG1 snapshot checked in before the columnar migration.
-/// Readers must keep accepting it forever.
-const PAG1_FIXTURE: &[u8] = include_bytes!("../fixtures/sample_pag1.bin");
+use pag::serialize::{decode, encode};
+use pag::{mkeys, EdgeLabel, Pag, VertexId, VertexLabel, ViewKind};
 
 // --------------------------------------------------------------- proptests
 
@@ -124,68 +120,5 @@ proptest! {
                 _ => prop_assert!(false, "vector column presence changed"),
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------- fixture
-
-#[test]
-fn pag1_fixture_still_decodes() {
-    let g = decode(PAG1_FIXTURE).expect("legacy PAG1 snapshot must stay readable");
-    assert_eq!((g.num_vertices(), g.num_edges()), (4, 3));
-    assert_eq!((g.num_procs(), g.threads_per_proc()), (3, 2));
-    assert_eq!(g.root(), Some(VertexId(0)));
-    // Its metrics landed in the columnar store, its strings in `vstr`.
-    assert_eq!(g.metric(VertexId(0), mkeys::TIME), Some(3.25));
-    assert_eq!(g.metric_i64(VertexId(0), mkeys::COUNT), Some(7));
-    let per_proc = g.metric_vec(VertexId(0), mkeys::TIME_PER_PROC).unwrap();
-    assert_eq!((per_proc[0], per_proc[2]), (1.0, f64::INFINITY));
-    assert!(per_proc[1].is_nan());
-    assert_eq!(g.metric_i64(VertexId(1), mkeys::COMM_BYTES), Some(-9));
-    assert_eq!(
-        g.metric(VertexId(1), mkeys::WAIT_TIME),
-        Some(f64::NEG_INFINITY)
-    );
-    assert_eq!(
-        g.vstr(VertexId(1), pag::keys::DEBUG_INFO),
-        Some("main.c:42")
-    );
-    let user = g.key_id("user-key ∆").expect("user key interned");
-    assert_eq!(g.metric(VertexId(2), user), Some(0.5));
-    assert_eq!(
-        g.vstr(VertexId(2), "user-str"),
-        Some("ünïcode \"quoted\"\nnewline")
-    );
-    let empty = g.key_id("empty-vec").expect("user vector key interned");
-    assert_eq!(g.metric_vec(VertexId(3), empty), Some(&[][..]));
-    assert_eq!(g.emetric_i64(EdgeId(0), mkeys::COMM_BYTES), Some(4096));
-    assert_eq!(g.estr(EdgeId(0), "edge-str"), Some("weight\\label"));
-    assert!(g.emetric(EdgeId(1), mkeys::WAIT_TIME).unwrap().is_nan());
-    // The modern format round-trips the same graph.
-    let v2 = encode(&g);
-    let d2 = decode(&v2).unwrap();
-    assert_eq!(encode(&d2), v2);
-    for v in g.vertex_ids() {
-        assert_eq!(
-            format!("{:?}", d2.prop_entries(v)),
-            format!("{:?}", g.prop_entries(v))
-        );
-    }
-}
-
-#[test]
-fn pag1_fixture_with_trailing_bytes_is_rejected() {
-    // Torn the other way: no prefix decodes (and none panics).
-    for cut in 0..PAG1_FIXTURE.len() {
-        assert!(
-            decode(&PAG1_FIXTURE[..cut]).is_err(),
-            "prefix {cut} decoded"
-        );
-    }
-    let mut padded = PAG1_FIXTURE.to_vec();
-    padded.push(0);
-    match decode(&padded) {
-        Err(DecodeError::TrailingBytes) => {}
-        other => panic!("expected TrailingBytes, got {other:?}"),
     }
 }

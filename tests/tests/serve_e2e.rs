@@ -1,6 +1,6 @@
 //! End-to-end exercise of the `perflow-serve` daemon over real sockets:
-//! concurrent multi-tenant submissions, quota enforcement, the
-//! fingerprint-keyed report cache, and graceful drain.
+//! concurrent multi-tenant submissions, quota and queue-capacity
+//! enforcement, the fingerprint-keyed report cache, and graceful drain.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -253,7 +253,7 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     // record exists and no pass executes.
     let bad = r#"{"workload":"cg","ranks":2,"threads":2,"seed":3,
                   "query":"from vertices | filter tme > 10 | select name"}"#;
-    let (s, body) = http(addr, "POST", "/query", &[("X-Api-Key", "t")], Some(bad));
+    let (s, body) = http(addr, "POST", "/jobs", &[("X-Api-Key", "t")], Some(bad));
     assert_eq!(s, 400, "{body}");
     let j = Json::parse(&body).expect("diagnostics body must be valid JSON");
     assert_eq!(j.get("error").and_then(Json::as_str), Some("invalid query"));
@@ -263,24 +263,9 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     let (_, jobs) = http(addr, "GET", "/jobs", &[("X-Api-Key", "t")], None);
     assert_eq!(jobs.trim(), r#"{"jobs":[]}"#, "rejected query was enqueued");
 
-    // The same lint gates query specs on the generic /jobs route too.
-    let (s, body) = http(addr, "POST", "/jobs", &[("X-Api-Key", "t")], Some(bad));
-    assert_eq!(s, 400, "{body}");
-    assert!(body.contains("PF0301"), "{body}");
-
-    // /query without a query field is a 400, not a default paradigm.
-    let (s, body) = http(
-        addr,
-        "POST",
-        "/query",
-        &[("X-Api-Key", "t")],
-        Some(&job_spec("cg")),
-    );
-    assert_eq!(s, 400, "{body}");
-    assert!(
-        body.contains("missing required string field `query`"),
-        "{body}"
-    );
+    // `POST /jobs` is the one submission route.
+    let (s, body) = http(addr, "POST", "/query", &[("X-Api-Key", "t")], Some(bad));
+    assert_eq!(s, 404, "{body}");
 
     // A clean query executes and digests identically to the built-in
     // hotspot paradigm over the same run shape.
@@ -289,7 +274,7 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     let (s, j) = http(
         addr,
         "POST",
-        "/query",
+        "/jobs",
         &[("X-Api-Key", "t")],
         Some(query_spec),
     );
@@ -325,7 +310,7 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     let (s, j) = http(
         addr,
         "POST",
-        "/query",
+        "/jobs",
         &[("X-Api-Key", "t")],
         Some(query_spec),
     );
@@ -343,6 +328,60 @@ fn query_endpoint_lints_before_enqueue_and_matches_the_paradigm() {
     );
 
     server.shutdown();
+}
+
+#[test]
+fn a_full_queue_refuses_with_503_and_keeps_no_record() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let held = r#"{"workload":"ep","paradigm":"hotspot","ranks":2,"threads":2,"hold_ms":2000}"#;
+    let (s, j) = submit(addr, "t", held);
+    assert_eq!(s, 202, "{}", j.render());
+    let running = j.get("id").and_then(Json::as_u64).unwrap();
+    // Wait until the one executor holds the first job, so the queue is
+    // empty again.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, body) = http(
+            addr,
+            "GET",
+            &format!("/jobs/{running}"),
+            &[("X-Api-Key", "t")],
+            None,
+        );
+        let status = Json::parse(&body).unwrap();
+        if status.get("status").and_then(Json::as_str) == Some("running") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job never started: {body}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (s, j) = submit(addr, "t", &job_spec("cg"));
+    assert_eq!(s, 202, "{}", j.render());
+    assert_eq!(j.get("queue_depth").and_then(Json::as_u64), Some(1));
+    let (s, j) = submit(addr, "t", &job_spec("bt"));
+    assert_eq!(s, 503, "{}", j.render());
+    assert_eq!(
+        j.get("error").and_then(Json::as_str),
+        Some("job queue is full")
+    );
+    let (_, jobs) = http(addr, "GET", "/jobs", &[("X-Api-Key", "t")], None);
+    let Some(Json::Arr(listed)) = Json::parse(&jobs).unwrap().get("jobs").cloned() else {
+        panic!("no jobs array: {jobs}");
+    };
+    assert_eq!(listed.len(), 2, "{jobs}");
+    // The refused submission used up no job id.
+    wait_done(addr, "t", running, 60);
+    let (s, j) = submit(addr, "t", &job_spec("bt"));
+    assert_eq!(s, 202, "{}", j.render());
+    assert_eq!(j.get("id").and_then(Json::as_u64), Some(running + 2));
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.failed), (3, 0));
 }
 
 #[test]
