@@ -5,20 +5,20 @@
 //! profiles of two scales expose scalability losses (Coarfa et al.). What
 //! it does *not* do is explain propagation: "the root cause of poor
 //! scalability and the underlying reasons cannot be easily obtained"
-//! (§5.3). This module reproduces both the hotspot and the scaling-loss
-//! views from [`collect::ProfiledRun`] data.
+//! (§5.3). This module reproduces the scaling-loss view from
+//! [`collect::ProfiledRun`] data.
 
 use collect::ProfiledRun;
 use pag::{keys, mkeys, VertexId};
 
-/// One hotspot / scaling row.
+/// One scaling-loss row.
 #[derive(Debug, Clone)]
 pub struct HpcRow {
     /// Code snippet name.
     pub name: String,
     /// Debug info (`file:line`).
     pub site: String,
-    /// Metric value (inclusive µs, or µs of loss).
+    /// µs of loss.
     pub value: f64,
     /// Percentage of total.
     pub pct: f64,
@@ -27,7 +27,7 @@ pub struct HpcRow {
 /// The HPCToolkit-style report.
 #[derive(Debug, Clone)]
 pub struct HpcToolkitReport {
-    /// Report kind ("hotspots" or "scaling losses").
+    /// Report kind ("scaling losses").
     pub kind: &'static str,
     /// Rows sorted by value descending.
     pub rows: Vec<HpcRow>,
@@ -47,10 +47,6 @@ impl HpcToolkitReport {
     }
 }
 
-fn self_time(run: &ProfiledRun, v: VertexId) -> f64 {
-    run.pag.metric_f64(v, mkeys::SELF_TIME)
-}
-
 fn row(run: &ProfiledRun, v: VertexId, value: f64, total: f64) -> HpcRow {
     HpcRow {
         name: run.pag.vertex_name(v).to_string(),
@@ -61,31 +57,6 @@ fn row(run: &ProfiledRun, v: VertexId, value: f64, total: f64) -> HpcRow {
             .to_string(),
         value,
         pct: 100.0 * value / total.max(1e-12),
-    }
-}
-
-/// Loop/kernel-level hotspots by exclusive (self) sampled time.
-pub fn hpctoolkit_profile(run: &ProfiledRun, top_n: usize) -> HpcToolkitReport {
-    let total: f64 = run
-        .pag
-        .vertex_ids()
-        .map(|v| self_time(run, v))
-        .sum::<f64>()
-        .max(1e-12);
-    let mut rows: Vec<(VertexId, f64)> = run
-        .pag
-        .vertex_ids()
-        .map(|v| (v, self_time(run, v)))
-        .filter(|&(_, t)| t > 0.0)
-        .collect();
-    rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    rows.truncate(top_n);
-    HpcToolkitReport {
-        kind: "hotspots",
-        rows: rows
-            .into_iter()
-            .map(|(v, t)| row(run, v, t, total))
-            .collect(),
     }
 }
 
@@ -145,16 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn hotspots_sorted_by_self_time() {
-        let run = collect::profile(&prog(), &RunConfig::new(2)).unwrap();
-        let report = hpctoolkit_profile(&run, 5);
-        assert!(!report.rows.is_empty());
-        assert_eq!(report.rows[0].name, "kernel");
-        assert!(report.rows[0].pct > 30.0);
-        assert!(report.render().contains("hpcviewer"));
-    }
-
-    #[test]
     fn scaling_losses_rank_serial_section_first() {
         let small = collect::profile(&prog(), &RunConfig::new(2)).unwrap();
         let large = collect::profile(&prog(), &RunConfig::new(16)).unwrap();
@@ -163,5 +124,6 @@ mod tests {
         // The non-scaling serial section (or the allreduce waits it
         // causes) tops the loss list; the well-scaling kernel must not.
         assert_ne!(report.rows[0].name, "kernel", "{:?}", report.rows);
+        assert!(report.render().contains("hpcviewer: scaling losses"));
     }
 }

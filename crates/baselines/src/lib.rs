@@ -8,8 +8,8 @@
 //! * [`mpip`] — a lightweight PMPI-wrapper statistical profiler: per
 //!   call-site communication statistics, no analysis.
 //! * [`hpctoolkit`] — a sampling profiler with calling-context
-//!   attribution: flat/loop-level hotspots plus a two-run scaling-loss
-//!   ranking (its `hpcprof` differential mode).
+//!   attribution: a two-run scaling-loss ranking (its `hpcprof`
+//!   differential mode).
 //! * [`scalasca`] — a tracing tool: full event traces, automatic
 //!   wait-state classification (Late Sender, Wait at Collective), and the
 //!   measured overhead/storage that tracing costs.
@@ -24,7 +24,7 @@ pub mod mpip;
 pub mod scalana;
 pub mod scalasca;
 
-pub use hpctoolkit::{hpctoolkit_profile, hpctoolkit_scaling, HpcToolkitReport};
+pub use hpctoolkit::{hpctoolkit_scaling, HpcToolkitReport};
 pub use mpip::{mpip_profile, MpipReport};
 pub use scalana::{scalana_analyze, ScalAnaReport};
 pub use scalasca::{scalasca_trace, ScalascaReport, WaitState};

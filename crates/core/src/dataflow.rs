@@ -56,9 +56,9 @@ pub struct PerFlowGraph {
 /// Under [`ExecPolicy::Isolate`] a run can complete *degraded*: failed
 /// nodes are listed in [`Outputs::failures`], their transitive
 /// downstream in [`Outputs::skipped`], and neither contributes values
-/// or trail entries — [`Outputs::try_of`] on them returns
-/// [`PerFlowError::MissingOutput`]. Human-readable degraded-data
-/// warnings accumulate in [`Outputs::warnings`].
+/// or trail entries — [`Outputs::of`] on them returns an empty slice.
+/// Human-readable degraded-data warnings accumulate in
+/// [`Outputs::warnings`].
 #[derive(Debug, Default)]
 pub struct Outputs {
     values: HashMap<NodeId, Vec<Value>>,
@@ -78,21 +78,10 @@ pub struct Outputs {
 }
 
 impl Outputs {
-    /// The outputs of one node (empty slice when the node is unknown —
-    /// prefer [`Outputs::try_of`] to distinguish "no outputs" from "no
-    /// such node").
+    /// The outputs of one node (empty slice when the node is unknown or
+    /// left no outputs).
     pub fn of(&self, node: NodeId) -> &[Value] {
         self.values.get(&node).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// The outputs of one node, failing with
-    /// [`PerFlowError::MissingOutput`] when the node was not part of the
-    /// executed graph.
-    pub fn try_of(&self, node: NodeId) -> Result<&[Value], PerFlowError> {
-        self.values
-            .get(&node)
-            .map(|v| v.as_slice())
-            .ok_or(PerFlowError::MissingOutput { node: node.0 })
     }
 
     /// Convenience: the first output of a node as a vertex set.
@@ -998,10 +987,7 @@ mod tests {
         // The independent branch completed with its value.
         assert_eq!(out.of(ok)[0].as_num(), Some(42.0));
         // Failed/skipped nodes have no outputs and no trail entry.
-        assert!(matches!(
-            out.try_of(sink),
-            Err(PerFlowError::MissingOutput { .. })
-        ));
+        assert!(out.of(sink).is_empty());
         assert!(!out.trail.contains(&"boom".to_string()));
         assert!(!out.trail.contains(&"sink".to_string()));
         // Degraded-data warnings name both the failure and the skip.

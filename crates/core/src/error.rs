@@ -40,12 +40,6 @@ pub enum PerFlowError {
         /// The offending id.
         node: usize,
     },
-    /// No outputs were recorded for a node — it does not exist in the
-    /// executed graph (raised by [`crate::dataflow::Outputs::try_of`]).
-    MissingOutput {
-        /// The node whose outputs were requested.
-        node: usize,
-    },
     /// A pass panicked during execution. The scheduler catches the
     /// unwind and converts it into this structured error, so one bad
     /// pass cannot take the whole run down with it.
@@ -100,9 +94,6 @@ impl std::fmt::Display for PerFlowError {
                 write!(f, "node {node} port {port} has multiple producers")
             }
             PerFlowError::BadNode { node } => write!(f, "unknown node id {node}"),
-            PerFlowError::MissingOutput { node } => {
-                write!(f, "no outputs recorded for node {node}")
-            }
             PerFlowError::PassPanicked { pass, payload } => {
                 write!(f, "pass {pass} panicked: {payload}")
             }
@@ -173,10 +164,6 @@ mod tests {
                 &["node 3", "port 0"],
             ),
             (PerFlowError::BadNode { node: 9 }, &["node id 9"]),
-            (
-                PerFlowError::MissingOutput { node: 4 },
-                &["no outputs", "node 4"],
-            ),
             (
                 PerFlowError::PassPanicked {
                     pass: "breakdown_analysis".into(),

@@ -35,14 +35,6 @@ pub enum QueryOutput {
 }
 
 impl QueryOutput {
-    /// The vertex set, when the query had no terminal stage.
-    pub fn as_set(&self) -> Option<&VertexSet> {
-        match self {
-            QueryOutput::Set(s) => Some(s),
-            QueryOutput::Report(_) => None,
-        }
-    }
-
     /// Convert to a report. Terminal stages already built one; a bare
     /// vertex set renders with the default attribute columns.
     pub fn into_report(self) -> Report {
@@ -450,8 +442,9 @@ mod tests {
              | join union (from vertices | filter name == \"kernel\")",
         )
         .unwrap();
-        let out = execute_query(&q, &run).unwrap();
-        let set = out.as_set().unwrap();
+        let Ok(QueryOutput::Set(set)) = execute_query(&q, &run) else {
+            panic!("a query without a terminal stage yields a set");
+        };
         assert!(set.len() >= 2, "union should hold MPI calls plus kernel");
         let q = Query::parse("from vertices | join minus (from vertices) | select name").unwrap();
         let out = execute_query(&q, &run).unwrap().into_report();
@@ -486,7 +479,9 @@ mod tests {
         let r = execute_query(&q, &run).unwrap().into_report();
         assert!(!r.rows.is_empty(), "rank 2 has vertices");
         let q = Query::parse("from parallel | filter proc >= 100").unwrap();
-        let out = execute_query(&q, &run).unwrap();
-        assert!(out.as_set().unwrap().is_empty());
+        let Ok(QueryOutput::Set(set)) = execute_query(&q, &run) else {
+            panic!("a query without a terminal stage yields a set");
+        };
+        assert!(set.is_empty());
     }
 }

@@ -188,29 +188,6 @@ impl VertexSet {
         self.scores.insert(v, score);
         self
     }
-
-    /// Extract the member-induced subgraph as a new detached set — the
-    /// PAG-transforming low-level operation (§4.3.1): the result carries
-    /// copies of the members (with properties and scores) plus every edge
-    /// between them, cut loose from the original run.
-    pub fn extract(&self) -> VertexSet {
-        let (sub, map) = self.graph.pag().induced_subgraph(&self.ids);
-        let ids: Vec<VertexId> = self
-            .ids
-            .iter()
-            .filter_map(|v| map.get(v).copied())
-            .collect();
-        let scores = self
-            .scores
-            .iter()
-            .filter_map(|(v, &s)| map.get(v).map(|&nv| (nv, s)))
-            .collect();
-        VertexSet {
-            graph: GraphRef::Detached(std::sync::Arc::new(sub)),
-            ids,
-            scores,
-        }
-    }
 }
 
 /// A set of PAG edges.
@@ -405,25 +382,6 @@ mod tests {
         assert_eq!(top.scores.len(), 1);
         let filtered = set.filter_metric("score", 0.6);
         assert_eq!(filtered.len(), 1);
-    }
-
-    #[test]
-    fn extract_cuts_out_a_detached_subgraph() {
-        let g = detached();
-        let set = g
-            .all_vertices()
-            .filter_name("MPI_*")
-            .with_score(VertexId(1), 0.7);
-        let sub = set.extract();
-        assert_eq!(sub.len(), 2);
-        assert!(matches!(sub.graph, GraphRef::Detached(_)));
-        assert!(!sub.graph.same_graph(&set.graph));
-        // Properties and scores survive the cut.
-        let send = sub.graph.pag().find_by_name("MPI_Send")[0];
-        assert_eq!(sub.graph.pag().vertex_time(send), 5.0);
-        assert_eq!(sub.score(send), 0.7);
-        // Only internal edges survive (none between the two MPI calls).
-        assert_eq!(sub.graph.pag().num_edges(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # Analysis driver
 //!
-//! The reusable layer between a front-end (the CLI today, `perflow-serve`
-//! tomorrow) and the perflow library: workload selection, paradigm
+//! The reusable layer between the front-ends (`perflow-cli`, `perflow-serve`)
+//! and the perflow library: run-size bounds, workload selection, paradigm
 //! assembly, lint collection and the observed comm-analysis session.
 //! Front-ends parse arguments and print; everything that decides *what
 //! to run* lives here so it can be driven programmatically.
@@ -142,6 +142,20 @@ impl Default for AnalysisConfig {
             threads: 1,
             seed: 0x5EED,
         }
+    }
+}
+
+impl AnalysisConfig {
+    /// Check the run sizes every front-end accepts: `ranks` and
+    /// `small_ranks` in 1..=4096, `threads` in 1..=256.
+    pub fn check_bounds(&self) -> Result<(), DriverError> {
+        let check = |field: &str, n: u32, max: u32| {
+            let err = || DriverError(format!("`{field}` must be in 1..={max}, got {n}"));
+            (1..=max).contains(&n).then_some(()).ok_or_else(err)
+        };
+        check("ranks", self.ranks, 4096)?;
+        check("small_ranks", self.small_ranks, 4096)?;
+        check("threads", self.threads, 256)
     }
 }
 
@@ -581,6 +595,61 @@ mod tests {
     }
 
     #[test]
+    fn run_sizes_are_bounded_by_field() {
+        let ok = AnalysisConfig {
+            ranks: 4096,
+            small_ranks: 1,
+            threads: 256,
+            ..AnalysisConfig::default()
+        };
+        assert_eq!(ok.check_bounds(), Ok(()));
+        assert_eq!(AnalysisConfig::default().check_bounds(), Ok(()));
+        for (field, bad) in [
+            (
+                "ranks",
+                AnalysisConfig {
+                    ranks: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "ranks",
+                AnalysisConfig {
+                    ranks: 4097,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "small_ranks",
+                AnalysisConfig {
+                    small_ranks: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "threads",
+                AnalysisConfig {
+                    threads: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "threads",
+                AnalysisConfig {
+                    threads: 257,
+                    ..ok.clone()
+                },
+            ),
+        ] {
+            let err = bad.check_bounds().unwrap_err().0;
+            assert!(
+                err.starts_with(&format!("`{field}` must be in 1..=")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn workload_lookup_and_aliases() {
         for name in WORKLOAD_NAMES {
             assert!(workload(name).is_some(), "missing workload {name}");
@@ -833,7 +902,7 @@ mod tests {
             assert!(!out.trail.is_empty(), "{name} ran nothing");
             for i in 0..graph.len() {
                 let node = perflow::NodeId(i);
-                assert!(out.try_of(node).is_ok(), "{name}: node {i} left no outputs");
+                assert!(!out.of(node).is_empty(), "{name}: node {i} left no outputs");
             }
         }
     }

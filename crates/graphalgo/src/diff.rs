@@ -99,29 +99,6 @@ pub fn graph_difference_scaled(
     Ok(out)
 }
 
-/// Plain difference `left - right` (scale 1.0).
-pub fn graph_difference(left: &Pag, right: &Pag, metrics: &[&str]) -> Result<Pag, DiffError> {
-    graph_difference_scaled(left, right, metrics, 1.0)
-}
-
-/// Convenience: the vertices of a difference graph sorted by a metric,
-/// hottest first. Ties are broken by vertex id for determinism.
-pub fn hottest_differences(diff: &Pag, metric: &str, n: usize) -> Vec<(VertexId, f64)> {
-    let key = diff.key_id(metric);
-    let mut v: Vec<(VertexId, f64)> = diff
-        .vertex_ids()
-        .map(|id| {
-            let x = key.and_then(|k| diff.metric(id, k)).unwrap_or(0.0);
-            (id, x)
-        })
-        .collect();
-    // NaN differences (degraded or corrupted metrics) sort last instead
-    // of panicking; ids still break ties for determinism.
-    v.sort_by(|a, b| pag::desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
-    v.truncate(n);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +121,7 @@ mod tests {
     fn positional_difference() {
         let a = run("a", &[10.0, 5.0, 1.0]);
         let b = run("b", &[9.0, 1.0, 1.0]);
-        let d = graph_difference(&a, &b, &[keys::TIME]).unwrap();
+        let d = graph_difference_scaled(&a, &b, &[keys::TIME], 1.0).unwrap();
         assert_eq!(d.num_vertices(), 3);
         assert_eq!(d.num_edges(), 2);
         assert_eq!(d.vertex_time(VertexId(0)), 1.0);
@@ -159,10 +136,13 @@ mod tests {
         // — the paper's MPI_Reduce example (Fig. 7).
         let small = run("small", &[10.0, 1.0, 2.0]);
         let large = run("large", &[11.0, 7.0, 2.5]);
-        let d = graph_difference(&large, &small, &[keys::TIME]).unwrap();
-        let hot = hottest_differences(&d, keys::TIME, 1);
-        assert_eq!(hot[0].0, VertexId(1));
-        assert!((hot[0].1 - 6.0).abs() < 1e-12);
+        let d = graph_difference_scaled(&large, &small, &[keys::TIME], 1.0).unwrap();
+        let hot = d
+            .vertex_ids()
+            .max_by(|&a, &b| d.vertex_time(a).total_cmp(&d.vertex_time(b)))
+            .unwrap();
+        assert_eq!(hot, VertexId(1));
+        assert!((d.vertex_time(hot) - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -181,7 +161,7 @@ mod tests {
         let a = run("a", &[1.0, 2.0]);
         let b = run("b", &[1.0]);
         assert_eq!(
-            graph_difference(&a, &b, &[keys::TIME]).unwrap_err(),
+            graph_difference_scaled(&a, &b, &[keys::TIME], 1.0).unwrap_err(),
             DiffError::VertexCountMismatch { left: 2, right: 1 }
         );
     }
@@ -192,7 +172,7 @@ mod tests {
         let mut b = Pag::new(ViewKind::TopDown, "b");
         b.add_vertex(VertexLabel::Compute, "n0");
         b.add_vertex(VertexLabel::Compute, "DIFFERENT");
-        let err = graph_difference(&a, &b, &[keys::TIME]).unwrap_err();
+        let err = graph_difference_scaled(&a, &b, &[keys::TIME], 1.0).unwrap_err();
         assert_eq!(
             err,
             DiffError::SkeletonMismatch {
@@ -206,26 +186,7 @@ mod tests {
         let mut a = Pag::new(ViewKind::TopDown, "a");
         a.add_vertex(VertexLabel::Compute, "n0");
         let b = run("b", &[3.0]);
-        let d = graph_difference(&a, &b, &[keys::TIME]).unwrap();
+        let d = graph_difference_scaled(&a, &b, &[keys::TIME], 1.0).unwrap();
         assert_eq!(d.vertex_time(VertexId(0)), -3.0);
-    }
-
-    #[test]
-    fn hottest_differences_survive_nan() {
-        let mut d = run("d", &[5.0, 2.0, 8.0]);
-        d.set_metric(VertexId(1), mkeys::TIME, f64::NAN);
-        let hot = hottest_differences(&d, keys::TIME, 10);
-        assert_eq!(hot.len(), 3);
-        assert_eq!(hot[0].0, VertexId(2));
-        assert_eq!(hot[1].0, VertexId(0));
-        assert!(hot[2].1.is_nan(), "NaN sorts last, not first");
-        // Deterministic under repetition.
-        assert_eq!(
-            hottest_differences(&d, keys::TIME, 10)
-                .iter()
-                .map(|x| x.0)
-                .collect::<Vec<_>>(),
-            hot.iter().map(|x| x.0).collect::<Vec<_>>()
-        );
     }
 }

@@ -4,10 +4,12 @@
 //! goal of the LCA algorithm is to search the deepest vertex that has both
 //! v and w as descendants in a tree or directed acyclic graph" (§4.3.2-C).
 //!
-//! [`LcaIndex`] precomputes, per query-relevant edge set, each vertex's
-//! ancestor set (as compact bitsets) and its depth (longest distance from
-//! the root), so repeated LCA queries — causal analysis runs LCA over every
-//! pair of buggy vertices — stay cheap.
+//! Causal analysis runs [`lca_bfs`] over every pair of buggy vertices:
+//! two backward BFS walks per pair, memory linear in the ancestors they
+//! reach, so it scales to parallel views of any size. [`LcaIndex`]
+//! precomputes each vertex's ancestor set as an O(V²)-bit index instead;
+//! it answers a query in a word scan, and `paper ablation_lca` and the
+//! LCA property test compare `lca_bfs` against it.
 
 use pag::{EdgeId, Pag, VertexId};
 
@@ -20,8 +22,6 @@ pub struct LcaIndex {
     ancestors: Vec<Bitset>,
     /// Longest-path depth from any source vertex.
     depth: Vec<u32>,
-    /// First parent edge on a deepest path, used to reconstruct paths.
-    parent_edge: Vec<Option<EdgeId>>,
 }
 
 #[derive(Clone)]
@@ -77,7 +77,6 @@ impl LcaIndex {
         let order = topo_sort_filtered(g, follow).ok()?;
         let mut ancestors: Vec<Bitset> = (0..n).map(|_| Bitset::new(n)).collect();
         let mut depth = vec![0u32; n];
-        let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
         for &v in &order {
             // Every vertex is its own ancestor (matches the paper's "has
             // both v and w as descendants" with reflexive descent, so that
@@ -92,22 +91,10 @@ impl LcaIndex {
                 let u = g.edge(e).src;
                 let (a_u, a_v) = borrow_two(&mut ancestors, u.index(), vi);
                 a_v.union_with(a_u);
-                if depth[u.index()] + 1 > depth[vi] || parent_edge[vi].is_none() {
-                    depth[vi] = depth[u.index()] + 1;
-                    parent_edge[vi] = Some(e);
-                }
+                depth[vi] = depth[vi].max(depth[u.index()] + 1);
             }
         }
-        Some(LcaIndex {
-            ancestors,
-            depth,
-            parent_edge,
-        })
-    }
-
-    /// Depth (longest path from a source) of a vertex.
-    pub fn depth(&self, v: VertexId) -> u32 {
-        self.depth[v.index()]
+        Some(LcaIndex { ancestors, depth })
     }
 
     /// True if `a` is an ancestor of `d` (reflexive).
@@ -129,22 +116,6 @@ impl LcaIndex {
         }
         best.map(|(_, v)| v)
     }
-
-    /// Reconstruct one deepest path of edges from `ancestor` down to `v`
-    /// (empty when `ancestor == v`). Returns `None` if `ancestor` does not
-    /// lie on the recorded deepest-parent chain of `v`; callers that need
-    /// *a* path (not the deepest) can walk the graph instead.
-    pub fn path_from(&self, g: &Pag, ancestor: VertexId, v: VertexId) -> Option<Vec<EdgeId>> {
-        let mut path = Vec::new();
-        let mut cur = v;
-        while cur != ancestor {
-            let e = self.parent_edge[cur.index()]?;
-            path.push(e);
-            cur = g.edge(e).src;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Split-borrow two distinct indices of a slice.
@@ -159,26 +130,13 @@ fn borrow_two<T>(v: &mut [T], i: usize, j: usize) -> (&T, &mut T) {
     }
 }
 
-/// One-shot LCA of two vertices over the full edge set: returns the
-/// ancestor vertex and the edge paths from it to `v` and to `w`.
-///
-/// This is the paper's `pflow.lowest_common_ancestor(v1, v2)` low-level
-/// API (Listing 5): `v` is the detected lowest common ancestor, and the
-/// returned edge sets describe how the bug propagates from it.
-pub fn lowest_common_ancestor(
-    g: &Pag,
-    v: VertexId,
-    w: VertexId,
-) -> Option<(VertexId, Vec<EdgeId>, Vec<EdgeId>)> {
-    let idx = LcaIndex::build(g, |_| true)?;
-    let a = idx.lca(v, w)?;
-    let pv = idx.path_from(g, a, v).unwrap_or_default();
-    let pw = idx.path_from(g, a, w).unwrap_or_default();
-    Some((a, pv, pw))
-}
-
 /// Memory-frugal LCA for large graphs (e.g. parallel views with millions
 /// of vertices, where the bitset index would need O(V²) bits).
+///
+/// This is the paper's `pflow.lowest_common_ancestor(v1, v2)` low-level
+/// API (Listing 5): the returned vertex is the detected lowest common
+/// ancestor, and the returned edge sets describe how the bug propagates
+/// from it.
 ///
 /// Performs backward BFS from both query vertices over edges accepted by
 /// `follow`, intersects the reached ancestor sets, and picks the common
@@ -284,26 +242,22 @@ mod tests {
         g
     }
 
+    fn lca(g: &Pag, v: u32, w: u32) -> Option<VertexId> {
+        LcaIndex::build(g, |_| true)?.lca(VertexId(v), VertexId(w))
+    }
+
     #[test]
     fn lca_in_tree() {
         let g = tree();
-        let (a, pv, pw) = lowest_common_ancestor(&g, VertexId(3), VertexId(4)).unwrap();
-        assert_eq!(a, VertexId(1));
-        assert_eq!(pv.len(), 1);
-        assert_eq!(pw.len(), 1);
-
-        let (a, ..) = lowest_common_ancestor(&g, VertexId(3), VertexId(5)).unwrap();
-        assert_eq!(a, VertexId(0));
+        assert_eq!(lca(&g, 3, 4), Some(VertexId(1)));
+        assert_eq!(lca(&g, 3, 5), Some(VertexId(0)));
     }
 
     #[test]
     fn lca_is_reflexive_on_ancestry() {
         let g = tree();
-        // 1 is an ancestor of 3, so LCA(1,3) = 1 and the path to 3 is direct.
-        let (a, pv, pw) = lowest_common_ancestor(&g, VertexId(1), VertexId(3)).unwrap();
-        assert_eq!(a, VertexId(1));
-        assert!(pv.is_empty());
-        assert_eq!(pw.len(), 1);
+        // 1 is an ancestor of 3, so LCA(1,3) = 1.
+        assert_eq!(lca(&g, 1, 3), Some(VertexId(1)));
     }
 
     #[test]
@@ -317,10 +271,7 @@ mod tests {
         for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)] {
             g.add_edge(VertexId(a), VertexId(b), EdgeLabel::IntraProc);
         }
-        let (a, pv, pw) = lowest_common_ancestor(&g, VertexId(4), VertexId(5)).unwrap();
-        assert_eq!(a, VertexId(3));
-        assert_eq!(pv.len(), 1);
-        assert_eq!(pw.len(), 1);
+        assert_eq!(lca(&g, 4, 5), Some(VertexId(3)));
     }
 
     #[test]
@@ -331,7 +282,7 @@ mod tests {
         }
         g.add_edge(VertexId(0), VertexId(1), EdgeLabel::IntraProc);
         g.add_edge(VertexId(2), VertexId(3), EdgeLabel::IntraProc);
-        assert!(lowest_common_ancestor(&g, VertexId(1), VertexId(3)).is_none());
+        assert_eq!(lca(&g, 1, 3), None);
     }
 
     #[test]
@@ -352,20 +303,6 @@ mod tests {
         assert!(idx.is_ancestor(VertexId(1), VertexId(4)));
         assert!(!idx.is_ancestor(VertexId(2), VertexId(4)));
         assert!(idx.is_ancestor(VertexId(3), VertexId(3)));
-        assert_eq!(idx.depth(VertexId(0)), 0);
-        assert_eq!(idx.depth(VertexId(3)), 2);
-    }
-
-    #[test]
-    fn path_reconstruction_matches_edges() {
-        let g = tree();
-        let idx = LcaIndex::build(&g, |_| true).unwrap();
-        let path = idx.path_from(&g, VertexId(0), VertexId(4)).unwrap();
-        assert_eq!(path.len(), 2);
-        assert_eq!(g.edge(path[0]).src, VertexId(0));
-        assert_eq!(g.edge(path[0]).dst, VertexId(1));
-        assert_eq!(g.edge(path[1]).src, VertexId(1));
-        assert_eq!(g.edge(path[1]).dst, VertexId(4));
     }
 }
 

@@ -16,8 +16,8 @@ pub mod subgraph;
 pub mod traverse;
 
 pub use components::tarjan_sccs;
-pub use diff::{graph_difference, graph_difference_scaled, hottest_differences};
-pub use lca::{lca_bfs, lowest_common_ancestor, LcaIndex};
+pub use diff::graph_difference_scaled;
+pub use lca::{lca_bfs, LcaIndex};
 pub use longest_path::{critical_path, CriticalPath};
 pub use subgraph::{match_subgraph, Embedding, Pattern, PatternEdge, PatternVertex};
-pub use traverse::{bfs_order, dfs_preorder, topo_sort, CycleError};
+pub use traverse::{bfs_order, dfs_preorder, CycleError};

@@ -23,22 +23,6 @@ impl PatternVertex {
         Self::default()
     }
 
-    /// Pattern vertex constrained by label.
-    pub fn with_label(label: VertexLabel) -> Self {
-        PatternVertex {
-            label: Some(label),
-            name: None,
-        }
-    }
-
-    /// Pattern vertex constrained by name glob.
-    pub fn with_name(glob: impl Into<String>) -> Self {
-        PatternVertex {
-            label: None,
-            name: Some(glob.into()),
-        }
-    }
-
     fn matches(&self, g: &Pag, v: VertexId) -> bool {
         if let Some(l) = self.label {
             if g.vertex(v).label != l {
@@ -359,13 +343,26 @@ mod tests {
         g.add_edge(c, b, EdgeLabel::InterThread);
 
         let mut p = Pattern::new();
-        let x = p.add_vertex(PatternVertex::with_label(VertexLabel::Call(CallKind::Lock)));
-        let y = p.add_vertex(PatternVertex::with_label(VertexLabel::Compute));
+        let x = p.add_vertex(PatternVertex {
+            label: Some(VertexLabel::Call(CallKind::Lock)),
+            name: None,
+        });
+        let y = p.add_vertex(PatternVertex {
+            label: Some(VertexLabel::Compute),
+            name: None,
+        });
         p.add_edge(x, y, Some(EdgeLabel::InterThread));
 
         let embeddings = match_subgraph(&g, &p, None, 0);
         assert_eq!(embeddings.len(), 1);
         assert_eq!(embeddings[0].mapping, vec![c, b]);
+    }
+
+    fn glob(name: &str) -> PatternVertex {
+        PatternVertex {
+            label: None,
+            name: Some(name.into()),
+        }
     }
 
     #[test]
@@ -376,14 +373,14 @@ mod tests {
         g.add_edge(a, b, EdgeLabel::InterProcess(CommKind::P2pSync));
 
         let mut p = Pattern::new();
-        let x = p.add_vertex(PatternVertex::with_name("MPI_S*"));
-        let y = p.add_vertex(PatternVertex::with_name("MPI_R*"));
+        let x = p.add_vertex(glob("MPI_S*"));
+        let y = p.add_vertex(glob("MPI_R*"));
         p.add_edge(x, y, None);
         assert_eq!(match_subgraph(&g, &p, None, 0).len(), 1);
 
         let mut p2 = Pattern::new();
-        let x2 = p2.add_vertex(PatternVertex::with_name("MPI_R*"));
-        let y2 = p2.add_vertex(PatternVertex::with_name("MPI_S*"));
+        let x2 = p2.add_vertex(glob("MPI_R*"));
+        let y2 = p2.add_vertex(glob("MPI_S*"));
         p2.add_edge(x2, y2, None); // wrong direction
         assert!(match_subgraph(&g, &p2, None, 0).is_empty());
     }

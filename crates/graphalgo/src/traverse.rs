@@ -2,7 +2,7 @@
 
 use pag::{Pag, VertexId};
 
-/// Error returned by [`topo_sort`] when the graph contains a cycle.
+/// Error returned by [`topo_sort_filtered`] when the graph contains a cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleError {
     /// A vertex known to participate in (or be downstream of) a cycle.
@@ -110,11 +110,6 @@ pub fn topo_sort_filtered(
     Ok(order)
 }
 
-/// Kahn topological sort over all edges.
-pub fn topo_sort(g: &Pag) -> Result<Vec<VertexId>, CycleError> {
-    topo_sort_filtered(g, |_| true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +149,7 @@ mod tests {
     #[test]
     fn topo_sort_respects_edges() {
         let g = diamond();
-        let order = topo_sort(&g).unwrap();
+        let order = topo_sort_filtered(&g, |_| true).unwrap();
         let pos: Vec<usize> = (0..5)
             .map(|i| order.iter().position(|&v| v == VertexId(i)).unwrap())
             .collect();
@@ -168,7 +163,7 @@ mod tests {
     fn topo_sort_detects_cycles() {
         let mut g = diamond();
         g.add_edge(VertexId(3), VertexId(0), EdgeLabel::IntraProc);
-        assert!(topo_sort(&g).is_err());
+        assert!(topo_sort_filtered(&g, |_| true).is_err());
     }
 
     #[test]

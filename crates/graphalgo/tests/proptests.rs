@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn topo_sort_respects_edges(spec in arb_dag()) {
         let g = build(&spec);
-        let order = graphalgo::topo_sort(&g).unwrap();
+        let order = graphalgo::traverse::topo_sort_filtered(&g, |_| true).unwrap();
         prop_assert_eq!(order.len(), spec.n);
         let pos: std::collections::HashMap<VertexId, usize> =
             order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -130,7 +130,7 @@ proptest! {
         let right: Vec<f64> = left.iter().zip(&right_delta).map(|(l, d)| l + d).collect();
         let gl = mk(&left);
         let gr = mk(&right);
-        let d = graphalgo::graph_difference(&gl, &gr, &[pag::keys::TIME]).unwrap();
+        let d = graphalgo::graph_difference_scaled(&gl, &gr, &[pag::keys::TIME], 1.0).unwrap();
         for i in 0..n {
             let v = VertexId(i as u32);
             let restored = d.vertex_time(v) + gr.vertex_time(v);

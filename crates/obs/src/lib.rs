@@ -24,8 +24,9 @@
 //!   or allocating, so digest-asserted deterministic code paths behave
 //!   byte-identically whether or not they are instrumented.
 //! * **Allocation-light when enabled.** Static span names are borrowed
-//!   (`Cow::Borrowed`); dynamic names go through [`Obs::span_with`],
-//!   whose closure only runs when the handle is enabled.
+//!   (`Cow::Borrowed`); a dynamic name (`pass:<name>`) is an owned
+//!   string handed to [`Obs::record_span`], built only on paths that
+//!   checked [`Obs::is_enabled`].
 //! * **Bounded.** Recorded spans are capped ([`Obs::enabled_with_cap`]);
 //!   spans beyond the cap are counted, not stored. Histograms and
 //!   gauges are fixed-size per name.
@@ -246,11 +247,6 @@ impl Obs {
         }
     }
 
-    /// The trace id this handle stamps (0 = untraced).
-    pub fn trace_id(&self) -> u64 {
-        self.trace
-    }
-
     /// The span cap of this handle (0 when disabled).
     pub fn span_cap(&self) -> usize {
         self.inner.as_ref().map_or(0, |i| i.cap)
@@ -277,19 +273,6 @@ impl Obs {
     /// Open a span with a static name; it records itself on drop.
     pub fn span(&self, layer: Layer, name: &'static str, lane: u32) -> Span<'_> {
         self.begin(layer, Cow::Borrowed(name), lane)
-    }
-
-    /// Open a span with a dynamically built name. The closure runs only
-    /// when the handle is enabled, so disabled paths never allocate.
-    pub fn span_with(&self, layer: Layer, lane: u32, name: impl FnOnce() -> String) -> Span<'_> {
-        if self.inner.is_some() {
-            self.begin(layer, Cow::Owned(name()), lane)
-        } else {
-            Span {
-                obs: self,
-                rec: None,
-            }
-        }
     }
 
     fn begin(&self, layer: Layer, name: Cow<'static, str>, lane: u32) -> Span<'_> {
@@ -525,20 +508,6 @@ impl Obs {
             None => 0,
         }
     }
-
-    /// True when at least one recorded span belongs to `layer`.
-    pub fn has_layer(&self, layer: Layer) -> bool {
-        match &self.inner {
-            Some(inner) => inner
-                .state
-                .lock()
-                .unwrap()
-                .spans
-                .iter()
-                .any(|s| s.layer == layer),
-            None => false,
-        }
-    }
 }
 
 impl Inner {
@@ -598,8 +567,6 @@ mod tests {
         {
             let _s = obs.span(Layer::Core, "x", 0).arg("k", 1.0);
         }
-        let _never = obs.span_with(Layer::Core, 0, || panic!("must not run"));
-        drop(_never);
         obs.count("c", 5);
         assert_eq!(obs.counter("c"), 0);
         obs.observe("h", 3.0);
@@ -624,8 +591,7 @@ mod tests {
         assert_eq!(spans[0].lane, 3);
         assert_eq!(spans[0].args, vec![("ranks", 4.0)]);
         assert!(spans[0].dur_us >= 0.0);
-        assert!(obs.has_layer(Layer::Simrt));
-        assert!(!obs.has_layer(Layer::Core));
+        assert_eq!(spans[0].layer, Layer::Simrt);
     }
 
     #[test]
@@ -748,9 +714,7 @@ mod tests {
     #[test]
     fn with_trace_shares_storage_and_stamps_ids() {
         let obs = Obs::enabled();
-        assert_eq!(obs.trace_id(), 0);
         let job = obs.with_trace(7);
-        assert_eq!(job.trace_id(), 7);
         {
             let _s = job.span(Layer::Serve, "job", 0);
         }

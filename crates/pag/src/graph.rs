@@ -23,7 +23,7 @@ pub struct VertexData {
 }
 
 /// Data stored on one PAG edge. Numeric metrics live in the owning
-/// [`Pag`]'s columnar storage — see [`Pag::emetric`].
+/// [`Pag`]'s columnar storage — see [`Pag::emetric_f64`].
 #[derive(Debug, Clone)]
 pub struct EdgeData {
     /// Source vertex.
@@ -420,12 +420,6 @@ impl Pag {
         self.vmetrics.set_vec(k, v.index(), value.into());
     }
 
-    /// Scalar edge metric; `None` if never set.
-    #[inline]
-    pub fn emetric(&self, e: EdgeId, k: KeyId) -> Option<f64> {
-        self.emetrics.get(k, e.index())
-    }
-
     /// Scalar edge metric, `0.0` if absent.
     #[inline]
     pub fn emetric_f64(&self, e: EdgeId, k: KeyId) -> f64 {
@@ -527,68 +521,6 @@ impl Pag {
     /// reports), not for hot loops.
     pub fn prop_entries(&self, v: VertexId) -> Vec<(Arc<str>, PropValue)> {
         self.merged_entries(&self.vertex(v).sprops, &self.vmetrics, v.index())
-    }
-
-    /// All properties of an edge in key order (see [`Pag::prop_entries`]).
-    pub fn eprop_entries(&self, e: EdgeId) -> Vec<(Arc<str>, PropValue)> {
-        self.merged_entries(&self.edge(e).sprops, &self.emetrics, e.index())
-    }
-
-    /// Extract the subgraph induced by `vertices`: the selected vertices
-    /// (with their labels and properties) plus every edge whose both
-    /// endpoints are selected. Returns the new PAG and the old→new vertex
-    /// id mapping. This is the PAG-transforming flavour of the low-level
-    /// graph-operation API (§4.3.1) — e.g. cutting a suspicious region
-    /// out of a parallel view for focused analysis or visualization.
-    pub fn induced_subgraph(
-        &self,
-        vertices: &[VertexId],
-    ) -> (Pag, std::collections::HashMap<VertexId, VertexId>) {
-        let mut out = Pag::with_capacity(
-            self.view,
-            format!("{}:sub", self.name),
-            vertices.len(),
-            vertices.len(),
-        );
-        out.set_num_procs(self.num_procs);
-        out.set_threads_per_proc(self.threads_per_proc);
-        let mut map = std::collections::HashMap::with_capacity(vertices.len());
-        for &v in vertices {
-            if map.contains_key(&v) {
-                continue;
-            }
-            let data = self.vertex(v);
-            let nv = out.add_vertex(data.label, data.name.clone());
-            out.vertex_mut(nv).sprops = data.sprops.clone();
-            out.vmetrics.copy_row(
-                &mut out.keytab,
-                nv.index(),
-                &self.vmetrics,
-                &self.keytab,
-                v.index(),
-            );
-            map.insert(v, nv);
-        }
-        for e in self.edge_ids() {
-            let ed = self.edge(e);
-            if let (Some(&ns), Some(&nd)) = (map.get(&ed.src), map.get(&ed.dst)) {
-                let ne = out.add_edge(ns, nd, ed.label);
-                out.edge_mut(ne).sprops = ed.sprops.clone();
-                out.emetrics.copy_row(
-                    &mut out.keytab,
-                    ne.index(),
-                    &self.emetrics,
-                    &self.keytab,
-                    e.index(),
-                );
-            }
-        }
-        if let Some(r) = self.root {
-            if let Some(&nr) = map.get(&r) {
-                out.set_root(nr);
-            }
-        }
-        (out, map)
     }
 
     /// Check internal consistency: every edge endpoint in range, the
@@ -707,7 +639,6 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
 mod tests {
     use super::*;
     use crate::label::{CallKind, CommKind};
-    use crate::props::keys;
 
     fn tiny() -> Pag {
         let mut g = Pag::new(ViewKind::TopDown, "tiny");
@@ -788,36 +719,6 @@ mod tests {
         assert_eq!(g.edge(e).label, EdgeLabel::InterProcess(CommKind::P2pAsync));
         g.set_emetric_i64(e, metric::keys::COMM_BYTES, 1024);
         assert_eq!(g.emetric_i64(e, metric::keys::COMM_BYTES), Some(1024));
-        assert_eq!(
-            g.eprop_entries(e),
-            vec![(Arc::from(keys::COMM_BYTES), PropValue::Int(1024))]
-        );
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_and_props() {
-        let mut g = tiny();
-        g.set_metric(VertexId(1), metric::keys::TIME, 7.0);
-        g.set_vstr(VertexId(1), keys::DEBUG_INFO, "a.c:1");
-        let (sub, map) = g.induced_subgraph(&[VertexId(1), VertexId(2)]);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.num_edges(), 1); // loop_1 → MPI_Send survives
-        let nl = map[&VertexId(1)];
-        assert_eq!(sub.vertex_name(nl), "loop_1");
-        assert_eq!(sub.vertex_time(nl), 7.0);
-        assert_eq!(sub.vstr(nl, keys::DEBUG_INFO), Some("a.c:1"));
-        // Root (main) was not selected → absent.
-        assert_eq!(sub.root(), None);
-        assert!(sub.validate().is_empty());
-    }
-
-    #[test]
-    fn induced_subgraph_dedups_and_keeps_root() {
-        let g = tiny();
-        let (sub, map) = g.induced_subgraph(&[VertexId(0), VertexId(0), VertexId(1)]);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.root(), Some(map[&VertexId(0)]));
-        assert_eq!(sub.num_edges(), 1);
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub enum VertexLabel {
 }
 
 impl VertexLabel {
-    /// True for any call-site vertex, regardless of its [`CallKind`].
-    #[inline]
-    pub fn is_call(self) -> bool {
-        matches!(self, VertexLabel::Call(_))
-    }
-
     /// True for communication call vertices.
     #[inline]
     pub fn is_comm(self) -> bool {
@@ -131,10 +125,8 @@ mod tests {
 
     #[test]
     fn call_predicates() {
-        assert!(VertexLabel::Call(CallKind::Comm).is_call());
         assert!(VertexLabel::Call(CallKind::Comm).is_comm());
         assert!(!VertexLabel::Call(CallKind::User).is_comm());
-        assert!(!VertexLabel::Loop.is_call());
         assert!(!VertexLabel::Function.is_comm());
     }
 

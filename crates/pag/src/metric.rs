@@ -198,11 +198,6 @@ impl KeyTable {
             &self.user[i - GLOBAL_KEYS.len()]
         }
     }
-
-    /// User keys in interning order (ids `GLOBAL_KEYS.len()..`).
-    pub fn user_names(&self) -> impl Iterator<Item = &str> {
-        self.user.iter().map(|s| s.as_ref())
-    }
 }
 
 /// One scalar metric column: dense values plus a presence bitmap (NaN is a
@@ -411,43 +406,6 @@ impl MetricColumns {
         }
     }
 
-    /// Copy every metric of `src_row` in `src` (keyed by `src_keys`) onto
-    /// `dst_row` of `self` (interning user keys into `dst_keys`). Global
-    /// keys map 1:1; user keys are re-resolved by name.
-    pub fn copy_row(
-        &mut self,
-        dst_keys: &mut KeyTable,
-        dst_row: usize,
-        src: &MetricColumns,
-        src_keys: &KeyTable,
-        src_row: usize,
-    ) {
-        for (ki, col) in src.scalars.iter().enumerate() {
-            let Some(col) = col else { continue };
-            let sk = KeyId(ki as u32);
-            if col.has(src_row) {
-                let dk = if sk.is_global() {
-                    sk
-                } else {
-                    dst_keys.intern(src_keys.name(sk))
-                };
-                self.set(dk, dst_row, col.data[src_row], col.is_int);
-            }
-        }
-        for (ki, col) in src.vecs.iter().enumerate() {
-            let Some(col) = col else { continue };
-            let sk = KeyId(ki as u32);
-            if let Some(Some(v)) = col.data.get(src_row) {
-                let dk = if sk.is_global() {
-                    sk
-                } else {
-                    dst_keys.intern(src_keys.name(sk))
-                };
-                self.set_vec(dk, dst_row, v.clone());
-            }
-        }
-    }
-
     /// Audit the store's structural invariants against a key table of
     /// `known_keys` entries. Returns every fault found; used by
     /// `verify::check_pag` (PF0111 / PF0112).
@@ -596,36 +554,5 @@ mod tests {
         c.set(keys::TIME, 0, 3.0, false);
         assert_eq!(c.get_vec(keys::TIME, 0), None);
         assert_eq!(c.get(keys::TIME, 0), Some(3.0));
-    }
-
-    #[test]
-    fn copy_row_remaps_user_keys() {
-        let mut src_keys = KeyTable::new();
-        let mut src = MetricColumns::new();
-        src.push_row();
-        src.push_row();
-        let uk = src_keys.intern("user-metric");
-        src.set(keys::TIME, 1, 4.0, false);
-        src.set(uk, 1, 7.0, false);
-        src.set_vec(
-            keys::TIME_PER_PROC,
-            1,
-            Arc::from(vec![1.0].into_boxed_slice()),
-        );
-
-        // Destination already interned a different user key, shifting ids.
-        let mut dst_keys = KeyTable::new();
-        dst_keys.intern("other");
-        let mut dst = MetricColumns::new();
-        dst.push_row();
-        dst.copy_row(&mut dst_keys, 0, &src, &src_keys, 1);
-        assert_eq!(dst.get(keys::TIME, 0), Some(4.0));
-        let dk = dst_keys.resolve("user-metric").unwrap();
-        assert_ne!(dk, uk);
-        assert_eq!(dst.get(dk, 0), Some(7.0));
-        assert_eq!(
-            dst.get_vec(keys::TIME_PER_PROC, 0).unwrap().as_ref(),
-            &[1.0]
-        );
     }
 }

@@ -69,25 +69,6 @@ impl VertexStats {
             self.max / self.mean - 1.0
         }
     }
-
-    /// Coefficient of variation `stddev/mean` (0 when mean is 0).
-    pub fn cv(&self) -> f64 {
-        if self.mean <= f64::EPSILON {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
-
-    /// Percentage of aggregate time lost to imbalance: `(max-mean)/max`
-    /// (the fraction of the critical process's time other processes idle).
-    pub fn imbalance_loss(&self) -> f64 {
-        if self.max <= f64::EPSILON {
-            0.0
-        } else {
-            (self.max - self.mean) / self.max
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +89,6 @@ mod tests {
         assert_eq!(s.max, 2.0);
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.imbalance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
-        assert_eq!(s.imbalance_loss(), 0.0);
     }
 
     #[test]
@@ -120,7 +99,6 @@ mod tests {
         assert_eq!(s.argmax, 3);
         assert_eq!(s.argmin, 0);
         assert!((s.imbalance() - 1.5).abs() < 1e-12);
-        assert!((s.imbalance_loss() - 0.6).abs() < 1e-12);
         assert!(s.stddev > 0.0);
     }
 
@@ -128,8 +106,6 @@ mod tests {
     fn zero_mean_does_not_divide() {
         let s = VertexStats::from_slice(&[0.0, 0.0]).unwrap();
         assert_eq!(s.imbalance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
-        assert_eq!(s.imbalance_loss(), 0.0);
     }
 
     #[test]

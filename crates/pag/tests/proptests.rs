@@ -151,7 +151,6 @@ proptest! {
         prop_assert!(s.min <= s.mean + 1e-9);
         prop_assert!(s.mean <= s.max + 1e-9);
         prop_assert!(s.imbalance() >= 0.0);
-        prop_assert!(s.imbalance_loss() >= 0.0 && s.imbalance_loss() <= 1.0);
         prop_assert_eq!(values[s.argmax], s.max);
         prop_assert_eq!(values[s.argmin], s.min);
         prop_assert!(s.stddev >= 0.0);

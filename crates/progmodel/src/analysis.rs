@@ -1,7 +1,6 @@
 //! Static structure queries over a program model — the information
-//! Dyninst-style binary analysis provides (§3.2): the call graph, recursion
-//! detection, dead-code detection, and the inventory of call sites whose
-//! targets cannot be resolved statically.
+//! Dyninst-style binary analysis provides (§3.2): the call graph and
+//! dead-code detection.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -65,90 +64,6 @@ pub fn dead_functions(p: &Program) -> Vec<FuncId> {
     dead
 }
 
-/// Functions participating in call-graph cycles (directly or mutually
-/// recursive). Their call sites get the `Recursive` call kind in the PAG.
-///
-/// One Tarjan SCC pass over the call graph: a function is recursive iff
-/// its SCC has more than one member, or it is a singleton with a
-/// self-call.
-pub fn recursive_functions(p: &Program) -> HashSet<FuncId> {
-    let cg = call_graph(p);
-    // Dense indexing for the SCC pass.
-    let ids: Vec<FuncId> = cg.keys().copied().collect();
-    let index_of: BTreeMap<FuncId, usize> = ids.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let succ: Vec<Vec<usize>> = ids
-        .iter()
-        .map(|f| {
-            cg[f]
-                .iter()
-                .filter_map(|c| index_of.get(c).copied())
-                .collect()
-        })
-        .collect();
-
-    let mut recursive = HashSet::new();
-    for scc in graphalgo::tarjan_sccs(&succ) {
-        let cyclic = scc.len() > 1 || succ[scc[0]].contains(&scc[0]);
-        if cyclic {
-            recursive.extend(scc.into_iter().map(|i| ids[i]));
-        }
-    }
-    recursive
-}
-
-/// Summary of what static analysis could and could not resolve.
-#[derive(Debug, Clone)]
-pub struct StaticSummary {
-    /// Number of functions.
-    pub functions: usize,
-    /// Number of statements.
-    pub statements: usize,
-    /// Direct call sites.
-    pub direct_calls: usize,
-    /// Indirect call sites (resolved only at runtime).
-    pub indirect_calls: usize,
-    /// Communication call sites.
-    pub comm_calls: usize,
-    /// Lock sites.
-    pub lock_sites: usize,
-    /// Thread regions.
-    pub thread_regions: usize,
-    /// Functions reachable from the entry via the static call graph.
-    pub reachable_functions: usize,
-}
-
-/// Compute the static summary of a program.
-pub fn static_summary(p: &Program) -> StaticSummary {
-    let mut s = StaticSummary {
-        functions: p.functions.len(),
-        statements: 0,
-        direct_calls: 0,
-        indirect_calls: 0,
-        comm_calls: 0,
-        lock_sites: 0,
-        thread_regions: 0,
-        reachable_functions: 0,
-    };
-    p.visit_stmts(|_, stmt| {
-        s.statements += 1;
-        match &stmt.kind {
-            StmtKind::Call {
-                target: CallTarget::Static(_),
-            } => s.direct_calls += 1,
-            StmtKind::Call {
-                target: CallTarget::Indirect { .. },
-            } => s.indirect_calls += 1,
-            StmtKind::Comm(_) => s.comm_calls += 1,
-            StmtKind::Lock { .. } => s.lock_sites += 1,
-            StmtKind::ThreadRegion { .. } => s.thread_regions += 1,
-            _ => {}
-        }
-    });
-    let cg = call_graph(p);
-    s.reachable_functions = reachable_from(&cg, p.entry).len();
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,18 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn recursion_detected() {
-        let p = sample();
-        let rec = recursive_functions(&p);
-        let names: HashSet<&str> = rec.iter().map(|&f| p.function(f).name.as_ref()).collect();
-        assert!(names.contains("foo"));
-        assert!(names.contains("bar"));
-        assert!(names.contains("baz"));
-        assert!(!names.contains("main"));
-        assert!(!names.contains("dead"));
-    }
-
-    #[test]
     fn dead_functions_reports_unreachable_only() {
         let p = sample();
         let dead = dead_functions(&p);
@@ -219,17 +122,5 @@ mod tests {
         // Indirect candidates count as live.
         assert!(!names.contains(&"bar"));
         assert!(!names.contains(&"baz"));
-    }
-
-    #[test]
-    fn summary_counts() {
-        let p = sample();
-        let s = static_summary(&p);
-        assert_eq!(s.functions, 5);
-        assert_eq!(s.direct_calls, 4); // main->foo, foo->foo, bar->baz, baz->bar
-        assert_eq!(s.indirect_calls, 1);
-        assert_eq!(s.comm_calls, 1);
-        // dead is not reachable
-        assert_eq!(s.reachable_functions, 4);
     }
 }

@@ -21,13 +21,11 @@
 pub mod analysis;
 pub mod builder;
 pub mod expr;
-pub mod pretty;
 pub mod program;
 
-pub use analysis::{call_graph, dead_functions, recursive_functions, StaticSummary};
+pub use analysis::{call_graph, dead_functions};
 pub use builder::{FuncBuilder, ProgramBuilder};
 pub use expr::{c, iter, noise, nranks, nthreads, param, rank, thread, EvalCtx, Expr};
-pub use pretty::pretty;
 pub use program::{
     CallTarget, CommOp, FuncId, Function, LockId, PmuSpec, Program, Stmt, StmtId, StmtKind,
 };

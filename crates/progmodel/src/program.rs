@@ -365,22 +365,6 @@ impl Program {
         }
         bound
     }
-
-    /// Total number of statements of each coarse kind
-    /// `(compute, loops, branches, calls, comms, locks, regions)`.
-    pub fn stmt_histogram(&self) -> [usize; 7] {
-        let mut h = [0usize; 7];
-        self.visit_stmts(|_, s| match &s.kind {
-            StmtKind::Compute { .. } => h[0] += 1,
-            StmtKind::Loop { .. } => h[1] += 1,
-            StmtKind::Branch { .. } => h[2] += 1,
-            StmtKind::Call { .. } => h[3] += 1,
-            StmtKind::Comm(_) => h[4] += 1,
-            StmtKind::Lock { .. } => h[5] += 1,
-            StmtKind::ThreadRegion { .. } => h[6] += 1,
-        });
-        h
-    }
 }
 
 #[cfg(test)]
@@ -426,9 +410,5 @@ mod tests {
             }
         });
         assert_eq!(names, vec!["a", "inner", "then", "else"]);
-        let h = p.stmt_histogram();
-        assert_eq!(h[0], 4); // computes
-        assert_eq!(h[1], 1); // loop
-        assert_eq!(h[2], 1); // branch
     }
 }

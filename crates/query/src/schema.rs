@@ -5,12 +5,11 @@
 //! global key table ([`pag::GLOBAL_KEYS`]) plus the string attributes
 //! and the `score` pseudo-metric — enough to lint a query before any
 //! simulation runs (the CLI `--check-query` path and the server's
-//! pre-enqueue gate). [`Schema::from_pag`] extends it with the PAG's
-//! user-interned keys for post-build linting.
+//! pre-enqueue gate).
 
 use std::collections::BTreeMap;
 
-use pag::{MetricKind, Pag, GLOBAL_KEYS};
+use pag::{MetricKind, GLOBAL_KEYS};
 
 use crate::ast::View;
 
@@ -111,30 +110,6 @@ impl Schema {
         Schema { view, fields }
     }
 
-    /// The static schema plus the PAG's user-interned keys (typed by
-    /// which column — scalar or vector — actually holds data).
-    pub fn from_pag(pag: &Pag, view: View) -> Schema {
-        let mut schema = Schema::for_view(view);
-        for name in pag.key_table().user_names() {
-            let ty = pag
-                .key_id(name)
-                .and_then(|k| {
-                    pag.vertex_ids()
-                        .find_map(|v| pag.metric_vec(v, k).map(|_| Ty::Vec))
-                })
-                .unwrap_or(Ty::Num);
-            schema.fields.insert(
-                name.to_string(),
-                FieldInfo {
-                    ty,
-                    in_topdown: true,
-                    in_parallel: true,
-                },
-            );
-        }
-        schema
-    }
-
     /// The view this schema describes.
     pub fn view(&self) -> View {
         self.view
@@ -143,12 +118,6 @@ impl Schema {
     /// The type of `name`, if it is known in *any* view.
     pub fn lookup(&self, name: &str) -> Option<Ty> {
         self.fields.get(name).map(|f| f.ty)
-    }
-
-    /// True when `name` is known and actually materialized in this
-    /// schema's view (false for known-but-absent columns — PF0303).
-    pub fn present_in_view(&self, name: &str) -> bool {
-        self.present_in(name, self.view)
     }
 
     /// True when `name` is known and materialized in `view` (a query's
@@ -215,15 +184,15 @@ mod tests {
         let td = Schema::for_view(View::Vertices);
         let par = Schema::for_view(View::Parallel);
         // Rank ids only exist on the parallel view...
-        assert!(!td.present_in_view("proc"));
-        assert!(par.present_in_view("proc"));
+        assert!(!td.present_in("proc", View::Vertices));
+        assert!(par.present_in("proc", View::Parallel));
         // ...and per-proc vectors only on the top-down view.
-        assert!(td.present_in_view("time-per-proc"));
-        assert!(!par.present_in_view("time-per-proc"));
+        assert!(td.present_in("time-per-proc", View::Vertices));
+        assert!(!par.present_in("time-per-proc", View::Parallel));
         // Unknown names are absent everywhere.
-        assert!(!td.present_in_view("no-such-metric"));
+        assert!(!td.present_in("no-such-metric", View::Vertices));
         // Shared metrics are present in both.
-        assert!(td.present_in_view("time") && par.present_in_view("time"));
+        assert!(td.present_in("time", View::Vertices) && par.present_in("time", View::Parallel));
     }
 
     #[test]
@@ -240,16 +209,5 @@ mod tests {
         assert_eq!(edit_distance("", "abc"), 3);
         assert_eq!(edit_distance("kitten", "sitting"), 3);
         assert_eq!(edit_distance("time", "time"), 0);
-    }
-
-    #[test]
-    fn user_keys_join_the_schema() {
-        let mut g = Pag::new(pag::ViewKind::TopDown, "test");
-        let v = g.add_vertex(pag::VertexLabel::Function, "main");
-        let k = g.intern_key("custom-metric");
-        g.set_metric(v, k, 1.0);
-        let s = Schema::from_pag(&g, View::Vertices);
-        assert_eq!(s.lookup("custom-metric"), Some(Ty::Num));
-        assert!(s.present_in_view("custom-metric"));
     }
 }

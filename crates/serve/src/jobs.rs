@@ -131,14 +131,7 @@ impl JobSpec {
                 Some(j) => j.as_u64().ok_or("`seed` must be a non-negative integer")?,
             },
         };
-        for (name, n) in [("ranks", cfg.ranks), ("small_ranks", cfg.small_ranks)] {
-            if n == 0 || n > 4096 {
-                return Err(format!("`{name}` must be in 1..=4096"));
-            }
-        }
-        if cfg.threads > 256 {
-            return Err("`threads` must be at most 256".into());
-        }
+        cfg.check_bounds().map_err(|e| e.0)?;
         let mut resilience = ResilienceConfig::default();
         if let Some(j) = v.get("fail_policy") {
             let s = j.as_str().ok_or("`fail_policy` must be a string")?;
@@ -529,6 +522,8 @@ mod tests {
             r#"{"workload":"cg","ranks":99999}"#,
             r#"{"workload":"cg","small_ranks":0}"#,
             r#"{"workload":"cg","small_ranks":4097}"#,
+            r#"{"workload":"cg","threads":0}"#,
+            r#"{"workload":"cg","threads":257}"#,
             r#"{"workload":"cg","hold_ms":999999}"#,
             r#"{"workload":"cg","fail_policy":"explode"}"#,
             r#"{"workload":"cg","seed":-1}"#,

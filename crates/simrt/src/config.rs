@@ -193,11 +193,6 @@ impl RunConfig {
         self
     }
 
-    /// Force a fully serial simulation (one rank at a time).
-    pub fn serial_sim(self) -> Self {
-        self.with_sim_workers(1)
-    }
-
     /// Set threads per process.
     pub fn with_threads(mut self, nthreads: u32) -> Self {
         self.nthreads = nthreads;
@@ -263,7 +258,7 @@ mod tests {
     #[test]
     fn sim_worker_knob() {
         assert_eq!(RunConfig::new(4).sim_workers, None);
-        assert_eq!(RunConfig::new(4).serial_sim().sim_workers, Some(1));
+        assert_eq!(RunConfig::new(4).with_sim_workers(1).sim_workers, Some(1));
         assert_eq!(RunConfig::new(4).with_sim_workers(3).sim_workers, Some(3));
         // Zero is clamped: a pool always has at least one worker.
         assert_eq!(RunConfig::new(4).with_sim_workers(0).sim_workers, Some(1));

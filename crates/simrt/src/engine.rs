@@ -1641,7 +1641,7 @@ mod tests {
             );
         });
         let prog = pb.build(main);
-        let data = simulate(&prog, &RunConfig::new(3).serial_sim()).unwrap();
+        let data = simulate(&prog, &RunConfig::new(3).with_sim_workers(1)).unwrap();
         let wait = data
             .comm_records
             .iter()

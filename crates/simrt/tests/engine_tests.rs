@@ -698,7 +698,7 @@ fn mixed_workload() -> progmodel::Program {
 fn parallel_simulation_is_bit_identical_to_serial() {
     let prog = mixed_workload();
     let base = RunConfig::new(8).with_seed(42).with_slow_rank(3, 1.7);
-    let serial = simulate(&prog, &base.clone().serial_sim()).unwrap();
+    let serial = simulate(&prog, &base.clone().with_sim_workers(1)).unwrap();
     for workers in [2, 4, 8] {
         let par = simulate(&prog, &base.clone().with_sim_workers(workers)).unwrap();
         assert_eq!(
@@ -726,7 +726,7 @@ fn parallel_bit_identity_survives_fault_injection() {
             .with_sample_loss(0.2)
             .with_pmu_corruption(0.1),
     );
-    let serial = simulate(&prog, &base.clone().serial_sim()).unwrap();
+    let serial = simulate(&prog, &base.clone().with_sim_workers(1)).unwrap();
     let par = simulate(&prog, &base.clone().with_sim_workers(4)).unwrap();
     assert_eq!(serial.digest(), par.digest(), "faulted run diverged");
     assert_eq!(serial.rank_status, par.rank_status);

@@ -625,18 +625,4 @@ mod tests {
         assert_eq!(d.render_text(), lint(src).render_text());
         assert_eq!(d.to_json().render(), lint(src).to_json().render());
     }
-
-    #[test]
-    fn runtime_schema_accepts_user_keys() {
-        let mut g = pag::Pag::new(pag::ViewKind::TopDown, "t");
-        let v = g.add_vertex(pag::VertexLabel::Function, "main");
-        let k = g.intern_key("my-metric");
-        g.set_metric(v, k, 2.0);
-        let schema = Schema::from_pag(&g, View::Vertices);
-        let q = Query::parse("from vertices | filter my-metric > 1").unwrap();
-        assert!(lint_query(&q, &schema).is_empty());
-        // The static schema, by contrast, rejects it.
-        let d = lint("from vertices | filter my-metric > 1");
-        assert_eq!(codes_of(&d), vec![codes::QUERY_UNKNOWN_FIELD]);
-    }
 }

@@ -247,6 +247,11 @@ fn main() {
         }
     }
 
+    if let Err(e) = cfg.check_bounds() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+
     // Pure static analysis: lint the query and exit before any
     // simulation runs (exit 1 iff the analyzer found errors).
     if let Some(qtext) = &check_query {

@@ -4,8 +4,8 @@
 //!   deterministic when metrics are NaN — exercised end-to-end through a
 //!   fault-injected profiling run whose corrupted PMU data yields 0/0
 //!   derived scores;
-//! * `graphalgo::hottest_differences` and `critical_path` must degrade
-//!   the same way;
+//! * `graphalgo::graph_difference_scaled` must carry a NaN operand into
+//!   the difference, and `critical_path` must degrade like `sort_by`;
 //! * property test: `sort_by` is a total, deterministic descending order
 //!   over arbitrary `f64` scores including NaN and ±inf;
 //! * DOT export escapes quotes, backslashes and newlines losslessly in
@@ -103,7 +103,7 @@ fn mixed_nan_and_finite_scores_rank_finite_first() {
 }
 
 // ---------------------------------------------------------------------------
-// graphalgo: hottest_differences and critical_path under NaN metrics.
+// graphalgo: graph_difference_scaled and critical_path under NaN metrics.
 // ---------------------------------------------------------------------------
 
 fn chain_pag(times: &[f64]) -> Pag {
@@ -119,22 +119,16 @@ fn chain_pag(times: &[f64]) -> Pag {
 }
 
 #[test]
-fn hottest_differences_with_nan_operand_sorts_nan_last() {
+fn graph_difference_propagates_nan_operand() {
     // A NaN `time` on the left propagates through the subtraction into
-    // the diff graph (NaN - x = NaN).
+    // the diff graph (NaN - x = NaN); the finite rows subtract exactly.
     let left = chain_pag(&[10.0, f64::NAN, 30.0, 5.0]);
     let right = chain_pag(&[1.0, 2.0, 3.0, 4.0]);
-    let diff = graphalgo::graph_difference(&left, &right, &[keys::TIME]).unwrap();
-    let hot = graphalgo::hottest_differences(&diff, keys::TIME, 10);
-    assert_eq!(hot.len(), 4);
-    assert_eq!(hot[0].0, VertexId(2), "30-3 is the hottest finite diff");
-    assert!(hot[3].1.is_nan(), "NaN diff sorts last, not first");
-    // Deterministic across repeated calls (compare NaN by bit pattern).
-    let again = graphalgo::hottest_differences(&diff, keys::TIME, 10);
-    let bits = |v: &[(VertexId, f64)]| -> Vec<(VertexId, u64)> {
-        v.iter().map(|&(id, x)| (id, x.to_bits())).collect()
-    };
-    assert_eq!(bits(&again), bits(&hot));
+    let diff = graphalgo::graph_difference_scaled(&left, &right, &[keys::TIME], 1.0).unwrap();
+    let times: Vec<f64> = diff.vertex_ids().map(|v| diff.vertex_time(v)).collect();
+    assert_eq!(times.len(), 4);
+    assert!(times[1].is_nan(), "NaN operand yields a NaN diff");
+    assert_eq!([times[0], times[2], times[3]], [9.0, 27.0, 1.0]);
 }
 
 #[test]
